@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "src/evp/block_evp_preconditioner.hpp"
 #include "src/model/ocean_model.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/util/rng.hpp"
 
 using namespace minipop;
@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
     evp::BlockEvpPreconditioner m(op, g, depth, eopt);
     solver::SolverOptions sopt;
     sopt.rel_tolerance = 1e-12;
-    solver::ChronGearSolver solver(sopt);
+    solver::OneMemberSolver solver(
+        std::make_unique<solver::BatchedChronGearSolver>(sopt));
     comm::DistField b(d, 0), x(d, 0);
     util::Xoshiro256 rng(5);
     for (int lb = 0; lb < b.num_local_blocks(); ++lb) {

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 
 using namespace minipop;
 

@@ -28,9 +28,8 @@
 
 #include "bench_common.hpp"
 #include "src/comm/thread_comm.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 
 using namespace minipop;
 
@@ -246,11 +245,17 @@ int main(int argc, char** argv) {
     solves.push_back(run_team_solve(
         "chrongear+evp", mode, *c.stencil, *c.grid, c.depth, decomp,
         c.rhs_global, nranks, evp_opt,
-        [&] { return std::make_unique<solver::ChronGearSolver>(opt); }));
+        [&] {
+          return std::make_unique<solver::OneMemberSolver>(
+              std::make_unique<solver::BatchedChronGearSolver>(opt));
+        }));
     solves.push_back(run_team_solve(
         "pcsi+evp", mode, *c.stencil, *c.grid, c.depth, decomp,
         c.rhs_global, nranks, evp_opt,
-        [&] { return std::make_unique<solver::PcsiSolver>(bounds, opt); }));
+        [&] {
+          return std::make_unique<solver::OneMemberSolver>(
+              std::make_unique<solver::BatchedPcsiSolver>(bounds, opt));
+        }));
   }
 
   std::printf("%-16s %-9s %9s %6s %12s %12s %8s\n", "solver", "mode",

@@ -17,12 +17,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/dist_operator.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 
 using namespace minipop;
 namespace mk = solver::kernels;
@@ -388,7 +387,8 @@ int main(int argc, char** argv) {
   opt.rel_tolerance = 1e-10;
   solver::DiagonalPreconditioner m(op);
   {
-    solver::ChronGearSolver cg(opt);
+    solver::OneMemberSolver cg(
+        std::make_unique<solver::BatchedChronGearSolver>(opt));
     solver::SolveStats stats;
     comm::DistField xs(*c.decomp, 0);
     const double secs = time_best(
@@ -405,7 +405,8 @@ int main(int argc, char** argv) {
     const auto bounds =
         solver::estimate_eigenvalue_bounds(comm, *c.halo, op, m, lopt)
             .bounds;
-    solver::PcsiSolver pcsi(bounds, opt);
+    solver::OneMemberSolver pcsi(
+        std::make_unique<solver::BatchedPcsiSolver>(bounds, opt));
     solver::SolveStats stats;
     comm::DistField xs(*c.decomp, 0);
     const double secs = time_best(

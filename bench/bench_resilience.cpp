@@ -8,7 +8,7 @@
 //
 //   ./build-faults/bench/bench_resilience [--smoke] [output.json]
 //
-// 1. Guard overhead: raw solver vs ResilientSolver-decorated solver on
+// 1. Guard overhead: raw solver vs resilience-decorated solver on
 //    the same fault-free problem. The decorator adds one checkpoint copy
 //    and one scalar agreement allreduce per solve; the acceptance target
 //    is < 1% wall time.
@@ -50,11 +50,9 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/perf/machine.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
-#include "src/solver/resilient_solver.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -140,8 +138,10 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
     stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
     if (comm.rank() == 0)
-      if (auto* rs = dynamic_cast<ms::ResilientSolver*>(s.get()))
-        out.events = rs->events();
+      if (auto* one = dynamic_cast<ms::OneMemberSolver*>(s.get()))
+        if (auto* rs =
+                dynamic_cast<ms::BatchedResilientSolver*>(&one->batched()))
+          out.events = rs->events();
   };
   try {
     if (nranks == 1) {
@@ -182,28 +182,37 @@ ms::SolverOptions integrity_options() {
   return opt;
 }
 
-std::unique_ptr<ms::IterativeSolver> make_primary(const std::string& kind,
-                                                  ms::EigenBounds bounds,
-                                                  const ms::SolverOptions& opt) {
-  if (kind == "pcsi") return std::make_unique<ms::PcsiSolver>(bounds, opt);
-  return std::make_unique<ms::ChronGearSolver>(opt);
+std::unique_ptr<ms::BatchedSolver> make_core(const std::string& kind,
+                                             ms::EigenBounds bounds,
+                                             const ms::SolverOptions& opt) {
+  if (kind == "pcsi")
+    return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+  return std::make_unique<ms::BatchedChronGearSolver>(opt);
 }
 
-std::unique_ptr<ms::IterativeSolver> make_primary(const std::string& kind,
-                                                  ms::EigenBounds bounds) {
-  return make_primary(kind, bounds, solve_options());
+std::unique_ptr<ms::IterativeSolver> make_primary(
+    const std::string& kind, ms::EigenBounds bounds,
+    const ms::SolverOptions& opt = solve_options()) {
+  return std::make_unique<ms::OneMemberSolver>(make_core(kind, bounds, opt));
 }
 
-/// The production recovery chain: restart x2 → (P-CSI) re-estimate
-/// bounds → ChronGear → diagonal-preconditioned PCG.
+/// The production recovery chain on `opt`: restart x2 → (P-CSI)
+/// re-estimate bounds → ChronGear → diagonal-preconditioned PCG.
+std::unique_ptr<ms::IterativeSolver> make_decorated(
+    const std::string& kind, ms::EigenBounds bounds,
+    const ms::SolverOptions& opt) {
+  auto rs = std::make_unique<ms::BatchedResilientSolver>(
+      make_core(kind, bounds, opt));
+  if (kind != "cg")
+    rs->add_fallback(std::make_unique<ms::BatchedChronGearSolver>(opt));
+  rs->add_scalar_fallback(std::make_unique<ms::PcgSolver>(opt),
+                          /*use_diagonal_precond=*/true);
+  return std::make_unique<ms::OneMemberSolver>(std::move(rs));
+}
+
 SolverFactory decorated(const std::string& kind, ms::EigenBounds bounds) {
-  return [kind, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    auto rs = std::make_unique<ms::ResilientSolver>(make_primary(kind, bounds));
-    if (kind != "cg")
-      rs->add_fallback(std::make_unique<ms::ChronGearSolver>(solve_options()));
-    rs->add_fallback(std::make_unique<ms::PcgSolver>(solve_options()),
-                     /*use_diagonal_precond=*/true);
-    return rs;
+  return [kind, bounds](int) {
+    return make_decorated(kind, bounds, solve_options());
   };
 }
 
@@ -216,15 +225,8 @@ SolverFactory raw(const std::string& kind, ms::EigenBounds bounds) {
 /// to run when silent data corruption is in the threat model.
 SolverFactory decorated_integrity(const std::string& kind,
                                   ms::EigenBounds bounds) {
-  return [kind, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    const ms::SolverOptions opt = integrity_options();
-    auto rs = std::make_unique<ms::ResilientSolver>(
-        make_primary(kind, bounds, opt));
-    if (kind != "cg")
-      rs->add_fallback(std::make_unique<ms::ChronGearSolver>(opt));
-    rs->add_fallback(std::make_unique<ms::PcgSolver>(opt),
-                     /*use_diagonal_precond=*/true);
-    return rs;
+  return [kind, bounds](int) {
+    return make_decorated(kind, bounds, integrity_options());
   };
 }
 #endif  // MINIPOP_FAULTS

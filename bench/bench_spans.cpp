@@ -20,11 +20,11 @@
 
 #include "bench_common.hpp"
 #include "src/model/ocean_model.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/dist_operator.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
@@ -346,7 +346,8 @@ SolvePair solve_pair(Case& c, bool audit_only) {
     solver::DistOperator a(*c.stencil, *c.blocks, 0);
     a.set_use_spans(spans);
     solver::DiagonalPreconditioner m(a);
-    solver::PcsiSolver s(bounds, opt);
+    solver::OneMemberSolver s(
+        std::make_unique<solver::BatchedPcsiSolver>(bounds, opt));
     comm::DistField b(*c.blocks, 0);
     b.load_global(c.rhs_global);
     x.fill(0.0);
@@ -387,7 +388,8 @@ SolvePair solve_pair(Case& c, bool audit_only) {
   a_on.set_use_spans(true);
   a_off.set_use_spans(false);
   solver::DiagonalPreconditioner m_on(a_on), m_off(a_off);
-  solver::PcsiSolver s(bounds, opt);
+  solver::OneMemberSolver s(
+      std::make_unique<solver::BatchedPcsiSolver>(bounds, opt));
   out.span_on_s = time_best(
       [&] {
         x.fill(0.0);

@@ -34,6 +34,7 @@
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
@@ -136,6 +137,21 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
+  const std::vector<util::CliFlag> flags = {
+      {"scale", "=S  scale of the 1-degree POP grid (default 0.12)"},
+      {"nz", "=N  vertical tracer levels (default 4)"},
+      {"block-size", "=NX[xNY]  block size (default 12)"},
+      {"block", "=N  square block size, when --block-size is absent"},
+      {"solver", "=pcsi|chrongear|pcg|pipecg  solver (default pcsi)"},
+      {"precond", "=evp|diagonal|identity  preconditioner (default evp)"},
+      {"precision", "=fp64|fp32|mixed  solver arithmetic (default fp64)"},
+      {"halo-depth", "=1..4|auto  ghost-zone depth (default 1)"},
+      {"ranks", "=N  virtual ranks (default 1)"},
+      {"days", "=D  simulated days (default 90)"},
+  };
+  if (const auto rc = cli.check_flags(
+          flags, "Mini ocean model: one barotropic solve per time step."))
+    return *rc;
   model::ModelConfig cfg;
   cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12));
   cfg.nz = cli.get_int("nz", 4);

@@ -9,6 +9,7 @@
 // Walks through the whole public API: grid -> synthetic bathymetry ->
 // nine-point stencil -> block decomposition -> BarotropicSolver.
 #include <iostream>
+#include <vector>
 
 #include "src/comm/serial_comm.hpp"
 #include "src/grid/bathymetry.hpp"
@@ -23,6 +24,16 @@ using namespace minipop;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
+  const std::vector<util::CliFlag> flags = {
+      {"nx", "=N  grid columns"},
+      {"ny", "=N  grid rows"},
+      {"solver", "=pcsi|chrongear|pcg|pipecg  (default pcsi)"},
+      {"precond", "=evp|diagonal|identity  (default evp)"},
+      {"tol", "=T  relative residual tolerance (default 1e-13)"},
+  };
+  if (const auto rc = cli.check_flags(
+          flags, "One barotropic elliptic solve, end to end."))
+    return *rc;
 
   // 1. A curvilinear grid. pop_1deg_spec(scale) mimics POP's 1-degree
   //    dipole grid; scale 0.25 gives a workstation-sized 80x96.

@@ -10,6 +10,7 @@
 //   ./scaling_study [--machine=yellowstone|edison] [--grid=0.1deg|1deg]
 //                   [--scale=0.05] [--live=1]
 #include <iostream>
+#include <vector>
 
 #include "src/perf/pop_timing_model.hpp"
 #include "src/util/cli.hpp"
@@ -21,6 +22,15 @@ using namespace minipop;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
+  const std::vector<util::CliFlag> flags = {
+      {"machine", "=yellowstone|edison  machine profile (default yellowstone)"},
+      {"grid", "=0.1deg|1deg  POP grid (default 0.1deg)"},
+      {"live", "[=0|1]  calibrate on a scaled grid (default 1)"},
+      {"scale", "=S  scale of the live calibration grid"},
+  };
+  if (const auto rc = cli.check_flags(
+          flags, "Modeled strong scaling of ChronGear+diagonal vs P-CSI+EVP."))
+    return *rc;
   const std::string machine_name = cli.get("machine", "yellowstone");
   const std::string grid_name = cli.get("grid", "0.1deg");
   const bool live = cli.get_bool("live", true);

@@ -10,6 +10,7 @@
 //
 // Try --tol=1e-10 to watch a genuinely inconsistent configuration fail.
 #include <iostream>
+#include <vector>
 
 #include "src/comm/serial_comm.hpp"
 #include "src/model/ocean_model.hpp"
@@ -22,6 +23,18 @@ using namespace minipop;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
+  const std::vector<util::CliFlag> flags = {
+      {"scale", "=S  scale of the 1-degree POP grid (default 0.08)"},
+      {"nz", "=N  vertical tracer levels (default 3)"},
+      {"members", "=N  reference ensemble members (default 10)"},
+      {"months", "=N  simulated months (default 3)"},
+      {"solver", "=pcsi|chrongear|pcg|pipecg  solver (default pcsi)"},
+      {"precond", "=evp|diagonal|identity  preconditioner (default evp)"},
+      {"tol", "=T  candidate tolerance (default 1e-13)"},
+  };
+  if (const auto rc = cli.check_flags(
+          flags, "Ensemble RMSZ verification of a candidate solver."))
+    return *rc;
 
   stats::EnsembleConfig ens;
   ens.model.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.08));

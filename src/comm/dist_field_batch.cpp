@@ -81,45 +81,6 @@ void DistFieldBatchT<T>::store_member(int m, DistFieldT<T>& f) const {
   }
 }
 
-template <typename T>
-void DistFieldBatchT<T>::copy_member_from(int m,
-                                          const DistFieldBatchT<T>& src,
-                                          int src_m) {
-  MINIPOP_REQUIRE(m >= 0 && m < nb_, "member " << m << " of " << nb_);
-  MINIPOP_REQUIRE(src_m >= 0 && src_m < src.nb_,
-                  "member " << src_m << " of " << src.nb_);
-  MINIPOP_REQUIRE(decomp_ == src.decomp_ && rank_ == src.rank_ &&
-                      halo_ == src.halo_,
-                  "incompatible source batch");
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    util::Array2D<T>& dst = data_[lb];
-    const util::Array2D<T>& sp = src.data_[lb];
-    const int ncols = dst.nx() / nb_;  // padded cells per row
-    for (int j = 0; j < dst.ny(); ++j)
-      for (int i = 0; i < ncols; ++i)
-        dst(i * nb_ + m, j) = sp(i * src.nb_ + src_m, j);
-  }
-}
-
-template <typename T>
-void DistFieldBatchT<T>::copy_member_interior_from(
-    int m, const DistFieldBatchT<T>& src, int src_m) {
-  MINIPOP_REQUIRE(m >= 0 && m < nb_, "member " << m << " of " << nb_);
-  MINIPOP_REQUIRE(src_m >= 0 && src_m < src.nb_,
-                  "member " << src_m << " of " << src.nb_);
-  MINIPOP_REQUIRE(decomp_ == src.decomp_ && rank_ == src.rank_,
-                  "incompatible source batch");
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    util::Array2D<T>& dst = data_[lb];
-    const util::Array2D<T>& sp = src.data_[lb];
-    const auto& b = info(lb);
-    for (int j = 0; j < b.ny; ++j)
-      for (int i = 0; i < b.nx; ++i)
-        dst((i + halo_) * nb_ + m, j + halo_) =
-            sp((i + src.halo_) * src.nb_ + src_m, j + src.halo_);
-  }
-}
-
 template class DistFieldBatchT<double>;
 template class DistFieldBatchT<float>;
 

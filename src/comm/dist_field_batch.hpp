@@ -94,18 +94,6 @@ class DistFieldBatchT {
   /// Copy member slot m's full padded plane back into `f`.
   void store_member(int m, DistFieldT<T>& f) const;
 
-  /// Copy the full padded plane of `src`'s member `src_m` into this
-  /// batch's member `m` (used by convergence-retirement compaction and
-  /// by the per-member recovery sub-batches of the resilient decorator).
-  void copy_member_from(int m, const DistFieldBatchT<T>& src, int src_m);
-
-  /// Interior-only variant of copy_member_from that tolerates a
-  /// different halo width (the comm-avoiding solvers migrate members
-  /// between caller batches and deep-halo working batches). Halo cells
-  /// of member m are left untouched.
-  void copy_member_interior_from(int m, const DistFieldBatchT<T>& src,
-                                 int src_m);
-
   /// Shape compatibility: same decomposition object, rank, halo, and
   /// batch width. Templated across element types so the mixed-precision
   /// boundary (fp64 batch vs its fp32 mirror) can be validated too.

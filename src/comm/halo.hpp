@@ -136,9 +136,8 @@ class HaloExchanger {
   /// finish(); the owned interior may be read freely (but not written)
   /// in between. One message per (block, neighbor) carries all nb()
   /// members. The fault-injection halo payload hook arms only on
-  /// scalar-backed fp64 sets — fault sites target the scalar resilient
-  /// solve; batch members recover through per-member sub-batches
-  /// (DESIGN.md §10, §11).
+  /// one-member fp64 sets — fault sites target scalar solves; wider
+  /// batches recover through per-member sub-batches (DESIGN.md §8).
   template <typename T>
   HaloHandleT<T> begin_set(Communicator& comm,
                            const FieldSetT<T>& fs) const;
@@ -151,7 +150,7 @@ class HaloExchanger {
   /// must share decomposition, rank, halo width and batch width; each
   /// set's rims are bitwise identical to what its own exchange_set()
   /// would deliver. With CRC enabled, one trailer covers the whole
-  /// concatenated payload; the fault payload hook arms on scalar-backed
+  /// concatenated payload; the fault payload hook arms on one-member
   /// fp64 groups exactly like the single-set path. Blocking.
   template <typename T>
   void exchange_group(Communicator& comm,

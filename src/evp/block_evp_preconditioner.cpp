@@ -151,13 +151,53 @@ int BlockEvpPreconditioner::simplified_tiles() const {
   return n;
 }
 
+namespace {
+
+/// One tile solve for member m of `in`/`out`: gather the tile's interior
+/// window of that member plane, march, scatter re-masked. `solve` is the
+/// tile's fp64 or fp32 marching entry. Member planes are addressed in
+/// place (cell columns nb apart), so a one-member set runs exactly the
+/// contiguous scalar loops and no member is ever copied out.
+template <typename T, typename Solve>
+void tile_apply(const EvpTileSolver& s, const util::MaskArray& mask,
+                const comm::FieldSetT<T>& in, const comm::FieldSetT<T>& out,
+                int lb, int m, util::Array2D<T>& y, util::Array2D<T>& x,
+                Solve solve) {
+  const int nb = in.nb();
+  const T* in_p =
+      in.interior(lb) + static_cast<std::ptrdiff_t>(s.i0()) * nb + m;
+  const std::ptrdiff_t in_s = in.stride(lb);
+  for (int j = 0; j < s.ny(); ++j) {
+    const T* row = in_p + (s.j0() + j) * in_s;
+    if (nb == 1)
+      for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
+    else
+      for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i * nb];
+  }
+  solve(y, x);
+  T* out_p =
+      out.interior(lb) + static_cast<std::ptrdiff_t>(s.i0()) * nb + m;
+  const std::ptrdiff_t out_s = out.stride(lb);
+  for (int j = 0; j < s.ny(); ++j) {
+    T* row = out_p + (s.j0() + j) * out_s;
+    const unsigned char* mrow =
+        mask.data() + (s.j0() + j) * mask.nx() + s.i0();
+    if (nb == 1)
+      for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : T(0);
+    else
+      for (int i = 0; i < s.nx(); ++i) row[i * nb] = mrow[i] ? x(i, j) : T(0);
+  }
+}
+
+}  // namespace
+
 // Contract: apply() is block-local and communication-free — it never
 // touches `comm` beyond cost accounting and reads no halo points. The
 // overlapped solvers rely on this to run it while reductions are in
 // flight (split-phase engine); keep it that way.
 void BlockEvpPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
+                                   const comm::FieldSet& in,
+                                   const comm::FieldSet& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP field mismatch");
   std::uint64_t flops = 0;
   util::Field y, x;
@@ -167,33 +207,20 @@ void BlockEvpPreconditioner::apply(comm::Communicator& comm,
       y = util::Field(s.nx(), s.ny());
       x = util::Field(s.nx(), s.ny());
     }
-    // Row-pointer gather/scatter: this runs per tile per iteration, so
-    // skip the per-element block lookup of DistField::at.
-    const double* in_p = in.interior(t.local_block);
-    const std::ptrdiff_t in_s = in.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      const double* row = in_p + (s.j0() + j) * in_s + s.i0();
-      for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
-    }
-    s.solve(y, x);
-    const auto& mask = op_->block_mask(t.local_block);
-    double* out_p = out.interior(t.local_block);
-    const std::ptrdiff_t out_s = out.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      double* row = out_p + (s.j0() + j) * out_s + s.i0();
-      const unsigned char* mrow = mask.data() + (s.j0() + j) * mask.nx() +
-                                  s.i0();
-      for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : 0.0;
-    }
-    flops += s.solve_flops();
+    for (int m = 0; m < in.nb(); ++m)
+      tile_apply(s, op_->block_mask(t.local_block), in, out, t.local_block,
+                 m, y, x, [&s](const util::Field& yy, util::Field& xx) {
+                   s.solve(yy, xx);
+                 });
+    flops += s.solve_flops() * in.nb();
   }
   comm.costs().add_flops(flops);
 }
 
 // Same contract as the fp64 apply: block-local, communication-free.
 void BlockEvpPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField32& in,
-                                   comm::DistField32& out) {
+                                   const comm::FieldSet32& in,
+                                   const comm::FieldSet32& out) {
   MINIPOP_REQUIRE(in.compatible_with(out), "block-EVP field mismatch");
   if (tiles32_.empty()) build_tiles32();
   std::uint64_t flops = 0;
@@ -204,23 +231,12 @@ void BlockEvpPreconditioner::apply(comm::Communicator& comm,
       y = util::Array2D<float>(s.nx(), s.ny());
       x = util::Array2D<float>(s.nx(), s.ny());
     }
-    const float* in_p = in.interior(t.local_block);
-    const std::ptrdiff_t in_s = in.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      const float* row = in_p + (s.j0() + j) * in_s + s.i0();
-      for (int i = 0; i < s.nx(); ++i) y(i, j) = row[i];
-    }
-    s.solve32(y, x);
-    const auto& mask = op_->block_mask(t.local_block);
-    float* out_p = out.interior(t.local_block);
-    const std::ptrdiff_t out_s = out.stride(t.local_block);
-    for (int j = 0; j < s.ny(); ++j) {
-      float* row = out_p + (s.j0() + j) * out_s + s.i0();
-      const unsigned char* mrow = mask.data() + (s.j0() + j) * mask.nx() +
-                                  s.i0();
-      for (int i = 0; i < s.nx(); ++i) row[i] = mrow[i] ? x(i, j) : 0.0f;
-    }
-    flops += s.solve_flops();
+    for (int m = 0; m < in.nb(); ++m)
+      tile_apply(s, op_->block_mask(t.local_block), in, out, t.local_block,
+                 m, y, x,
+                 [&s](const util::Array2D<float>& yy,
+                      util::Array2D<float>& xx) { s.solve32(yy, xx); });
+    flops += s.solve_flops() * in.nb();
   }
   comm.costs().add_flops(flops);
 }

@@ -71,14 +71,16 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
                          const util::Field& depth,
                          const BlockEvpOptions& options = {});
 
-  void apply(comm::Communicator& comm, const comm::DistField& in,
-             comm::DistField& out) override;
+  /// Every member of the sets marches in place through the same tiles
+  /// (no per-member scratch copies).
+  void apply(comm::Communicator& comm, const comm::FieldSet& in,
+             const comm::FieldSet& out) override;
 
   /// fp32 apply. The fp32 tile set is built lazily on first use (from
   /// the same regularized coefficients, with the smaller max_tile32 and
   /// its own self-check/subdivision), so fp64-only runs pay nothing.
-  void apply(comm::Communicator& comm, const comm::DistField32& in,
-             comm::DistField32& out) override;
+  void apply(comm::Communicator& comm, const comm::FieldSet32& in,
+             const comm::FieldSet32& out) override;
 
   std::string name() const override {
     return options_.simplified ? "block-evp" : "block-evp-full";

@@ -15,14 +15,16 @@ namespace minipop::solver {
 
 namespace {
 
-/// Interior of member m := 0 (freezes the member through the inner
-/// solve's zero-RHS early-out; see solve_mixed).
-void zero_member(comm::DistFieldBatch32& x, int m) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, m) = 0.0f;
-  }
+/// Member slot s of `out` from one scalar solve's stats.
+void set_member(BatchSolveStats& out, int s, SolveStats&& ss) {
+  BatchMemberStats& ms = out.members[s];
+  ms.iterations = ss.iterations;
+  ms.converged = ss.converged;
+  ms.relative_residual = ss.relative_residual;
+  ms.failure = ss.failure;
+  ms.residual_history = std::move(ss.residual_history);
+  out.iterations = std::max(out.iterations, ss.iterations);
+  out.refine_sweeps += ss.refine_sweeps;
 }
 
 void zero_nonfinite(comm::DistFieldBatch& v) {
@@ -60,8 +62,8 @@ std::string BatchedMixedPrecisionSolver::name() const {
 
 BatchSolveStats BatchedMixedPrecisionSolver::solve(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x, comm::HaloFreshness x_fresh) {
+    const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+    const comm::FieldSet& x, comm::HaloFreshness x_fresh) {
   if (forced_fp64_ || opt_.precision == Precision::kFp64)
     return twin_->solve(comm, halo, a, m, b, x, x_fresh);
   if (opt_.precision == Precision::kFp32)
@@ -71,9 +73,8 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve(
 
 BatchSolveStats BatchedMixedPrecisionSolver::solve(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m,
-    const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
-    comm::HaloFreshness x_fresh) {
+    const DistOperator& a, Preconditioner& m, const comm::FieldSet32& b,
+    const comm::FieldSet32& x, comm::HaloFreshness x_fresh) {
   return twin_->solve(comm, halo, a, m, b, x, x_fresh);
 }
 
@@ -90,8 +91,8 @@ std::unique_ptr<BatchedSolver> BatchedMixedPrecisionSolver::make_inner()
 
 BatchSolveStats BatchedMixedPrecisionSolver::solve_fp32(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x) {
+    const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+    const comm::FieldSet& x) {
   comm::DistFieldBatch32 b32(a.decomposition(), a.rank(), b.nb(), b.halo());
   comm::DistFieldBatch32 x32(a.decomposition(), a.rank(), x.nb(), x.halo());
   demote(b, b32);
@@ -103,8 +104,8 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_fp32(
 
 BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& b,
-    comm::DistFieldBatch& x, comm::HaloFreshness x_fresh) {
+    const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+    const comm::FieldSet& x, comm::HaloFreshness x_fresh) {
   const auto snapshot = comm.costs().counters();
   const int nb = b.nb();
   const bool ov = opt_.overlap;
@@ -135,19 +136,15 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     threshold2[mm] = opt_.rel_tolerance * opt_.rel_tolerance * b_norm2[mm];
     if (bad_slot[mm]) {
       // Untrustworthy ||b||² ⇒ untrustworthy threshold: fail the member
-      // before it refines (batched-core init parity).
+      // before it refines (core init parity).
       out.members[mm].failure = FailureKind::kCorruptReduction;
       active[mm] = 0;
       --n_active;
       continue;
     }
     if (b_norm2[mm] == 0.0) {
-      // Scalar early-out parity: x_m = 0, converged.
-      for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-        const auto& info = x.info(lb);
-        for (int j = 0; j < info.ny; ++j)
-          for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, mm) = 0.0;
-      }
+      // Zero-RHS early-out: x_m = 0, converged.
+      x.fill_member_interior(mm, 0.0);
       out.members[mm].converged = true;
       active[mm] = 0;
       --n_active;
@@ -204,8 +201,15 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
 
     accept_s.assign(nb, 0);
     audit.assign(nb, FailureKind::kNone);
-    for (int mm = 0; mm < nb; ++mm)
-      if (active[mm] && sums[mm] <= threshold2[mm]) accept_s[mm] = 1;
+    for (int mm = 0; mm < nb; ++mm) {
+      if (!active[mm]) continue;
+      const double rel = std::sqrt(sums[mm] / b_norm2[mm]);
+      out.members[mm].relative_residual = rel;
+      if (opt_.record_residuals)
+        out.members[mm].residual_history.emplace_back(
+            out.members[mm].iterations, rel);
+      if (sums[mm] <= threshold2[mm]) accept_s[mm] = 1;
+    }
     if (opt_.integrity.any_solver_check()) {
       // The refinement loop's r IS the true fp64 residual (r_is_true),
       // so only the ABFT operator audit applies; slot == member here
@@ -224,8 +228,7 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
         --n_active;
         continue;
       }
-      const double rel = std::sqrt(sums[mm] / b_norm2[mm]);
-      out.members[mm].relative_residual = rel;
+      const double rel = out.members[mm].relative_residual;
       if (accept_s[mm]) {
         out.members[mm].converged = true;
         active[mm] = 0;
@@ -249,7 +252,7 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     // solve's zero-RHS early-out freezes them instantly (d_m = 0).
     if (!ov) demote(r, r32);
     for (int mm = 0; mm < nb; ++mm)
-      if (!active[mm]) zero_member(r32, mm);
+      if (!active[mm]) comm::FieldSet32(r32).fill_member_interior(mm, 0.0f);
     d32.fill(0.0f);
     const std::unique_ptr<BatchedSolver> inner = make_inner();
     const BatchSolveStats istats =
@@ -261,9 +264,9 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
       if (!active[mm]) continue;
       out.members[mm].iterations += istats.members[mm].iterations;
       const FailureKind fi = istats.members[mm].failure;
-      // Scalar parity: a NaN/breakdown inside the inner solve fails the
-      // member before its correction is applied; other inner failures
-      // (max_iters at a loose tolerance) still improve x.
+      // A NaN/breakdown inside the inner solve fails the member before
+      // its correction is applied; other inner failures (max_iters at a
+      // loose tolerance) still improve x.
       if (fi == FailureKind::kNanDetected ||
           fi == FailureKind::kBreakdown) {
         out.members[mm].failure = fi;
@@ -313,9 +316,10 @@ std::string BatchedResilientSolver::name() const {
   return "resilient(" + chain_.front().batched->name() + ")";
 }
 
-void BatchedResilientSolver::checkpoint(const comm::DistFieldBatch& x) {
+void BatchedResilientSolver::checkpoint(const comm::FieldSet& x) {
   // Drop snapshots from a different problem shape before reusing the ring.
-  while (!ring_.empty() && !ring_.front().compatible_with(x)) ring_.clear();
+  while (!ring_.empty() && !comm::FieldSet(ring_.front()).compatible_with(x))
+    ring_.clear();
   comm::DistFieldBatch snap(x.decomposition(), x.rank(), x.nb(), x.halo());
   copy_interior(x, snap);
   ring_.push_front(std::move(snap));
@@ -324,8 +328,8 @@ void BatchedResilientSolver::checkpoint(const comm::DistFieldBatch& x) {
 
 BatchSolveStats BatchedResilientSolver::run_stage(
     Stage& st, comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const DistOperator& a, Preconditioner& m, const comm::DistFieldBatch& bw,
-    comm::DistFieldBatch& xw, comm::HaloFreshness fresh) {
+    const DistOperator& a, Preconditioner& m, const comm::FieldSet& bw,
+    const comm::FieldSet& xw, comm::HaloFreshness fresh) {
   if (st.batched) {
     if (st.use_diagonal_precond) {
       DiagonalPreconditioner diag(a);
@@ -334,8 +338,8 @@ BatchSolveStats BatchedResilientSolver::run_stage(
     return st.batched->solve(comm, halo, a, m, bw, xw, fresh);
   }
   // Scalar demux: the failed members one at a time through the scalar
-  // fallback — the configuration that shares no code with the batched
-  // engine, so it cannot share its failure mode either.
+  // fallback — the configuration that shares no code with the lockstep
+  // cores, so it cannot share their failure mode either.
   const int w = bw.nb();
   BatchSolveStats out;
   out.members.resize(w);
@@ -344,17 +348,12 @@ BatchSolveStats BatchedResilientSolver::run_stage(
   comm::DistField b_m(bw.decomposition(), bw.rank(), bw.halo());
   comm::DistField x_m(bw.decomposition(), bw.rank(), bw.halo());
   for (int s = 0; s < w; ++s) {
-    bw.store_member(s, b_m);
-    xw.store_member(s, x_m);
-    const SolveStats ss = st.scalar->solve(
-        comm, halo, a, diag ? *diag : m, b_m, x_m, fresh);
-    xw.load_member(s, x_m);
-    out.members[s].iterations = ss.iterations;
-    out.members[s].converged = ss.converged;
-    out.members[s].relative_residual = ss.relative_residual;
-    out.members[s].failure = ss.failure;
-    out.iterations = std::max(out.iterations, ss.iterations);
-    out.refine_sweeps += ss.refine_sweeps;
+    comm::FieldSet(b_m).copy_member_from(0, bw, s);
+    comm::FieldSet(x_m).copy_member_from(0, xw, s);
+    SolveStats ss = st.scalar->solve(comm, halo, a, diag ? *diag : m, b_m,
+                                     x_m, fresh);
+    xw.copy_member_from(s, x_m, 0);
+    set_member(out, s, std::move(ss));
   }
   return out;
 }
@@ -363,8 +362,8 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
                                               const comm::HaloExchanger& halo,
                                               const DistOperator& a,
                                               Preconditioner& m,
-                                              const comm::DistFieldBatch& b,
-                                              comm::DistFieldBatch& x,
+                                              const comm::FieldSet& b,
+                                              const comm::FieldSet& x,
                                               comm::HaloFreshness x_fresh) {
   const auto snapshot = comm.costs().counters();
   const int nb = b.nb();
@@ -384,8 +383,7 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
   // into owned sub-batches.
   std::vector<int> cur(nb);
   for (int mm = 0; mm < nb; ++mm) cur[mm] = mm;
-  const comm::DistFieldBatch* bw = &b;
-  comm::DistFieldBatch* xw = &x;
+  comm::FieldSet bw = b, xw = x;
   std::unique_ptr<comm::DistFieldBatch> b_sub, x_sub;
 
   std::size_t stage = 0;
@@ -401,7 +399,7 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
     FailureKind broken_code = FailureKind::kCommTimeout;
     std::vector<double> codes(w, 0.0);
     try {
-      stats = run_stage(chain_[stage], comm, halo, a, m, *bw, *xw, fresh);
+      stats = run_stage(chain_[stage], comm, halo, a, m, bw, xw, fresh);
       for (int s = 0; s < w; ++s)
         codes[s] = stats.members[s].converged
                        ? 0.0
@@ -463,7 +461,9 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
             stats.members[s].relative_residual;
         out.members[mm].failure = FailureKind::kNone;
         out.members[mm].iterations = iter_accum[mm];
-        if (xw != &x) x.copy_member_from(mm, *xw, s);
+        out.members[mm].residual_history =
+            std::move(stats.members[s].residual_history);
+        if (xw != x) x.copy_member_from(mm, xw, s);
       } else {
         failed_slots.push_back(s);
         if (static_cast<int>(f) > static_cast<int>(worst)) worst = f;
@@ -536,7 +536,9 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
         out.members[mm].relative_residual =
             stats.members[s].relative_residual;
         out.members[mm].iterations = iter_accum[mm];
-        if (xw != &x) x.copy_member_from(mm, *xw, s);
+        out.members[mm].residual_history =
+            std::move(stats.members[s].residual_history);
+        if (xw != x) x.copy_member_from(mm, xw, s);
       }
       out.costs = comm.costs().since(snapshot);
       return out;
@@ -604,14 +606,14 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
     const comm::DistFieldBatch& snap =
         ring_[std::min(restore_slot, ring_.size() - 1)];
     for (int t = 0; t < f_n; ++t) {
-      nb_sub->copy_member_from(t, b, next[t]);
-      nx_sub->copy_member_from(t, snap, next[t]);
+      comm::FieldSet(*nb_sub).copy_member_from(t, b, next[t]);
+      comm::FieldSet(*nx_sub).copy_member_from(t, snap, next[t]);
     }
     zero_nonfinite(*nx_sub);
     b_sub = std::move(nb_sub);
     x_sub = std::move(nx_sub);
-    bw = b_sub.get();
-    xw = x_sub.get();
+    bw = *b_sub;
+    xw = *x_sub;
     cur = std::move(next);
     fresh = comm::HaloFreshness::kStale;
   }
@@ -620,21 +622,18 @@ BatchSolveStats BatchedResilientSolver::solve(comm::Communicator& comm,
 // ---------------------------------------------------------------------------
 // SequentialBatchedSolver
 
-SequentialBatchedSolver::SequentialBatchedSolver(IterativeSolver* scalar)
-    : scalar_(scalar) {
+SequentialBatchedSolver::SequentialBatchedSolver(
+    std::unique_ptr<IterativeSolver> scalar)
+    : scalar_(std::move(scalar)) {
   MINIPOP_REQUIRE(scalar_ != nullptr, "sequential batch needs a solver");
-}
-
-std::string SequentialBatchedSolver::name() const {
-  return "sequential(" + scalar_->name() + ")";
 }
 
 BatchSolveStats SequentialBatchedSolver::solve(comm::Communicator& comm,
                                                const comm::HaloExchanger& halo,
                                                const DistOperator& a,
                                                Preconditioner& m,
-                                               const comm::DistFieldBatch& b,
-                                               comm::DistFieldBatch& x,
+                                               const comm::FieldSet& b,
+                                               const comm::FieldSet& x,
                                                comm::HaloFreshness x_fresh) {
   MINIPOP_REQUIRE(b.compatible_with(x), "sequential batch: b/x mismatch");
   const auto snapshot = comm.costs().counters();
@@ -644,17 +643,11 @@ BatchSolveStats SequentialBatchedSolver::solve(comm::Communicator& comm,
   comm::DistField b_m(b.decomposition(), b.rank(), b.halo());
   comm::DistField x_m(x.decomposition(), x.rank(), x.halo());
   for (int mm = 0; mm < nb; ++mm) {
-    b.store_member(mm, b_m);
-    x.store_member(mm, x_m);
-    const SolveStats s =
-        scalar_->solve(comm, halo, a, m, b_m, x_m, x_fresh);
-    x.load_member(mm, x_m);
-    out.members[mm].iterations = s.iterations;
-    out.members[mm].converged = s.converged;
-    out.members[mm].relative_residual = s.relative_residual;
-    out.members[mm].failure = s.failure;
-    out.iterations = std::max(out.iterations, s.iterations);
-    out.refine_sweeps += s.refine_sweeps;
+    comm::FieldSet(b_m).copy_member_from(0, b, mm);
+    comm::FieldSet(x_m).copy_member_from(0, x, mm);
+    SolveStats s = scalar_->solve(comm, halo, a, m, b_m, x_m, x_fresh);
+    x.copy_member_from(mm, x_m, 0);
+    set_member(out, mm, std::move(s));
   }
   out.costs = comm.costs().since(snapshot);
   return out;

@@ -1,31 +1,28 @@
-// Decorators over the batched execution core, mirroring the scalar
-// decorator stack so SolverConfig composes identically at any batch
-// width:
+// Decorators over the solver cores, composing SolverConfig's precision
+// and resilience settings at any batch width (a scalar solve is the
+// one-member case):
 //
-//   BatchedMixedPrecisionSolver — fp32/mixed arithmetic over batched
-//     lockstep sweeps. kFp32 demotes the whole batch and runs the
-//     core's fp32 storage path; kMixed runs an fp64 outer refinement
-//     loop whose per-sweep correction is ONE batched fp32 inner solve
-//     (members that have reached the fp64 tolerance get their residual
-//     plane zeroed, so the inner solve's zero-RHS early-out freezes
-//     them instantly and the batch stops paying for them after the
-//     next retirement compaction).
+//   BatchedMixedPrecisionSolver — fp32/mixed arithmetic over lockstep
+//     sweeps. kFp32 demotes the whole set and runs the core's fp32
+//     storage path; kMixed runs an fp64 outer refinement loop whose
+//     per-sweep correction is ONE fp32 inner solve (members that have
+//     reached the fp64 tolerance get their residual plane zeroed, so the
+//     inner solve's zero-RHS early-out freezes them instantly and the
+//     batch stops paying for them after the next retirement compaction).
 //
 //   BatchedResilientSolver — detect → recover → fall back with
 //     per-member recovery: each attempt ends with one B-element kMax
 //     agreement allreduce of the members' failure codes; members that
 //     converged are final, and ONLY the failed members are gathered
-//     into a narrow recovery sub-batch that walks the scalar
-//     decorator's chain (escalate precision → checkpoint restart →
-//     Lanczos re-estimation → batched fallback solvers → scalar demux
-//     as last resort). One diverging member therefore never freezes or
-//     restarts the healthy rest of the batch.
+//     into a narrow recovery sub-batch that walks the chain (repair a
+//     corrupted operator → escalate precision → Lanczos re-estimation →
+//     checkpoint restart → fallback solvers). One diverging member
+//     therefore never freezes or restarts the healthy rest of the batch.
 //
-//   SequentialBatchedSolver — adapts the fully decorated SCALAR solver
-//     stack to the BatchedSolver interface by solving members one at a
-//     time. This is the composition path for solvers without a lockstep
-//     batched core (PCG, pipelined CG): every SolverConfig keeps a
-//     working solve_batch, just without the fused-lane amortization.
+//   SequentialBatchedSolver — adapts a scalar IterativeSolver (PCG,
+//     pipelined CG: no lockstep core) to the BatchedSolver interface by
+//     solving members one at a time, so every SolverConfig keeps a
+//     working solve_batch and the same resilience decorator.
 #pragma once
 
 #include <deque>
@@ -34,13 +31,38 @@
 #include <vector>
 
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/resilient_solver.hpp"
+#include "src/solver/lanczos.hpp"
 
 namespace minipop::solver {
 
-/// Batched twin of MixedPrecisionSolver. `fp64_twin` must be a
-/// BatchedPcsiSolver or BatchedChronGearSolver; it defines the lockstep
-/// iteration run at every precision and is the escalation target.
+struct RecoveryPolicy {
+  /// Checkpoint restarts of the primary solver before falling back.
+  int max_restarts = 2;
+  /// Re-run Lanczos (once per solve) when a P-CSI primary diverges or
+  /// stagnates — the classic stale-interval failure.
+  bool reestimate_bounds = true;
+  LanczosOptions lanczos;
+  /// Walk the fallback chain after the primary is out of options.
+  bool fallback = true;
+};
+
+/// One recorded recovery transition.
+struct RecoveryEvent {
+  FailureKind failure;  ///< worst agreed failure of the attempt
+  std::string solver;   ///< solver that failed
+  /// repair_operator | escalate_precision | reestimate_bounds | restart |
+  /// fallback | give_up
+  std::string action;
+  int attempt;          ///< 0-based attempt ordinal within the solve
+  int iterations;       ///< iterations spent in the failed attempt
+  /// How many members of the batch failed together and entered the
+  /// transition (1 for a scalar solve).
+  int members = 1;
+};
+
+/// Reduced-precision decorator. `fp64_twin` must be a BatchedPcsiSolver
+/// or BatchedChronGearSolver; it defines the lockstep iteration run at
+/// every precision and is the escalation target.
 class BatchedMixedPrecisionSolver final : public BatchedSolver {
  public:
   BatchedMixedPrecisionSolver(std::unique_ptr<BatchedSolver> fp64_twin,
@@ -48,8 +70,8 @@ class BatchedMixedPrecisionSolver final : public BatchedSolver {
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+      const comm::FieldSet& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
   /// fp32 storage entry point: delegate straight to the twin's fp32
@@ -57,11 +79,11 @@ class BatchedMixedPrecisionSolver final : public BatchedSolver {
   /// already decided by the caller here).
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet32& b,
+      const comm::FieldSet32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  /// e.g. "mixed(batched_pcsi)"; the precision prefix names the
+  /// e.g. "mixed(pcsi)"; the precision prefix names the
   /// configured mode even while escalation forces fp64.
   std::string name() const override;
 
@@ -81,13 +103,13 @@ class BatchedMixedPrecisionSolver final : public BatchedSolver {
   BatchSolveStats solve_fp32(comm::Communicator& comm,
                              const comm::HaloExchanger& halo,
                              const DistOperator& a, Preconditioner& m,
-                             const comm::DistFieldBatch& b,
-                             comm::DistFieldBatch& x);
+                             const comm::FieldSet& b,
+                             const comm::FieldSet& x);
   BatchSolveStats solve_mixed(comm::Communicator& comm,
                               const comm::HaloExchanger& halo,
                               const DistOperator& a, Preconditioner& m,
-                              const comm::DistFieldBatch& b,
-                              comm::DistFieldBatch& x,
+                              const comm::FieldSet& b,
+                              const comm::FieldSet& x,
                               comm::HaloFreshness x_fresh);
   /// Fresh inner core for one refinement solve, configured with the
   /// refine_* knobs and the twin's CURRENT eigenvalue bounds.
@@ -100,10 +122,12 @@ class BatchedMixedPrecisionSolver final : public BatchedSolver {
   bool forced_fp64_ = false;
 };
 
-/// Batched twin of ResilientSolver with per-member recovery (see the
-/// file comment). Recovery policy, event vocabulary and chain order are
-/// shared with the scalar decorator; RecoveryEvent::members records how
-/// many members entered each transition.
+/// Resilience decorator with per-member recovery (see the file
+/// comment). A CommTimeoutError or CorruptPayloadError from an attempt
+/// is absorbed: the team is fenced with Communicator::resync() and the
+/// attempt counts as a typed comm failure, so a dropped or mangled
+/// message costs one restart instead of a hang. Every transition is
+/// recorded as a RecoveryEvent.
 class BatchedResilientSolver final : public BatchedSolver {
  public:
   explicit BatchedResilientSolver(std::unique_ptr<BatchedSolver> primary,
@@ -115,14 +139,16 @@ class BatchedResilientSolver final : public BatchedSolver {
 
   /// Append a SCALAR fallback stage: the failed members are solved one
   /// at a time through `solver` — the last-resort configuration that
-  /// shares no code with the lockstep batched engine.
+  /// shares no code with the lockstep cores. With `use_diagonal_precond`
+  /// a stage runs with a diagonal preconditioner built from the operator
+  /// instead of the caller's, which cannot itself be the failure source.
   void add_scalar_fallback(std::unique_ptr<IterativeSolver> solver,
                            bool use_diagonal_precond = false);
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+      const comm::FieldSet& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
   std::string name() const override;
@@ -143,14 +169,14 @@ class BatchedResilientSolver final : public BatchedSolver {
   };
 
   /// Push a snapshot of the full-width x onto the checkpoint ring
-  /// (keeps 2, like the scalar decorator's entry snapshots).
-  void checkpoint(const comm::DistFieldBatch& x);
+  /// (keeps the two most recent solve-entry snapshots).
+  void checkpoint(const comm::FieldSet& x);
   /// Run `stage` on the working batch (member demux for scalar stages).
   BatchSolveStats run_stage(Stage& st, comm::Communicator& comm,
                             const comm::HaloExchanger& halo,
                             const DistOperator& a, Preconditioner& m,
-                            const comm::DistFieldBatch& bw,
-                            comm::DistFieldBatch& xw,
+                            const comm::FieldSet& bw,
+                            const comm::FieldSet& xw,
                             comm::HaloFreshness fresh);
 
   std::vector<Stage> chain_;
@@ -159,23 +185,23 @@ class BatchedResilientSolver final : public BatchedSolver {
   std::deque<comm::DistFieldBatch> ring_;  ///< [0] = newest entry snapshot
 };
 
-/// Adapter: the decorated scalar stack as a BatchedSolver, one member
-/// at a time. Non-owning — the factory keeps the scalar stack alive for
-/// BarotropicSolver::solve(); this view shares it.
+/// Adapter: a scalar IterativeSolver as a BatchedSolver, one member at
+/// a time through per-member scratch fields (halo freshness carries
+/// over: whole padded planes are copied).
 class SequentialBatchedSolver final : public BatchedSolver {
  public:
-  explicit SequentialBatchedSolver(IterativeSolver* scalar);
+  explicit SequentialBatchedSolver(std::unique_ptr<IterativeSolver> scalar);
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+      const comm::FieldSet& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  std::string name() const override;
+  std::string name() const override { return scalar_->name(); }
 
  private:
-  IterativeSolver* scalar_;  ///< non-owning; outlives this adapter
+  std::unique_ptr<IterativeSolver> scalar_;
 };
 
 }  // namespace minipop::solver

@@ -19,7 +19,7 @@ namespace {
 /// Interior cell count of one member plane (BlockInfo dims are cells,
 /// not the nb-widened storage columns).
 template <typename T>
-std::uint64_t interior_points(const comm::DistFieldBatchT<T>& f) {
+std::uint64_t interior_points(const comm::FieldSetT<T>& f) {
   std::uint64_t n = 0;
   for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
     const auto& b = f.info(lb);
@@ -30,24 +30,12 @@ std::uint64_t interior_points(const comm::DistFieldBatchT<T>& f) {
 
 /// y = x over all members' interiors (batched copy_interior).
 template <typename T>
-void copy_all(const comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y) {
+void copy_all(const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y) {
   MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     kernels::copy_batch(x.nb(), info.nx, info.ny, x.interior(lb),
                         x.stride(lb), y.interior(lb), y.stride(lb));
-  }
-}
-
-/// Interior of member m := v (batched counterpart of fill_interior for
-/// one member plane; only used on zero-RHS members, so no fused kernel).
-template <typename T>
-void fill_member(comm::DistFieldBatchT<T>& x, int m, double v) {
-  const T vt = static_cast<T>(v);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i) x.at(lb, i, j, m) = vt;
   }
 }
 
@@ -60,10 +48,10 @@ std::uint64_t plan_active_points(const SpanPlan& plan) {
 }
 
 /// x_m *= a[m] for active members. Flops counted for active lanes only
-/// (scalar parity: a frozen member's scalar solve has already returned).
+/// (a frozen member's solve has ended; its lanes only ride along).
 template <typename T>
 void scale_active(comm::Communicator& comm, const T* a,
-                  comm::DistFieldBatchT<T>& x,
+                  const comm::FieldSetT<T>& x,
                   const std::vector<unsigned char>& active, int n_act,
                   const SpanPlan* plan = nullptr) {
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
@@ -85,8 +73,7 @@ void scale_active(comm::Communicator& comm, const T* a,
 /// y_m += a[m] * x_m for active members.
 template <typename T>
 void axpy_active(comm::Communicator& comm, const T* a,
-                 const comm::DistFieldBatchT<T>& x,
-                 comm::DistFieldBatchT<T>& y,
+                 const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y,
                  const std::vector<unsigned char>& active, int n_act,
                  const SpanPlan* plan = nullptr) {
   MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy field mismatch");
@@ -111,9 +98,9 @@ void axpy_active(comm::Communicator& comm, const T* a,
 /// Fused y_m = a[m] x_m + b[m] y_m; z_m += c[m] y_m for active members.
 template <typename T>
 void lincomb_axpy_active(comm::Communicator& comm, const T* a,
-                         const comm::DistFieldBatchT<T>& x, const T* b,
-                         comm::DistFieldBatchT<T>& y, const T* c,
-                         comm::DistFieldBatchT<T>& z,
+                         const comm::FieldSetT<T>& x, const T* b,
+                         const comm::FieldSetT<T>& y, const T* c,
+                         const comm::FieldSetT<T>& z,
                          const std::vector<unsigned char>& active,
                          int n_act, const SpanPlan* plan = nullptr) {
   MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
@@ -158,6 +145,12 @@ struct BatchControl {
   int n_active = 0;
   int cur_nb = 0;
 
+  /// Record slot s's checked relative residual (record_residuals).
+  void record(const SolverOptions& opt, int s, int k, double rel) {
+    if (opt.record_residuals)
+      out.members[member_of[s]].residual_history.emplace_back(k, rel);
+  }
+
   void freeze(int s, bool converged, double rel, FailureKind failure) {
     BatchMemberStats& ms = out.members[member_of[s]];
     ms.converged = converged;
@@ -169,13 +162,12 @@ struct BatchControl {
 };
 
 /// ||b_m||² for every member with ONE vector allreduce; zero-RHS members
-/// resolve immediately (x_m = 0, converged), mirroring the scalar
-/// early-out. Returns the initialized control block.
+/// resolve immediately (x_m = 0, converged). Returns the initialized
+/// control block.
 template <typename T>
 BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
-                          const DistOperator& a,
-                          const comm::DistFieldBatchT<T>& b,
-                          comm::DistFieldBatchT<T>& x) {
+                          const DistOperator& a, const comm::FieldSetT<T>& b,
+                          const comm::FieldSetT<T>& x) {
   const int nb = b.nb();
   BatchControl ctl;
   ctl.out.members.resize(nb);
@@ -209,7 +201,7 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
       continue;
     }
     if (ctl.b_norm2[m] == 0.0) {
-      fill_member(x, m, 0.0);
+      x.fill_member_interior(m, T(0));
       ctl.out.members[m].converged = true;
       ctl.active[m] = 0;
       --ctl.n_active;
@@ -220,12 +212,12 @@ BatchControl init_control(const SolverOptions& opt, comm::Communicator& comm,
 
 /// Stamp the relative residual of every member frozen without a norm in
 /// hand, from its (frozen or deterministically recomputed) r plane. One
-/// extra vector allreduce; bit-equal per member to the scalar solver's
-/// final global_dot(r, r) stamp because dot_batch keeps masked_dot's
-/// accumulation order and vector allreduces combine element-wise.
+/// extra vector allreduce; bit-equal per member at every width because
+/// dot_batch keeps one accumulation order and vector allreduces combine
+/// element-wise.
 template <typename T>
 void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
-                   const DistOperator& a, const comm::DistFieldBatchT<T>& r,
+                   const DistOperator& a, const comm::FieldSetT<T>& r,
                    std::vector<double>& sums) {
   bool any = false;
   for (int s = 0; s < ctl.cur_nb && !any; ++s)
@@ -243,14 +235,13 @@ void stamp_pending(BatchControl& ctl, comm::Communicator& comm,
   }
 }
 
-/// Member flush to the caller's batch, tolerant of the comm-avoiding
-/// paths' wider working halos: same width keeps the historical
-/// full-plane copy (halo freshness carries over), differing widths copy
-/// the interior (the caller's halos are stale either way after a
-/// comm-avoiding solve, matching the scalar path).
+/// Member flush to the caller's set, tolerant of the comm-avoiding
+/// paths' wider working halos: same width copies the full plane (halo
+/// freshness carries over), differing widths copy the interior (the
+/// caller's halos are stale either way after a comm-avoiding solve).
 template <typename T>
-void flush_member(comm::DistFieldBatchT<T>& x_caller, int m,
-                  const comm::DistFieldBatchT<T>& xw, int s) {
+void flush_member(const comm::FieldSetT<T>& x_caller, int m,
+                  const comm::FieldSetT<T>& xw, int s) {
   if (x_caller.halo() == xw.halo())
     x_caller.copy_member_from(m, xw, s);
   else
@@ -265,27 +256,28 @@ bool should_retire(const SolverOptions& opt, const BatchControl& ctl) {
 }
 
 /// Retirement compaction: flush every slot's solution plane back to the
-/// caller's batch, then migrate the survivors (b, x and the solver's
+/// caller's set, then migrate the survivors (b, x and the solver's
 /// carried fields) into freshly allocated width-n_active batches and
 /// reallocate the per-iteration scratch fields. Pure data movement —
-/// no member's arithmetic changes, only the lane count.
+/// no member's arithmetic changes, only the lane count. `bw`/`xw` are
+/// the working views (the caller's sets until the first compaction).
 template <typename T>
 void compact(BatchControl& ctl, comm::Communicator& comm,
-             const DistOperator& a, comm::DistFieldBatchT<T>& x_caller,
-             const comm::DistFieldBatchT<T>*& bw,
+             const DistOperator& a, const comm::FieldSetT<T>& x_caller,
+             comm::FieldSetT<T>& bw,
              std::unique_ptr<comm::DistFieldBatchT<T>>& b_own,
-             comm::DistFieldBatchT<T>*& xw,
+             comm::FieldSetT<T>& xw,
              std::unique_ptr<comm::DistFieldBatchT<T>>& x_own,
              comm::DistFieldBatchT<T>& r,
              const std::vector<comm::DistFieldBatchT<T>*>& carried,
              const std::vector<comm::DistFieldBatchT<T>*>& scratch,
              std::vector<double>& sums, int work_halo) {
   // Frozen failures lose their r planes below; stamp them first.
-  stamp_pending(ctl, comm, a, r, sums);
+  stamp_pending<T>(ctl, comm, a, r, sums);
 
-  if (xw != &x_caller)
+  if (xw != x_caller)
     for (int s = 0; s < ctl.cur_nb; ++s)
-      flush_member(x_caller, ctl.member_of[s], *xw, s);
+      flush_member<T>(x_caller, ctl.member_of[s], xw, s);
 
   std::vector<int> keep;
   keep.reserve(ctl.n_active);
@@ -301,17 +293,18 @@ void compact(BatchControl& ctl, comm::Communicator& comm,
   auto nx_own = std::make_unique<comm::DistFieldBatchT<T>>(decomp, rank,
                                                            n_new, halo);
   for (int t = 0; t < n_new; ++t) {
-    nb_own->copy_member_from(t, *bw, keep[t]);
-    nx_own->copy_member_from(t, *xw, keep[t]);
+    comm::FieldSetT<T>(*nb_own).copy_member_from(t, bw, keep[t]);
+    comm::FieldSetT<T>(*nx_own).copy_member_from(t, xw, keep[t]);
   }
   b_own = std::move(nb_own);
   x_own = std::move(nx_own);
-  bw = b_own.get();
-  xw = x_own.get();
+  bw = *b_own;
+  xw = *x_own;
 
   for (comm::DistFieldBatchT<T>* f : carried) {
     comm::DistFieldBatchT<T> nf(decomp, rank, n_new, halo);
-    for (int t = 0; t < n_new; ++t) nf.copy_member_from(t, *f, keep[t]);
+    for (int t = 0; t < n_new; ++t)
+      comm::FieldSetT<T>(nf).copy_member_from(t, *f, keep[t]);
     *f = std::move(nf);
   }
   for (comm::DistFieldBatchT<T>* f : scratch)
@@ -331,8 +324,8 @@ void compact(BatchControl& ctl, comm::Communicator& comm,
 /// planes flush back to the caller.
 template <typename T>
 void finish(BatchControl& ctl, comm::Communicator& comm,
-            const DistOperator& a, comm::DistFieldBatchT<T>& x_caller,
-            comm::DistFieldBatchT<T>* xw, const comm::DistFieldBatchT<T>& r,
+            const DistOperator& a, const comm::FieldSetT<T>& x_caller,
+            const comm::FieldSetT<T>& xw, const comm::FieldSetT<T>& r,
             std::vector<double>& sums) {
   for (int s = 0; s < ctl.cur_nb; ++s) {
     if (!ctl.active[s]) continue;
@@ -340,13 +333,37 @@ void finish(BatchControl& ctl, comm::Communicator& comm,
     ctl.out.members[mm].failure = FailureKind::kMaxIters;
     ctl.needs_stamp[mm] = 1;
   }
-  stamp_pending(ctl, comm, a, r, sums);
-  if (xw != &x_caller)
+  stamp_pending<T>(ctl, comm, a, r, sums);
+  if (xw != x_caller)
     for (int s = 0; s < ctl.cur_nb; ++s)
-      flush_member(x_caller, ctl.member_of[s], *xw, s);
+      flush_member<T>(x_caller, ctl.member_of[s], xw, s);
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// One-member solves
+
+SolveStats single_member_stats(BatchSolveStats&& stats) {
+  MINIPOP_REQUIRE(stats.members.size() == 1,
+                  "single_member_stats of a " << stats.members.size()
+                                              << "-member solve");
+  BatchMemberStats& m = stats.members.front();
+  SolveStats out;
+  out.iterations = m.iterations;
+  out.converged = m.converged;
+  out.relative_residual = m.relative_residual;
+  out.failure = m.failure;
+  out.refine_sweeps = stats.refine_sweeps;
+  out.costs = stats.costs;
+  out.residual_history = std::move(m.residual_history);
+  return out;
+}
+
+OneMemberSolver::OneMemberSolver(std::unique_ptr<BatchedSolver> batched)
+    : batched_(std::move(batched)) {
+  MINIPOP_REQUIRE(batched_ != nullptr, "one-member solver needs a solver");
+}
 
 // ---------------------------------------------------------------------------
 // BatchedSolver default fp32 path
@@ -355,8 +372,8 @@ BatchSolveStats BatchedSolver::solve(comm::Communicator& /*comm*/,
                                      const comm::HaloExchanger& /*halo*/,
                                      const DistOperator& /*a*/,
                                      Preconditioner& /*m*/,
-                                     const comm::DistFieldBatch32& /*b*/,
-                                     comm::DistFieldBatch32& /*x*/,
+                                     const comm::FieldSet32& /*b*/,
+                                     const comm::FieldSet32& /*x*/,
                                      comm::HaloFreshness /*x_fresh*/) {
   MINIPOP_REQUIRE(false,
                   "batched solver '" << name() << "' has no fp32 path");
@@ -385,8 +402,8 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
                                          const comm::HaloExchanger& halo,
                                          const DistOperator& a,
                                          Preconditioner& m,
-                                         const comm::DistFieldBatch& b,
-                                         comm::DistFieldBatch& x,
+                                         const comm::FieldSet& b,
+                                         const comm::FieldSet& x,
                                          comm::HaloFreshness x_fresh) {
   return solve_t<double>(comm, halo, a, m, b, x, x_fresh);
 }
@@ -395,8 +412,8 @@ BatchSolveStats BatchedPcsiSolver::solve(comm::Communicator& comm,
                                          const comm::HaloExchanger& halo,
                                          const DistOperator& a,
                                          Preconditioner& m,
-                                         const comm::DistFieldBatch32& b,
-                                         comm::DistFieldBatch32& x,
+                                         const comm::FieldSet32& b,
+                                         const comm::FieldSet32& x,
                                          comm::HaloFreshness x_fresh) {
   return solve_t<float>(comm, halo, a, m, b, x, x_fresh);
 }
@@ -406,10 +423,13 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
                                            const comm::HaloExchanger& halo,
                                            const DistOperator& a,
                                            Preconditioner& m,
-                                           const comm::DistFieldBatchT<T>& b,
-                                           comm::DistFieldBatchT<T>& x,
+                                           const comm::FieldSetT<T>& b,
+                                           const comm::FieldSetT<T>& x,
                                            comm::HaloFreshness x_fresh) {
-  MINIPOP_REQUIRE(b.compatible_with(x), "batched pcsi: b/x mismatch");
+  MINIPOP_REQUIRE(b.compatible_with(x), "pcsi: b/x mismatch");
+  // Depth-k grouped sweeps only extend through POINTWISE preconditioners
+  // (a ghost cell's M^-1 r depends only on that cell); the factory
+  // already falls back loudly for block-EVP, this guards direct use.
   if (opt_.halo_depth > 1 &&
       (m.name() == "diagonal" || m.name() == "identity") &&
       std::min(std::max(opt_.halo_depth, 1),
@@ -419,16 +439,18 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
   const int nb0 = b.nb();
   const bool ov = opt_.overlap;
 
-  BatchControl ctl = init_control(opt_, comm, a, b, x);
+  BatchControl ctl = init_control<T>(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
     ctl.out.costs = comm.costs().since(snapshot);
     return ctl.out;
   }
 
-  // Chebyshev constants are member-independent: one shared recurrence,
-  // computed in double at every storage precision (the fp32 mirror
-  // rounds each coefficient once per fill, exactly like the scalar fp32
-  // sweeps round their entry scalars).
+  // Algorithm 2, step 1: Chebyshev constants from [nu, mu], member-
+  // independent and computed in double at every storage precision (the
+  // fp32 path rounds each coefficient once per fill). The fault hook
+  // corrupts a local copy of the interval — a stale or wrong estimate
+  // enters here exactly as a bad Lanczos result would, below
+  // set_bounds' validation.
   EigenBounds eb = bounds_;
   if constexpr (std::is_same_v<T, double>)
     fault::hook_eigen_bounds(a.rank(), &eb.nu, &eb.mu);
@@ -439,8 +461,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 
   // Until the first retirement the solve runs directly on the caller's
   // planes; compaction migrates into the owned narrow batches.
-  const comm::DistFieldBatchT<T>* bw = &b;
-  comm::DistFieldBatchT<T>* xw = &x;
+  comm::FieldSetT<T> bw = b, xw = x;
   std::unique_ptr<comm::DistFieldBatchT<T>> b_own, x_own;
   comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, x.halo());
@@ -453,49 +474,53 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
   std::vector<FailureKind> audit(nb0);
   BatchIntegrityAuditor auditor(opt_);
 
-  // Initial step (Algorithm 2, step 2), gated so zero-RHS members'
-  // solutions stay exactly at the scalar early-out's fill(0).
+  // Step 2: initial step, gated so zero-RHS members' solutions stay
+  // exactly at the early-out's fill(0).
   if (ov)
-    a.residual_overlapped_batch(comm, halo, *bw, *xw, r, x_fresh);
+    a.residual_overlapped_batch(comm, halo, bw, xw, r, x_fresh);
   else
-    a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
-  m.apply_batch(comm, r, rp);
-  copy_all(rp, dx);
+    a.residual_batch(comm, halo, bw, xw, r, x_fresh);  // r_0 = b - B x_0
+  m.apply(comm, r, rp);
+  copy_all<T>(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
-  scale_active(comm, ca.data(), dx, ctl.active, ctl.n_active,
-               a.span_plan());
+  scale_active<T>(comm, ca.data(), dx, ctl.active, ctl.n_active,
+                  a.span_plan());  // dx_0 = gamma^-1 M^-1 r_0
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
-  axpy_active(comm, ca.data(), dx, *xw, ctl.active, ctl.n_active,
-              a.span_plan());
+  axpy_active<T>(comm, ca.data(), dx, xw, ctl.active, ctl.n_active,
+                 a.span_plan());  // x_1 = x_0 + dx_0
   if (ov)
-    a.residual_overlapped_batch(comm, halo, *bw, *xw, r);
+    a.residual_overlapped_batch(comm, halo, bw, xw, r);
   else
-    a.residual_batch(comm, halo, *bw, *xw, r);
+    a.residual_batch(comm, halo, bw, xw, r);  // r_1 = b - B x_1
 
   for (int k = 1; k <= opt_.max_iterations; ++k) {
     ctl.out.iterations = k;
     for (int s = 0; s < ctl.cur_nb; ++s)
       if (ctl.active[s]) ctl.out.members[ctl.member_of[s]].iterations = k;
 
+    // Step 5: omega_k = 1 / (gamma - omega_{k-1} / (4 alpha^2)).
     omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha));
 
-    m.apply_batch(comm, r, rp);
+    m.apply(comm, r, rp);  // step 6
+    // Steps 7-8 fused into one sweep: dx = omega rp + (gamma omega - 1)
+    // dx, then x += dx.
     std::fill(ca.begin(), ca.begin() + ctl.cur_nb, static_cast<T>(omega));
     std::fill(cb.begin(), cb.begin() + ctl.cur_nb,
               static_cast<T>(gamma * omega - 1.0));
     std::fill(cc.begin(), cc.begin() + ctl.cur_nb, static_cast<T>(1.0));
-    lincomb_axpy_active(comm, ca.data(), rp, cb.data(), dx, cc.data(), *xw,
-                        ctl.active, ctl.n_active, a.span_plan());
+    lincomb_axpy_active<T>(comm, ca.data(), rp, cb.data(), dx, cc.data(), xw,
+                           ctl.active, ctl.n_active, a.span_plan());
 
+    // Steps 9-11. On check iterations the residual sweep also produces
+    // the masked ||r||² (fused kernel), so the convergence check — the
+    // only global reduction P-CSI does — costs zero extra field passes:
+    // one CURRENT-WIDTH vector allreduce for all members.
     if (k % opt_.check_frequency == 0) {
-      // One fused residual+norm sweep, one CURRENT-WIDTH vector
-      // allreduce: slot s reduces bit-identically to the scalar
-      // solver's 1-element check reduction for that member.
       if (ov)
-        a.residual_local_norm2_overlapped_batch(comm, halo, *bw, *xw, r,
+        a.residual_local_norm2_overlapped_batch(comm, halo, bw, xw, r,
                                                 sums.data());
       else
-        a.residual_local_norm2_batch(comm, halo, *bw, *xw, r, sums.data());
+        a.residual_local_norm2_batch(comm, halo, bw, xw, r, sums.data());
       bad_idx.clear();
       if (allreduce_sum_guarded(comm, opt_.integrity,
                                 std::span<double>(sums.data(), ctl.cur_nb),
@@ -512,15 +537,18 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
       }
       accept_s.assign(ctl.cur_nb, 0);
       audit.assign(ctl.cur_nb, FailureKind::kNone);
-      for (int s = 0; s < ctl.cur_nb; ++s)
-        if (ctl.active[s] && sums[s] <= ctl.threshold2[ctl.member_of[s]])
-          accept_s[s] = 1;
+      for (int s = 0; s < ctl.cur_nb; ++s) {
+        if (!ctl.active[s]) continue;
+        const int mm = ctl.member_of[s];
+        ctl.record(opt_, s, k, std::sqrt(sums[s] / ctl.b_norm2[mm]));
+        if (sums[s] <= ctl.threshold2[mm]) accept_s[s] = 1;
+      }
       if constexpr (std::is_same_v<T, double>) {
         // P-CSI's r IS the true residual, so only the ABFT operator
         // audit applies — run it before any accepting check freezes a
-        // member as converged (scalar-auditor parity).
+        // member as converged.
         if (opt_.integrity.any_solver_check())
-          auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
+          auditor.at_check(comm, halo, a, bw, r, xw, ctl.b_norm2.data(),
                            ctl.member_of.data(), ctl.active.data(),
                            ctl.cur_nb, nullptr, /*r_is_true=*/true,
                            accept_s.data(), /*any_accept=*/false,
@@ -540,25 +568,24 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
           continue;
         }
         const FailureKind f = ctl.guards[mm].check(rel);
-        // The checked norm doubles as the scalar solver's final
-        // global_dot(r, r) stamp (same sweep, same bits), so a guard
-        // freeze needs no pending stamp.
+        // The checked norm doubles as the final residual stamp (same
+        // sweep, same bits), so a guard freeze needs no pending stamp.
         if (f != FailureKind::kNone) ctl.freeze(s, false, rel, f);
       }
       if (ctl.n_active == 0) break;
       if (should_retire(opt_, ctl)) {
-        compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx}, {&rp},
-                sums, x.halo());
+        compact<T>(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx},
+                   {&rp}, sums, x.halo());
       }
     } else {
       if (ov)
-        a.residual_overlapped_batch(comm, halo, *bw, *xw, r);
+        a.residual_overlapped_batch(comm, halo, bw, xw, r);
       else
-        a.residual_batch(comm, halo, *bw, *xw, r);
+        a.residual_batch(comm, halo, bw, xw, r);
     }
   }
 
-  finish(ctl, comm, a, x, xw, r, sums);
+  finish<T>(ctl, comm, a, x, xw, r, sums);
   ctl.out.costs = comm.costs().since(snapshot);
   return ctl.out;
 }
@@ -576,7 +603,7 @@ template <typename T>
 BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
     const DistOperator& a, Preconditioner& m,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x) {
+    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x) {
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
 
@@ -590,7 +617,7 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   }
   const CommAvoidEngine& eng = *ca_engine_;
 
-  BatchControl ctl = init_control(opt_, comm, a, b, x);
+  BatchControl ctl = init_control<T>(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
     ctl.out.costs = comm.costs().since(snapshot);
     return ctl.out;
@@ -614,11 +641,11 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   auto x_own = std::make_unique<comm::DistFieldBatchT<T>>(
       a.decomposition(), a.rank(), nb0, hw);
   for (int mb = 0; mb < nb0; ++mb) {
-    b_own->copy_member_interior_from(mb, b, mb);
-    x_own->copy_member_interior_from(mb, x, mb);
+    comm::FieldSetT<T>(*b_own).copy_member_interior_from(mb, b, mb);
+    comm::FieldSetT<T>(*x_own).copy_member_interior_from(mb, x, mb);
   }
-  const comm::DistFieldBatchT<T>* bw = b_own.get();
-  comm::DistFieldBatchT<T>* xw = x_own.get();
+  // Views of the owned working batches (retargeted by compaction).
+  comm::FieldSetT<T> bw = *b_own, xw = *x_own;
   comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, hw);
   comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, hw);
   comm::DistFieldBatchT<T> dx(a.decomposition(), a.rank(), nb0, hw);
@@ -637,16 +664,16 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
 
   // Initial step (Algorithm 2, step 2), gated like the depth-1 path so
   // zero-RHS members' solutions stay exactly at the early-out's fill(0).
-  a.residual_batch(comm, halo, *bw, *xw, r);
-  m.apply_batch(comm, r, rp);
-  copy_all(rp, dx);
+  a.residual_batch(comm, halo, bw, xw, r);
+  m.apply(comm, r, rp);
+  copy_all<T>(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
-  scale_active(comm, ca.data(), dx, ctl.active, ctl.n_active,
-               a.span_plan());
+  scale_active<T>(comm, ca.data(), dx, ctl.active, ctl.n_active,
+                  a.span_plan());
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
-  axpy_active(comm, ca.data(), dx, *xw, ctl.active, ctl.n_active,
-              a.span_plan());
-  a.residual_batch(comm, halo, *bw, *xw, r);
+  axpy_active<T>(comm, ca.data(), dx, xw, ctl.active, ctl.n_active,
+                 a.span_plan());
+  a.residual_batch(comm, halo, bw, xw, r);
 
   int k = 1;
   while (k <= opt_.max_iterations) {
@@ -658,9 +685,7 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
     const int g = std::min({depth, to_check, remaining});
 
     // Rebuilt every group: retirement compaction migrates the fields.
-    const comm::FieldSetT<T> group_sets[3] = {
-        comm::FieldSetT<T>(*xw), comm::FieldSetT<T>(dx),
-        comm::FieldSetT<T>(r)};
+    const comm::FieldSetT<T> group_sets[3] = {xw, dx, r};
     halo.exchange_group<T>(
         comm, std::span<const comm::FieldSetT<T>>(group_sets, 3));
 
@@ -676,9 +701,9 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
       std::fill(cb.begin(), cb.begin() + ctl.cur_nb,
                 static_cast<T>(gamma * omega - 1.0));
       std::fill(cc.begin(), cc.begin() + ctl.cur_nb, static_cast<T>(1.0));
-      eng.update_batch(comm, ca.data(), rp, cb.data(), dx, cc.data(), *xw,
-                       ctl.active.data(), ctl.n_active, ept);
-      eng.residual_batch(comm, *bw, *xw, r, ept - 1);
+      eng.update_batch(comm, ca.data(), rp, cb.data(), dx, cc.data(),
+                       *x_own, ctl.active.data(), ctl.n_active, ept);
+      eng.residual_batch(comm, *b_own, *x_own, r, ept - 1);
     }
     const int k_last = k - 1;
 
@@ -699,12 +724,15 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
       }
       accept_s.assign(ctl.cur_nb, 0);
       audit.assign(ctl.cur_nb, FailureKind::kNone);
-      for (int s = 0; s < ctl.cur_nb; ++s)
-        if (ctl.active[s] && sums[s] <= ctl.threshold2[ctl.member_of[s]])
-          accept_s[s] = 1;
+      for (int s = 0; s < ctl.cur_nb; ++s) {
+        if (!ctl.active[s]) continue;
+        const int mm = ctl.member_of[s];
+        ctl.record(opt_, s, k_last, std::sqrt(sums[s] / ctl.b_norm2[mm]));
+        if (sums[s] <= ctl.threshold2[mm]) accept_s[s] = 1;
+      }
       if constexpr (std::is_same_v<T, double>) {
         if (opt_.integrity.any_solver_check())
-          auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
+          auditor.at_check(comm, halo, a, bw, r, xw, ctl.b_norm2.data(),
                            ctl.member_of.data(), ctl.active.data(),
                            ctl.cur_nb, nullptr, /*r_is_true=*/true,
                            accept_s.data(), /*any_accept=*/false,
@@ -728,13 +756,13 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
       }
       if (ctl.n_active == 0) break;
       if (should_retire(opt_, ctl)) {
-        compact(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx}, {&rp},
-                sums, hw);
+        compact<T>(ctl, comm, a, x, bw, b_own, xw, x_own, r, {&r, &dx},
+                   {&rp}, sums, hw);
       }
     }
   }
 
-  finish(ctl, comm, a, x, xw, r, sums);
+  finish<T>(ctl, comm, a, x, xw, r, sums);
   ctl.out.costs = comm.costs().since(snapshot);
   return ctl.out;
 }
@@ -749,8 +777,8 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
                                               const comm::HaloExchanger& halo,
                                               const DistOperator& a,
                                               Preconditioner& m,
-                                              const comm::DistFieldBatch& b,
-                                              comm::DistFieldBatch& x,
+                                              const comm::FieldSet& b,
+                                              const comm::FieldSet& x,
                                               comm::HaloFreshness x_fresh) {
   return solve_t<double>(comm, halo, a, m, b, x, x_fresh);
 }
@@ -759,8 +787,8 @@ BatchSolveStats BatchedChronGearSolver::solve(comm::Communicator& comm,
                                               const comm::HaloExchanger& halo,
                                               const DistOperator& a,
                                               Preconditioner& m,
-                                              const comm::DistFieldBatch32& b,
-                                              comm::DistFieldBatch32& x,
+                                              const comm::FieldSet32& b,
+                                              const comm::FieldSet32& x,
                                               comm::HaloFreshness x_fresh) {
   return solve_t<float>(comm, halo, a, m, b, x, x_fresh);
 }
@@ -769,34 +797,32 @@ template <typename T>
 BatchSolveStats BatchedChronGearSolver::solve_t(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
     const DistOperator& a, Preconditioner& m,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
+    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
     comm::HaloFreshness x_fresh) {
-  MINIPOP_REQUIRE(b.compatible_with(x), "batched chron_gear: b/x mismatch");
+  MINIPOP_REQUIRE(b.compatible_with(x), "chrongear: b/x mismatch");
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
   const bool ov = opt_.overlap;
 
-  BatchControl ctl = init_control(opt_, comm, a, b, x);
+  BatchControl ctl = init_control<T>(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
     ctl.out.costs = comm.costs().since(snapshot);
     return ctl.out;
   }
 
-  const comm::DistFieldBatchT<T>* bw = &b;
-  comm::DistFieldBatchT<T>* xw = &x;
+  comm::FieldSetT<T> bw = b, xw = x;
   std::unique_ptr<comm::DistFieldBatchT<T>> b_own, x_own;
   comm::DistFieldBatchT<T> r(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> rp(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> z(a.decomposition(), a.rank(), nb0, x.halo());
-  // s and p start at zero — the constructors zero-fill, matching the
-  // scalar fill_interior(s/p, 0).
+  // s and p start at zero (the constructors zero-fill).
   comm::DistFieldBatchT<T> s_dir(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> p_dir(a.decomposition(), a.rank(), nb0, x.halo());
 
   if (ov)
-    a.residual_overlapped_batch(comm, halo, *bw, *xw, r, x_fresh);
+    a.residual_overlapped_batch(comm, halo, bw, xw, r, x_fresh);
   else
-    a.residual_batch(comm, halo, *bw, *xw, r, x_fresh);
+    a.residual_batch(comm, halo, bw, xw, r, x_fresh);
 
   // Per-member recurrence scalars, indexed by ORIGINAL member id so
   // they survive retirement compactions. Double at every storage
@@ -817,15 +843,15 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     for (int s = 0; s < ctl.cur_nb; ++s)
       if (ctl.active[s]) ctl.out.members[ctl.member_of[s]].iterations = k;
 
-    m.apply_batch(comm, r, rp);
-    if (ov)
+    m.apply(comm, r, rp);  // step 4: r'_k = M^-1 r_{k-1}
+    if (ov)  // steps 5-6: z = B r' (+ boundary update)
       a.apply_overlapped_batch(comm, halo, rp, z);
     else
       a.apply_batch(comm, halo, rp, z);
 
-    // All members' fused {rho, delta[, ||r||²]} partial sums ride ONE
-    // grouped vector allreduce. Element-wise fixed-order combination
-    // makes each member's scalars bit-equal to its scalar solve's.
+    // Steps 7-9: all members' fused {rho, delta[, ||r||²]} partial sums
+    // ride ONE grouped vector allreduce. Element-wise fixed-order
+    // combination makes each member's scalars independent of the width.
     const bool check = (k % opt_.check_frequency == 0);
     a.local_dot3_batch(comm, r, rp, z, check, red.data());
     bad_idx.clear();
@@ -853,7 +879,10 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
       bool any_accept = false;
       for (int s = 0; s < ctl.cur_nb; ++s) {
         if (!ctl.active[s]) continue;
-        if (red[2 * ctl.cur_nb + s] <= ctl.threshold2[ctl.member_of[s]]) {
+        const int mm = ctl.member_of[s];
+        ctl.record(opt_, s, k,
+                   std::sqrt(red[2 * ctl.cur_nb + s] / ctl.b_norm2[mm]));
+        if (red[2 * ctl.cur_nb + s] <= ctl.threshold2[mm]) {
           accept_s[s] = 1;
           any_accept = true;
         }
@@ -863,7 +892,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
         // and recurrence-vs-true-residual drift — always before an
         // accepting check turns a recurrence claim into "converged".
         if (opt_.integrity.any_solver_check())
-          auditor.at_check(comm, halo, a, *bw, r, *xw, ctl.b_norm2.data(),
+          auditor.at_check(comm, halo, a, bw, r, xw, ctl.b_norm2.data(),
                            ctl.member_of.data(), ctl.active.data(),
                            ctl.cur_nb, red.data() + 2 * ctl.cur_nb,
                            /*r_is_true=*/false, accept_s.data(), any_accept,
@@ -890,7 +919,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     }
 
     // Steps 10-12 per still-active member; rho/sigma pathologies freeze
-    // the member where the scalar solver aborts its solve.
+    // the member.
     for (int s = 0; s < ctl.cur_nb; ++s) {
       if (!ctl.active[s]) continue;
       const int mm = ctl.member_of[s];
@@ -919,20 +948,21 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     }
     if (ctl.n_active == 0) break;
 
-    // Steps 13-16, fused pairwise as in the scalar solver; frozen lanes
-    // masked out so their x and r planes stay exactly at freeze state.
-    lincomb_axpy_active(comm, ca.data(), rp, cb.data(), s_dir, cc.data(),
-                        *xw, ctl.active, ctl.n_active, a.span_plan());
-    lincomb_axpy_active(comm, ca.data(), z, cb.data(), p_dir, cneg.data(),
-                        r, ctl.active, ctl.n_active, a.span_plan());
+    // Steps 13-16, fused pairwise (s = r' + beta s; x += alpha s, then
+    // p = z + beta p; r -= alpha p); frozen lanes masked out so their x
+    // and r planes stay exactly at freeze state.
+    lincomb_axpy_active<T>(comm, ca.data(), rp, cb.data(), s_dir, cc.data(),
+                           xw, ctl.active, ctl.n_active, a.span_plan());
+    lincomb_axpy_active<T>(comm, ca.data(), z, cb.data(), p_dir, cneg.data(),
+                           r, ctl.active, ctl.n_active, a.span_plan());
 
     if (check && should_retire(opt_, ctl)) {
-      compact(ctl, comm, a, x, bw, b_own, xw, x_own, r,
-              {&r, &s_dir, &p_dir}, {&rp, &z}, sums, x.halo());
+      compact<T>(ctl, comm, a, x, bw, b_own, xw, x_own, r,
+                 {&r, &s_dir, &p_dir}, {&rp, &z}, sums, x.halo());
     }
   }
 
-  finish(ctl, comm, a, x, xw, r, sums);
+  finish<T>(ctl, comm, a, x, xw, r, sums);
   ctl.out.costs = comm.costs().since(snapshot);
   return ctl.out;
 }

@@ -1,50 +1,58 @@
-// Batched multi-RHS solvers: one lockstep Krylov/Chebyshev iteration
-// advancing B independent right-hand sides over the SAME operator and
-// decomposition (paper §6 ensemble workload, Fig. 13).
+// The solver cores: one lockstep Krylov/Chebyshev iteration advancing B
+// independent right-hand sides over the SAME operator and decomposition.
+// A scalar solve is the B = 1 case: its fields enter as zero-copy
+// one-member FieldSet views (BarotropicSolver::solve, OneMemberSolver),
+// so P-CSI and ChronGear each have exactly one iteration core.
 //
-// Why batching wins: every iteration's stencil sweep reloads the same
-// nine coefficient planes regardless of how many members ride along, the
-// halo exchange sends one message per neighbor regardless of payload,
-// and the convergence reduction is one allreduce whether it carries 1
-// or B partial sums. Batching B members amortizes all three: ~B× fewer
-// messages and reductions per solve, coefficients loaded once per cell
-// instead of once per cell per member.
+// Why batching wins (paper §6 ensemble workload, Fig. 13): every
+// iteration's stencil sweep reloads the same nine coefficient planes
+// regardless of how many members ride along, the halo exchange sends one
+// message per neighbor regardless of payload, and the convergence
+// reduction is one allreduce whether it carries 1 or B partial sums.
+// Batching B members amortizes all three: ~B× fewer messages and
+// reductions per solve, coefficients loaded once per cell instead of
+// once per cell per member.
 //
-// Bit-for-bit contract: member m of a batched fp64 solve produces
-// EXACTLY the scalar solver's iterates, iteration count, residuals and
-// solution bits (see kernels.hpp — batched kernels keep the scalar
-// per-point expression and accumulation order, and vector allreduces
-// combine element-wise in the same fixed rank order as scalar ones).
-// The fp32 batched path holds the same contract against the scalar fp32
-// sweeps (run by MixedPrecisionSolver): coefficients are rounded from
-// the identical double recurrence once per member, and the fp32 kernels
-// accumulate reductions in double exactly like their scalar twins.
+// Bit-for-bit contract: member m of a batched solve produces EXACTLY the
+// iterates, iteration count, residuals and solution bits of the same
+// solve run alone (B = 1): batched kernels keep the per-point expression
+// and accumulation order at every width (kernels.hpp), and vector
+// allreduces combine element-wise in the same fixed rank order as
+// one-element ones. The fp32 path holds the same contract; coefficients
+// are rounded from the identical double recurrence once per member, and
+// the fp32 kernels accumulate reductions in double. The golden-pin test
+// (tests/test_golden.cpp) anchors B = 1 to recorded bits.
 //
 // Lockstep + masking: members share one iteration loop. A member that
 // converges (or trips a guard) at a convergence check FREEZES — its x
-// plane stops updating, exactly as if the scalar solver had returned —
-// but its lanes keep riding in the batch until retirement
+// plane stops updating, exactly as if it had been solved alone — but its
+// lanes keep riding in the batch until retirement
 // (SolverOptions::batch_retire_fraction) compacts the survivors into a
 // narrower batch. Retirement never changes any member's arithmetic,
 // only the lane count. See DESIGN.md §10 for the policy discussion.
 //
-// SolverOptions::overlap is honored: the split-phase batched sweeps
-// hide the aggregated halo exchange behind the interior stencil update
-// (bitwise identical to the blocking path, same as the scalar engine).
-// The scalar fp64 path's reduction speculation is not replicated —
-// the batch already amortizes each reduction over B members.
+// SolverOptions::overlap is honored: the split-phase sweeps hide the
+// aggregated halo exchange behind the interior stencil update (bitwise
+// identical to the blocking path). Reductions are not speculated: each
+// convergence check is one blocking vector allreduce.
 #pragma once
 
 #include <vector>
 
-#include "src/comm/dist_field_batch.hpp"
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "src/comm/field_set.hpp"
 #include "src/solver/iterative_solver.hpp"
-#include "src/solver/pcsi.hpp"
+#include "src/solver/lanczos.hpp"
 
 namespace minipop::solver {
 
-/// Outcome of one member of a batched solve. Mirrors the scalar
-/// SolveStats fields that are per-member meaningful.
+class CommAvoidEngine;
+
+/// Outcome of one member of a batched solve: the SolveStats fields that
+/// are per-member meaningful.
 struct BatchMemberStats {
   /// Lockstep iteration at which this member froze (converged or
   /// failed), or the final iteration count if it ran to the end.
@@ -52,6 +60,9 @@ struct BatchMemberStats {
   bool converged = false;
   double relative_residual = 0.0;
   FailureKind failure = FailureKind::kNone;
+  /// (iteration, relative residual) at each of this member's
+  /// convergence checks, when SolverOptions::record_residuals is set.
+  std::vector<std::pair<int, double>> residual_history;
 };
 
 /// Outcome of a batched solve.
@@ -71,47 +82,75 @@ struct BatchSolveStats {
   comm::CostCounters costs;
 };
 
-/// Interface of the batched solvers and their decorators. Semantic
-/// difference from the scalar IterativeSolver, by design: a guard
-/// failure (divergence/stagnation/NaN) freezes THAT member and the
-/// batch keeps iterating the others, where the scalar solver aborts its
-/// (single-member) solve — per-member outcomes match, the scalar "whole
-/// solve stops" behavior just has no batched analogue.
-/// Fault-injection halo/residual hooks are NOT armed on batched
-/// exchanges (FieldSet::scalar_backed() gates them); hook_eigen_bounds
-/// still applies (see DESIGN.md §10).
+/// Interface of the solver cores and their decorators. A guard failure
+/// (divergence/stagnation/NaN) freezes THAT member and the batch keeps
+/// iterating the others; at B = 1 that is the whole solve stopping.
+/// Fault-injection halo and solver-vector hooks arm on one-member fp64
+/// sets (DESIGN.md §8); hook_eigen_bounds applies at every width.
 class BatchedSolver {
  public:
   virtual ~BatchedSolver() = default;
 
   /// Solve A x_m = b_m for every member, in place, starting from the
   /// x planes passed in. Collective across the communicator; all ranks
-  /// must pass batches over the same decomposition with the same nb.
+  /// must pass sets over the same decomposition with the same nb. A
+  /// scalar DistField passes as a one-member view.
   virtual BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+      const comm::FieldSet& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) = 0;
 
-  /// fp32 storage mirror of solve(): same lockstep loop on fp32 batches
+  /// fp32 storage mirror of solve(): same lockstep loop on fp32 sets
   /// and the fp32 coefficient mirror (half the bytes per point and per
   /// aggregated halo message; reductions still accumulate in double).
-  /// This is the inner engine of the batched mixed-precision decorator.
-  /// The default errors so a solver without an fp32 batched path fails
-  /// loudly rather than silently up-converting.
+  /// This is the inner engine of the mixed-precision decorator. The
+  /// default errors so a solver without an fp32 path fails loudly rather
+  /// than silently up-converting.
   virtual BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet32& b,
+      const comm::FieldSet32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
   virtual std::string name() const = 0;
 };
 
-/// Lockstep batched P-CSI. The Chebyshev scalar recurrence (omega,
-/// gamma, alpha) depends only on the eigenvalue bounds — member
-/// independent — so all members genuinely share one iteration schedule;
-/// per-member state is just the field planes and the convergence mask.
+/// Scalar outcome of a one-member solve: member 0's fields plus the
+/// solve-wide refinement sweeps and cost deltas.
+SolveStats single_member_stats(BatchSolveStats&& stats);
+
+/// The IterativeSolver interface over a solver core or decorator stack:
+/// every solve is a one-member batch on zero-copy views of b and x.
+class OneMemberSolver final : public IterativeSolver {
+ public:
+  explicit OneMemberSolver(std::unique_ptr<BatchedSolver> batched);
+
+  SolveStats solve(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const DistOperator& a, Preconditioner& m, const comm::DistField& b,
+      comm::DistField& x,
+      comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override {
+    return single_member_stats(
+        batched_->solve(comm, halo, a, m, b, x, x_fresh));
+  }
+
+  std::string name() const override { return batched_->name(); }
+  BatchedSolver& batched() { return *batched_; }
+
+ private:
+  std::unique_ptr<BatchedSolver> batched_;
+};
+
+/// P-CSI: Preconditioned Classical Stiefel Iteration (paper Algorithm 2,
+/// §3; the unpreconditioned CSI is from Hu et al., Euro-Par 2013 [20]).
+/// A Chebyshev-type iteration over the eigenvalue interval [nu, mu] of
+/// M^-1 A whose iteration body needs NO global reduction — only the
+/// periodic convergence check does — which flattens the solver's
+/// scaling curve at large core counts (paper Eq. 3, Figs. 8/10/11). The
+/// recurrence scalars (omega, gamma, alpha) depend only on the bounds,
+/// so all members share one iteration schedule; per-member state is just
+/// the field planes and the convergence mask.
 class BatchedPcsiSolver final : public BatchedSolver {
  public:
   BatchedPcsiSolver(EigenBounds bounds, const SolverOptions& options = {});
@@ -119,21 +158,21 @@ class BatchedPcsiSolver final : public BatchedSolver {
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+      const comm::FieldSet& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet32& b,
+      const comm::FieldSet32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  std::string name() const override { return "batched_pcsi"; }
+  std::string name() const override { return "pcsi"; }
 
   const EigenBounds& bounds() const { return bounds_; }
   /// Replace the Chebyshev interval (BatchedResilientSolver's Lanczos
-  /// re-estimation reaches through this, like PcsiSolver::set_bounds).
+  /// re-estimation reaches through this).
   void set_bounds(EigenBounds bounds);
 
  private:
@@ -141,8 +180,8 @@ class BatchedPcsiSolver final : public BatchedSolver {
   BatchSolveStats solve_t(comm::Communicator& comm,
                           const comm::HaloExchanger& halo,
                           const DistOperator& a, Preconditioner& m,
-                          const comm::DistFieldBatchT<T>& b,
-                          comm::DistFieldBatchT<T>& x,
+                          const comm::FieldSetT<T>& b,
+                          const comm::FieldSetT<T>& x,
                           comm::HaloFreshness x_fresh);
 
   /// Communication-avoiding batched loop (SolverOptions::halo_depth > 1
@@ -155,8 +194,8 @@ class BatchedPcsiSolver final : public BatchedSolver {
   BatchSolveStats solve_comm_avoid_t(comm::Communicator& comm,
                                      const comm::HaloExchanger& halo,
                                      const DistOperator& a, Preconditioner& m,
-                                     const comm::DistFieldBatchT<T>& b,
-                                     comm::DistFieldBatchT<T>& x);
+                                     const comm::FieldSetT<T>& b,
+                                     const comm::FieldSetT<T>& x);
 
   EigenBounds bounds_;
   SolverOptions opt_;
@@ -167,34 +206,37 @@ class BatchedPcsiSolver final : public BatchedSolver {
   const DistOperator* ca_engine_op_ = nullptr;
 };
 
-/// Lockstep batched ChronGear (s-step preconditioned CG). Per-member
-/// scalar state {rho, sigma} with all members' fused {rho, delta, norm}
-/// partial sums riding ONE grouped vector allreduce per iteration.
+/// Chronopoulos-Gear (paper Algorithm 1; refs [7, 9]) — POP's production
+/// barotropic solver: a rearranged preconditioned CG whose two inner
+/// products are taken against the same preconditioned residual, so they
+/// fuse with the periodic convergence norm into ONE allreduce per
+/// iteration (paper Eq. 2). Per-member scalar state {rho, sigma}; all
+/// members' partial sums ride one grouped vector allreduce.
 class BatchedChronGearSolver final : public BatchedSolver {
  public:
   explicit BatchedChronGearSolver(const SolverOptions& options = {});
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch& b, comm::DistFieldBatch& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet& b,
+      const comm::FieldSet& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
   BatchSolveStats solve(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const DistOperator& a, Preconditioner& m,
-      const comm::DistFieldBatch32& b, comm::DistFieldBatch32& x,
+      const DistOperator& a, Preconditioner& m, const comm::FieldSet32& b,
+      const comm::FieldSet32& x,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale) override;
 
-  std::string name() const override { return "batched_chron_gear"; }
+  std::string name() const override { return "chrongear"; }
 
  private:
   template <typename T>
   BatchSolveStats solve_t(comm::Communicator& comm,
                           const comm::HaloExchanger& halo,
                           const DistOperator& a, Preconditioner& m,
-                          const comm::DistFieldBatchT<T>& b,
-                          comm::DistFieldBatchT<T>& x,
+                          const comm::FieldSetT<T>& b,
+                          const comm::FieldSetT<T>& x,
                           comm::HaloFreshness x_fresh);
 
   SolverOptions opt_;

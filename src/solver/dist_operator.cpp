@@ -274,8 +274,9 @@ const util::Array2D<float>& DistOperator::block_coeff32(int lb,
   return block_coeff32_[lb][static_cast<int>(d)];
 }
 
-void DistOperator::offer_fault_sites(comm::DistField& v) const {
+void DistOperator::offer_fault_sites(const comm::FieldSet& v) const {
 #if MINIPOP_FAULTS
+  if (v.nb() != 1) return;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = v.info(lb);
     const auto& mask = block_mask_[lb];
@@ -749,52 +750,10 @@ void DistOperator::mask_interior(comm::DistField& x) const {
   mask_interior_t<double>(x);
 }
 
-void DistOperator::abft_local_sums(comm::Communicator& comm,
-                                   const comm::DistField& b,
-                                   const comm::DistField& r,
-                                   const comm::DistField& x,
-                                   double out[3]) const {
-  MINIPOP_REQUIRE(b.compatible_with(r) && b.compatible_with(x),
-                  "b/r/x field mismatch");
-  out[0] = out[1] = out[2] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = b.info(lb);
-    const auto& mask = block_mask_[lb];
-    const util::Field& cs = column_sum_[lb];
-    if (use_spans_) {
-      const int* ro = span_full_[lb].row_offset();
-      const kernels::Span* sp = span_full_[lb].spans();
-      out[0] = kernels::sum_span(ro, sp, info.ny, b.interior(lb),
-                                 b.stride(lb), out[0]);
-      out[1] = kernels::sum_span(ro, sp, info.ny, r.interior(lb),
-                                 r.stride(lb), out[1]);
-      out[2] = kernels::dot_shared_span(ro, sp, info.ny, cs.data(),
-                                        cs.nx(), x.interior(lb),
-                                        x.stride(lb), out[2]);
-    } else {
-      out[0] = kernels::masked_sum(mask.data(), mask.nx(), info.nx,
-                                   info.ny, b.interior(lb), b.stride(lb),
-                                   out[0]);
-      out[1] = kernels::masked_sum(mask.data(), mask.nx(), info.nx,
-                                   info.ny, r.interior(lb), r.stride(lb),
-                                   out[1]);
-      out[2] = kernels::dot_shared(mask.data(), mask.nx(), info.nx,
-                                   info.ny, cs.data(), cs.nx(),
-                                   x.interior(lb), x.stride(lb), out[2]);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  // Two masked sums (1 op/point each) + one shared-factor dot (2).
-  comm.costs().add_flops(4 * points);
-  comm.costs().add_points(active, points);
-}
-
 void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
-                                         const comm::DistFieldBatch& b,
-                                         const comm::DistFieldBatch& r,
-                                         const comm::DistFieldBatch& x,
+                                         const comm::FieldSet& b,
+                                         const comm::FieldSet& r,
+                                         const comm::FieldSet& x,
                                          double* out) const {
   MINIPOP_REQUIRE(b.compatible_with(r) && b.compatible_with(x),
                   "b/r/x batch mismatch");
@@ -906,25 +865,24 @@ void DistOperator::mask_interior(comm::DistField32& x) const {
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-RHS sweeps, templated on the storage scalar. No
-// solver-vector fault sites: those corrupt scalar fp64 state; batch
-// members recover through the per-member sub-batch path of the
-// resilient decorator. Coefficient fault sites DO arm here (the batch
-// reads the same fp64 planes as the scalar path), caught by the
-// batched ABFT audit.
+// Batched multi-RHS sweeps over FieldSet views, templated on the storage
+// scalar. Solver-vector fault sites arm on one-member fp64 outputs (the
+// scalar solves); wider batches recover through the per-member
+// sub-batch path of the resilient decorator. Coefficient fault sites arm
+// on every fp64 sweep, caught by the ABFT audit.
 
 template <typename T>
-void DistOperator::apply_batch(comm::Communicator& comm,
+void DistOperator::apply_batch_t(comm::Communicator& comm,
                                const comm::HaloExchanger& halo,
-                               comm::DistFieldBatchT<T>& x,
-                               comm::DistFieldBatchT<T>& y,
+                               const comm::FieldSetT<T>& x,
+                               const comm::FieldSetT<T>& y,
                                comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y batch mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
+  MINIPOP_REQUIRE(x != y, "apply requires distinct x and y");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
 
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
@@ -956,22 +914,23 @@ void DistOperator::apply_batch(comm::Communicator& comm,
   }
   comm.costs().add_flops(9 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(y);
 }
 
 template <typename T>
-void DistOperator::residual_batch(comm::Communicator& comm,
+void DistOperator::residual_batch_t(comm::Communicator& comm,
                                   const comm::HaloExchanger& halo,
-                                  const comm::DistFieldBatchT<T>& b,
-                                  comm::DistFieldBatchT<T>& x,
-                                  comm::DistFieldBatchT<T>& r,
+                                  const comm::FieldSetT<T>& b,
+                                  const comm::FieldSetT<T>& x,
+                                  const comm::FieldSetT<T>& r,
                                   comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r batch mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
 
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
@@ -1005,21 +964,22 @@ void DistOperator::residual_batch(comm::Communicator& comm,
   }
   comm.costs().add_flops(10 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(r);
 }
 
 template <typename T>
-void DistOperator::residual_local_norm2_batch(
+void DistOperator::residual_local_norm2_batch_t(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::DistFieldBatchT<T>& r, double* sums,
+    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
+    const comm::FieldSetT<T>& r, double* sums,
     comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r batch mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
 
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
@@ -1060,27 +1020,28 @@ void DistOperator::residual_local_norm2_batch(
   }
   comm.costs().add_flops(12 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(r);
 }
 
 template <typename T>
-void DistOperator::apply_overlapped_batch(comm::Communicator& comm,
+void DistOperator::apply_overlapped_batch_t(comm::Communicator& comm,
                                           const comm::HaloExchanger& halo,
-                                          comm::DistFieldBatchT<T>& x,
-                                          comm::DistFieldBatchT<T>& y,
+                                          const comm::FieldSetT<T>& x,
+                                          const comm::FieldSetT<T>& y,
                                           comm::HaloFreshness fresh) const {
   if (fresh == comm::HaloFreshness::kFresh) {
-    apply_batch<T>(comm, halo, x, y, fresh);
+    apply_batch_t<T>(comm, halo, x, y, fresh);
     return;
   }
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y batch mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
+  MINIPOP_REQUIRE(x != y, "apply requires distinct x and y");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
 
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
+  comm::HaloHandleT<T> inflight = halo.begin_set<T>(comm, x);
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& b = x.info(lb);
     SubRect in;
@@ -1126,27 +1087,28 @@ void DistOperator::apply_overlapped_batch(comm::Communicator& comm,
   }
   comm.costs().add_flops(9 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(y);
 }
 
 template <typename T>
-void DistOperator::residual_overlapped_batch(
+void DistOperator::residual_overlapped_batch_t(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::DistFieldBatchT<T>& r, comm::HaloFreshness fresh) const {
+    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
+    const comm::FieldSetT<T>& r, comm::HaloFreshness fresh) const {
   if (fresh == comm::HaloFreshness::kFresh) {
-    residual_batch<T>(comm, halo, b, x, r, fresh);
+    residual_batch_t<T>(comm, halo, b, x, r, fresh);
     return;
   }
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r batch mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
 
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
+  comm::HaloHandleT<T> inflight = halo.begin_set<T>(comm, x);
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
     SubRect in;
@@ -1194,27 +1156,28 @@ void DistOperator::residual_overlapped_batch(
   }
   comm.costs().add_flops(10 * points * nb);
   comm.costs().add_points(active * nb, points * nb);
+  offer_fault_sites(r);
 }
 
 template <typename T>
-void DistOperator::residual_local_norm2_overlapped_batch(
+void DistOperator::residual_local_norm2_overlapped_batch_t(
     comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-    comm::DistFieldBatchT<T>& r, double* sums,
+    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
+    const comm::FieldSetT<T>& r, double* sums,
     comm::HaloFreshness fresh) const {
   // Same contract as the scalar overlapped norm²: the fused batch
   // kernel threads whole-block accumulators, so overlap the residual
   // sweep and take the per-member norms in a second pass with the
   // blocking accumulation order ("residual_norm2_9_batch ==
   // residual9_batch + dot_batch"). Flops match the blocking path.
-  residual_overlapped_batch<T>(comm, halo, b, x, r, fresh);
-  local_dot_batch<T>(comm, r, r, sums);
+  residual_overlapped_batch_t<T>(comm, halo, b, x, r, fresh);
+  local_dot_batch_t<T>(comm, r, r, sums);
 }
 
 template <typename T>
-void DistOperator::local_dot_batch(comm::Communicator& comm,
-                                   const comm::DistFieldBatchT<T>& a,
-                                   const comm::DistFieldBatchT<T>& b,
+void DistOperator::local_dot_batch_t(comm::Communicator& comm,
+                                   const comm::FieldSetT<T>& a,
+                                   const comm::FieldSetT<T>& b,
                                    double* sums) const {
   MINIPOP_REQUIRE(a.compatible_with(b), "a/b batch mismatch");
   const int nb = a.nb();
@@ -1250,10 +1213,10 @@ void DistOperator::local_dot_batch(comm::Communicator& comm,
 }
 
 template <typename T>
-void DistOperator::local_dot3_batch(comm::Communicator& comm,
-                                    const comm::DistFieldBatchT<T>& r,
-                                    const comm::DistFieldBatchT<T>& rp,
-                                    const comm::DistFieldBatchT<T>& z,
+void DistOperator::local_dot3_batch_t(comm::Communicator& comm,
+                                    const comm::FieldSetT<T>& r,
+                                    const comm::FieldSetT<T>& rp,
+                                    const comm::FieldSetT<T>& z,
                                     bool with_norm, double* out) const {
   MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
                   "r/rp/z batch mismatch");
@@ -1294,7 +1257,7 @@ void DistOperator::local_dot3_batch(comm::Communicator& comm,
 }
 
 template <typename T>
-void DistOperator::mask_interior_batch(comm::DistFieldBatchT<T>& x) const {
+void DistOperator::mask_interior_batch_t(const comm::FieldSetT<T>& x) const {
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     const auto& mask = block_mask_[lb];
@@ -1308,42 +1271,58 @@ void DistOperator::mask_interior_batch(comm::DistFieldBatchT<T>& x) const {
   }
 }
 
-#define MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(T)                           \
-  template void DistOperator::apply_batch<T>(                                \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  template void DistOperator::residual_batch<T>(                             \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  template void DistOperator::residual_local_norm2_batch<T>(                 \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  template void DistOperator::apply_overlapped_batch<T>(                     \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  template void DistOperator::residual_overlapped_batch<T>(                  \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  template void DistOperator::residual_local_norm2_overlapped_batch<T>(      \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  template void DistOperator::local_dot_batch<T>(                            \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, double*) const;                       \
-  template void DistOperator::local_dot3_batch<T>(                           \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, const comm::DistFieldBatchT<T>&,      \
-      bool, double*) const;                                                  \
-  template void DistOperator::mask_interior_batch<T>(                        \
-      comm::DistFieldBatchT<T>&) const;
-MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(double)
-MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE(float)
-#undef MINIPOP_DIST_OPERATOR_BATCH_INSTANTIATE
+// Public overloads: one per storage scalar, forwarding to the bodies.
+#define MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS(FS)                             \
+  void DistOperator::apply_batch(comm::Communicator& comm,                   \
+                                 const comm::HaloExchanger& halo,            \
+                                 const FS& x, const FS& y,                   \
+                                 comm::HaloFreshness fresh) const {          \
+    apply_batch_t(comm, halo, x, y, fresh);                                  \
+  }                                                                          \
+  void DistOperator::residual_batch(                                         \
+      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
+      const FS& b, const FS& x, const FS& r, comm::HaloFreshness fresh)      \
+      const {                                                                \
+    residual_batch_t(comm, halo, b, x, r, fresh);                            \
+  }                                                                          \
+  void DistOperator::residual_local_norm2_batch(                             \
+      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
+      const FS& b, const FS& x, const FS& r, double* sums,                   \
+      comm::HaloFreshness fresh) const {                                     \
+    residual_local_norm2_batch_t(comm, halo, b, x, r, sums, fresh);          \
+  }                                                                          \
+  void DistOperator::apply_overlapped_batch(                                 \
+      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
+      const FS& x, const FS& y, comm::HaloFreshness fresh) const {           \
+    apply_overlapped_batch_t(comm, halo, x, y, fresh);                       \
+  }                                                                          \
+  void DistOperator::residual_overlapped_batch(                              \
+      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
+      const FS& b, const FS& x, const FS& r, comm::HaloFreshness fresh)      \
+      const {                                                                \
+    residual_overlapped_batch_t(comm, halo, b, x, r, fresh);                 \
+  }                                                                          \
+  void DistOperator::residual_local_norm2_overlapped_batch(                  \
+      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
+      const FS& b, const FS& x, const FS& r, double* sums,                   \
+      comm::HaloFreshness fresh) const {                                     \
+    residual_local_norm2_overlapped_batch_t(comm, halo, b, x, r, sums,       \
+                                            fresh);                          \
+  }                                                                          \
+  void DistOperator::local_dot_batch(comm::Communicator& comm, const FS& a,  \
+                                     const FS& b, double* sums) const {      \
+    local_dot_batch_t(comm, a, b, sums);                                     \
+  }                                                                          \
+  void DistOperator::local_dot3_batch(comm::Communicator& comm, const FS& r, \
+                                      const FS& rp, const FS& z,             \
+                                      bool with_norm, double* out) const {   \
+    local_dot3_batch_t(comm, r, rp, z, with_norm, out);                      \
+  }                                                                          \
+  void DistOperator::mask_interior_batch(const FS& x) const {                \
+    mask_interior_batch_t(x);                                                \
+  }
+MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS(comm::FieldSet)
+MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS(comm::FieldSet32)
+#undef MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS
 
 }  // namespace minipop::solver

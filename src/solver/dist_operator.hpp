@@ -72,22 +72,17 @@ class DistOperator {
   // corruption of the coefficient planes: the sweeps use the (possibly
   // corrupted) coefficients while c keeps the construction-time truth.
 
-  /// Local (this rank's) terms of the ABFT identity, grouped for one
-  /// vector allreduce: out[0] = masked sum(b), out[1] = masked sum(r),
-  /// out[2] = masked dot(c, x). The identity only holds after BOTH
-  /// sides are reduced across ranks — boundary-crossing stencil legs
-  /// are counted on the row side by the owner of the row and on the
-  /// column side by the owner of the column.
-  void abft_local_sums(comm::Communicator& comm, const comm::DistField& b,
-                       const comm::DistField& r, const comm::DistField& x,
-                       double out[3]) const;
-
-  /// Batched ABFT terms: out[0..nb) = sum(b_m), out[nb..2nb) =
-  /// sum(r_m), out[2nb..3nb) = dot(c, x_m); out[0..3nb) OVERWRITTEN.
+  /// Local (this rank's) terms of the ABFT identity per member, grouped
+  /// for one vector allreduce: out[0..nb) = masked sum(b_m),
+  /// out[nb..2nb) = masked sum(r_m), out[2nb..3nb) = masked dot(c, x_m);
+  /// out[0..3nb) OVERWRITTEN. The identity only holds after BOTH sides
+  /// are reduced across ranks — boundary-crossing stencil legs are
+  /// counted on the row side by the owner of the row and on the column
+  /// side by the owner of the column.
   void abft_local_sums_batch(comm::Communicator& comm,
-                             const comm::DistFieldBatch& b,
-                             const comm::DistFieldBatch& r,
-                             const comm::DistFieldBatch& x,
+                             const comm::FieldSet& b,
+                             const comm::FieldSet& r,
+                             const comm::FieldSet& x,
                              double* out) const;
 
   /// Column-sum (checksum) field of local block lb, for tests.
@@ -177,99 +172,121 @@ class DistOperator {
   void mask_interior(comm::DistField& x) const;
 
   // -------------------------------------------------------------------
-  // Batched multi-RHS sweeps, templated on the storage scalar exactly
-  // like the scalar surface: DistFieldBatch (double) carries the fp64
-  // lockstep solves, DistFieldBatch32 (float) the fp32 inner sweeps of
-  // the batched mixed-precision path — half the halo bytes in the same
-  // aggregated messages. Same structure as the scalar sweeps over an
-  // nb-member interleaved batch: ONE aggregated halo exchange and one
-  // coefficient pass serve all members, flop counts scale by nb, and
-  // member m of every result is bit-identical to the scalar sweep on
-  // member m's plane (kernels.hpp contract). Reductions fill per-member
-  // fp64 arrays the caller combines in ONE vector allreduce. The
-  // solver-vector fault hooks are NOT armed here — those sites corrupt
-  // scalar fp64 state; a batch member that diverges recovers through
-  // the per-member sub-batch path of the resilient decorator (DESIGN.md
-  // §11). Coefficient fault sites DO arm (shared fp64 planes).
+  // Batched multi-RHS sweeps over FieldSet views, one overload per
+  // storage scalar: FieldSet (double) carries the fp64 lockstep solves,
+  // FieldSet32 (float) the fp32 inner sweeps of the mixed-precision path
+  // — half the halo bytes in the same aggregated messages. A scalar
+  // DistField enters as a one-member view, so these sweeps also run
+  // every scalar solve of the solver stack. Same structure as the scalar
+  // sweeps over an nb-member interleaved set: ONE aggregated halo
+  // exchange and one coefficient pass serve all members, flop counts
+  // scale by nb, and member m of every result is bit-identical to the
+  // scalar sweep on member m's plane (kernels.hpp contract). Reductions
+  // fill per-member fp64 arrays the caller combines in ONE vector
+  // allreduce. The solver-vector fault hook arms on one-member fp64
+  // outputs (DESIGN.md §8); coefficient fault sites arm on every fp64
+  // sweep (shared planes).
 
-  /// y = A x, all members. sums-free; 9*nb flops/point.
-  template <typename T>
+  /// y = A x, all members. 9*nb flops/point.
   void apply_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y,
+      const comm::FieldSet& x, const comm::FieldSet& y,
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+  void apply_batch(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSet32& x, const comm::FieldSet32& y,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// r = b - A x, all members.
-  template <typename T>
   void residual_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r,
+      const comm::FieldSet& b, const comm::FieldSet& x,
+      const comm::FieldSet& r,
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+  void residual_batch(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSet32& b, const comm::FieldSet32& x,
+      const comm::FieldSet32& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Fused r = b - A x AND local masked ||r_m||² for every member:
   /// sums[0..nb) is OVERWRITTEN with the local sums (always fp64, also
-  /// on the fp32 batch — the kernels accumulate in double).
-  template <typename T>
+  /// on the fp32 set — the kernels accumulate in double).
   void residual_local_norm2_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r, double* sums,
+      const comm::FieldSet& b, const comm::FieldSet& x,
+      const comm::FieldSet& r, double* sums,
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+  void residual_local_norm2_batch(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSet32& b, const comm::FieldSet32& x,
+      const comm::FieldSet32& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  // Overlapped batch variants: the scalar interior/rim split over the
-  // aggregated batch exchange — halo.begin() on the batch, interior
-  // member sweeps while all B rims are on the wire, finish(), rim
-  // sweeps. Per-cell outputs bitwise match the blocking batch sweeps;
-  // the overlapped batch norm² accumulates via residual + dot, whose
-  // order is contractually bit-identical to the fused batch kernel.
+  // Overlapped batch variants: the interior/rim split over the
+  // aggregated exchange — halo.begin() on the set, interior member
+  // sweeps while all rims are on the wire, finish(), rim sweeps.
+  // Per-cell outputs bitwise match the blocking sweeps; the overlapped
+  // norm² accumulates via residual + dot, whose order is contractually
+  // bit-identical to the fused kernel.
 
   /// y = A x, all members, exchange hidden behind the interior sweep.
-  template <typename T>
   void apply_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistFieldBatchT<T>& x, comm::DistFieldBatchT<T>& y,
+      const comm::FieldSet& x, const comm::FieldSet& y,
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+  void apply_overlapped_batch(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSet32& x, const comm::FieldSet32& y,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// r = b - A x, all members, exchange hidden behind the interior
   /// sweep.
-  template <typename T>
   void residual_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r,
+      const comm::FieldSet& b, const comm::FieldSet& x,
+      const comm::FieldSet& r,
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+  void residual_overlapped_batch(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSet32& b, const comm::FieldSet32& x,
+      const comm::FieldSet32& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Overlapped r = b - A x plus local masked ||r_m||² per member;
   /// bit-identical to residual_local_norm2_batch (and to
   /// residual_batch + local_dot_batch). sums[0..nb) is OVERWRITTEN.
-  template <typename T>
   void residual_local_norm2_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistFieldBatchT<T>& b, comm::DistFieldBatchT<T>& x,
-      comm::DistFieldBatchT<T>& r, double* sums,
+      const comm::FieldSet& b, const comm::FieldSet& x,
+      const comm::FieldSet& r, double* sums,
+      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+  void residual_local_norm2_overlapped_batch(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSet32& b, const comm::FieldSet32& x,
+      const comm::FieldSet32& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
   /// Local masked per-member dots: sums[0..nb) is OVERWRITTEN.
-  template <typename T>
-  void local_dot_batch(comm::Communicator& comm,
-                       const comm::DistFieldBatchT<T>& a,
-                       const comm::DistFieldBatchT<T>& b,
-                       double* sums) const;
+  void local_dot_batch(comm::Communicator& comm, const comm::FieldSet& a,
+                       const comm::FieldSet& b, double* sums) const;
+  void local_dot_batch(comm::Communicator& comm, const comm::FieldSet32& a,
+                       const comm::FieldSet32& b, double* sums) const;
 
   /// Fused per-member ChronGear dots, grouped for one vector allreduce:
   /// out[0..nb) = <r, rp>, out[nb..2nb) = <z, rp>, out[2nb..3nb) =
   /// <r, r> (zeros unless with_norm). out[0..3nb) is OVERWRITTEN.
-  template <typename T>
-  void local_dot3_batch(comm::Communicator& comm,
-                        const comm::DistFieldBatchT<T>& r,
-                        const comm::DistFieldBatchT<T>& rp,
-                        const comm::DistFieldBatchT<T>& z, bool with_norm,
+  void local_dot3_batch(comm::Communicator& comm, const comm::FieldSet& r,
+                        const comm::FieldSet& rp, const comm::FieldSet& z,
+                        bool with_norm, double* out) const;
+  void local_dot3_batch(comm::Communicator& comm, const comm::FieldSet32& r,
+                        const comm::FieldSet32& rp,
+                        const comm::FieldSet32& z, bool with_norm,
                         double* out) const;
 
   /// Zero out land cells of all members' interiors.
-  template <typename T>
-  void mask_interior_batch(comm::DistFieldBatchT<T>& x) const;
+  void mask_interior_batch(const comm::FieldSet& x) const;
+  void mask_interior_batch(const comm::FieldSet32& x) const;
 
   // -------------------------------------------------------------------
   // fp32 mirror path. Same sweeps over a lazily-built float copy of the
@@ -335,11 +352,11 @@ class DistOperator {
 
  private:
   /// Fault-injection point: offer each block interior of `v` (a sweep's
-  /// freshly written output) to the installed FaultInjector. Compiles to
-  /// nothing when MINIPOP_FAULTS is off (and to nothing for fp32 fields;
-  /// fault sites live on the fp64 state).
-  void offer_fault_sites(comm::DistField& v) const;
-  void offer_fault_sites(comm::DistField32&) const {}
+  /// freshly written output) to the installed FaultInjector when `v` is
+  /// a one-member set. Compiles to nothing when MINIPOP_FAULTS is off
+  /// (and to nothing for fp32 sets; fault sites live on the fp64 state).
+  void offer_fault_sites(const comm::FieldSet& v) const;
+  void offer_fault_sites(const comm::FieldSet32&) const {}
 
   /// Fault-injection point: offer the fp64 coefficient planes to the
   /// installed FaultInjector (kCoeffBitFlip) at the entry of every fp64
@@ -393,6 +410,59 @@ class DistOperator {
   template <typename T>
   void mask_interior_t(comm::DistFieldT<T>& x) const;
 
+  // Batched sweep bodies behind the FieldSet / FieldSet32 overloads.
+  template <typename T>
+  void apply_batch_t(comm::Communicator& comm,
+                     const comm::HaloExchanger& halo,
+                     const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y,
+                     comm::HaloFreshness fresh) const;
+  template <typename T>
+  void residual_batch_t(comm::Communicator& comm,
+                        const comm::HaloExchanger& halo,
+                        const comm::FieldSetT<T>& b,
+                        const comm::FieldSetT<T>& x,
+                        const comm::FieldSetT<T>& r,
+                        comm::HaloFreshness fresh) const;
+  template <typename T>
+  void residual_local_norm2_batch_t(comm::Communicator& comm,
+                                    const comm::HaloExchanger& halo,
+                                    const comm::FieldSetT<T>& b,
+                                    const comm::FieldSetT<T>& x,
+                                    const comm::FieldSetT<T>& r,
+                                    double* sums,
+                                    comm::HaloFreshness fresh) const;
+  template <typename T>
+  void apply_overlapped_batch_t(comm::Communicator& comm,
+                                const comm::HaloExchanger& halo,
+                                const comm::FieldSetT<T>& x,
+                                const comm::FieldSetT<T>& y,
+                                comm::HaloFreshness fresh) const;
+  template <typename T>
+  void residual_overlapped_batch_t(comm::Communicator& comm,
+                                   const comm::HaloExchanger& halo,
+                                   const comm::FieldSetT<T>& b,
+                                   const comm::FieldSetT<T>& x,
+                                   const comm::FieldSetT<T>& r,
+                                   comm::HaloFreshness fresh) const;
+  template <typename T>
+  void residual_local_norm2_overlapped_batch_t(
+      comm::Communicator& comm, const comm::HaloExchanger& halo,
+      const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
+      const comm::FieldSetT<T>& r, double* sums,
+      comm::HaloFreshness fresh) const;
+  template <typename T>
+  void local_dot_batch_t(comm::Communicator& comm,
+                         const comm::FieldSetT<T>& a,
+                         const comm::FieldSetT<T>& b, double* sums) const;
+  template <typename T>
+  void local_dot3_batch_t(comm::Communicator& comm,
+                          const comm::FieldSetT<T>& r,
+                          const comm::FieldSetT<T>& rp,
+                          const comm::FieldSetT<T>& z, bool with_norm,
+                          double* out) const;
+  template <typename T>
+  void mask_interior_batch_t(const comm::FieldSetT<T>& x) const;
+
   /// Coefficient storage for scalar T: the double original or the
   /// lazily-built float mirror.
   template <typename T>
@@ -433,43 +503,5 @@ class DistOperator {
       block_coeff32_;
 };
 
-#define MINIPOP_DIST_OPERATOR_BATCH_EXTERN(T)                                \
-  extern template void DistOperator::apply_batch<T>(                         \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  extern template void DistOperator::residual_batch<T>(                      \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  extern template void DistOperator::residual_local_norm2_batch<T>(          \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  extern template void DistOperator::apply_overlapped_batch<T>(              \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,                  \
-      comm::HaloFreshness) const;                                            \
-  extern template void DistOperator::residual_overlapped_batch<T>(           \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, comm::HaloFreshness) const;                 \
-  extern template void                                                       \
-  DistOperator::residual_local_norm2_overlapped_batch<T>(                    \
-      comm::Communicator&, const comm::HaloExchanger&,                       \
-      const comm::DistFieldBatchT<T>&, comm::DistFieldBatchT<T>&,            \
-      comm::DistFieldBatchT<T>&, double*, comm::HaloFreshness) const;        \
-  extern template void DistOperator::local_dot_batch<T>(                     \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, double*) const;                       \
-  extern template void DistOperator::local_dot3_batch<T>(                    \
-      comm::Communicator&, const comm::DistFieldBatchT<T>&,                  \
-      const comm::DistFieldBatchT<T>&, const comm::DistFieldBatchT<T>&,      \
-      bool, double*) const;                                                  \
-  extern template void DistOperator::mask_interior_batch<T>(                 \
-      comm::DistFieldBatchT<T>&) const;
-MINIPOP_DIST_OPERATOR_BATCH_EXTERN(double)
-MINIPOP_DIST_OPERATOR_BATCH_EXTERN(float)
-#undef MINIPOP_DIST_OPERATOR_BATCH_EXTERN
 
 }  // namespace minipop::solver

@@ -32,74 +32,80 @@ void count_update(comm::Communicator& comm, std::uint64_t flops_per_point,
 }
 }  // namespace
 
-void lincomb(comm::Communicator& comm, double a, const comm::DistField& x,
-             double b, comm::DistField& y, const SpanPlan* plan) {
+template <typename T>
+void lincomb(comm::Communicator& comm, double a, const comm::DistFieldT<T>& x,
+             double b, comm::DistFieldT<T>& y, const SpanPlan* plan) {
   MINIPOP_REQUIRE(x.compatible_with(y), "lincomb field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     if (plan)
       kernels::lincomb_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                            info.ny, a, x.interior(lb), x.stride(lb), b,
-                            y.interior(lb), y.stride(lb));
+                            info.ny, T(a), x.interior(lb), x.stride(lb),
+                            T(b), y.interior(lb), y.stride(lb));
     else
-      kernels::lincomb(info.nx, info.ny, a, x.interior(lb), x.stride(lb), b,
-                       y.interior(lb), y.stride(lb));
+      kernels::lincomb(info.nx, info.ny, T(a), x.interior(lb), x.stride(lb),
+                       T(b), y.interior(lb), y.stride(lb));
   }
   count_update(comm, 2, interior_points(x), plan);
 }
 
-void axpy(comm::Communicator& comm, double a, const comm::DistField& x,
-          comm::DistField& y, const SpanPlan* plan) {
+template <typename T>
+void axpy(comm::Communicator& comm, double a, const comm::DistFieldT<T>& x,
+          comm::DistFieldT<T>& y, const SpanPlan* plan) {
   MINIPOP_REQUIRE(x.compatible_with(y), "axpy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     if (plan)
       kernels::axpy_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                         info.ny, a, x.interior(lb), x.stride(lb),
+                         info.ny, T(a), x.interior(lb), x.stride(lb),
                          y.interior(lb), y.stride(lb));
     else
-      kernels::axpy(info.nx, info.ny, a, x.interior(lb), x.stride(lb),
+      kernels::axpy(info.nx, info.ny, T(a), x.interior(lb), x.stride(lb),
                     y.interior(lb), y.stride(lb));
   }
   count_update(comm, 2, interior_points(x), plan);
 }
 
+template <typename T>
 void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField& x, double b, comm::DistField& y,
-                  double c, comm::DistField& z, const SpanPlan* plan) {
+                  const comm::DistFieldT<T>& x, double b,
+                  comm::DistFieldT<T>& y, double c, comm::DistFieldT<T>& z,
+                  const SpanPlan* plan) {
   MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
                   "lincomb_axpy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     if (plan)
       kernels::lincomb_axpy_span((*plan)[lb].row_offset(),
-                                 (*plan)[lb].spans(), info.ny, a,
-                                 x.interior(lb), x.stride(lb), b,
-                                 y.interior(lb), y.stride(lb), c,
+                                 (*plan)[lb].spans(), info.ny, T(a),
+                                 x.interior(lb), x.stride(lb), T(b),
+                                 y.interior(lb), y.stride(lb), T(c),
                                  z.interior(lb), z.stride(lb));
     else
-      kernels::lincomb_axpy(info.nx, info.ny, a, x.interior(lb), x.stride(lb),
-                            b, y.interior(lb), y.stride(lb), c,
-                            z.interior(lb), z.stride(lb));
+      kernels::lincomb_axpy(info.nx, info.ny, T(a), x.interior(lb),
+                            x.stride(lb), T(b), y.interior(lb), y.stride(lb),
+                            T(c), z.interior(lb), z.stride(lb));
   }
   // Same count as the lincomb + axpy it fuses: 2 + 2 ops/point.
   count_update(comm, 4, interior_points(x), plan);
 }
 
-void scale(comm::Communicator& comm, double a, comm::DistField& x,
+template <typename T>
+void scale(comm::Communicator& comm, double a, comm::DistFieldT<T>& x,
            const SpanPlan* plan) {
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     if (plan)
       kernels::scale_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                          info.ny, a, x.interior(lb), x.stride(lb));
+                          info.ny, T(a), x.interior(lb), x.stride(lb));
     else
-      kernels::scale(info.nx, info.ny, a, x.interior(lb), x.stride(lb));
+      kernels::scale(info.nx, info.ny, T(a), x.interior(lb), x.stride(lb));
   }
   count_update(comm, 1, interior_points(x), plan);
 }
 
-void copy_interior(const comm::DistField& x, comm::DistField& y) {
+template <typename T>
+void copy_interior(const comm::DistFieldT<T>& x, comm::DistFieldT<T>& y) {
   MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
@@ -108,149 +114,40 @@ void copy_interior(const comm::DistField& x, comm::DistField& y) {
   }
 }
 
-void fill_interior(comm::DistField& x, double v) {
+template <typename T>
+void fill_interior(comm::DistFieldT<T>& x, double v) {
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    kernels::fill(info.nx, info.ny, v, x.interior(lb), x.stride(lb));
+    kernels::fill(info.nx, info.ny, T(v), x.interior(lb), x.stride(lb));
   }
 }
+
+#define MINIPOP_FIELD_OPS_INSTANTIATE(T)                                     \
+  template void lincomb<T>(comm::Communicator&, double,                     \
+                           const comm::DistFieldT<T>&, double,              \
+                           comm::DistFieldT<T>&, const SpanPlan*);          \
+  template void axpy<T>(comm::Communicator&, double,                        \
+                        const comm::DistFieldT<T>&, comm::DistFieldT<T>&,   \
+                        const SpanPlan*);                                   \
+  template void lincomb_axpy<T>(comm::Communicator&, double,                \
+                                const comm::DistFieldT<T>&, double,         \
+                                comm::DistFieldT<T>&, double,               \
+                                comm::DistFieldT<T>&, const SpanPlan*);     \
+  template void scale<T>(comm::Communicator&, double, comm::DistFieldT<T>&, \
+                         const SpanPlan*);                                  \
+  template void copy_interior<T>(const comm::DistFieldT<T>&,                \
+                                 comm::DistFieldT<T>&);                     \
+  template void fill_interior<T>(comm::DistFieldT<T>&, double);
+MINIPOP_FIELD_OPS_INSTANTIATE(double)
+MINIPOP_FIELD_OPS_INSTANTIATE(float)
+#undef MINIPOP_FIELD_OPS_INSTANTIATE
 
 // ---------------------------------------------------------------------------
-// fp32 overloads
-
-void lincomb(comm::Communicator& comm, double a, const comm::DistField32& x,
-             double b, comm::DistField32& y, const SpanPlan* plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "lincomb field mismatch");
-  const float af = static_cast<float>(a), bf = static_cast<float>(b);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                            info.ny, af, x.interior(lb), x.stride(lb), bf,
-                            y.interior(lb), y.stride(lb));
-    else
-      kernels::lincomb(info.nx, info.ny, af, x.interior(lb), x.stride(lb), bf,
-                       y.interior(lb), y.stride(lb));
-  }
-  count_update(comm, 2, interior_points(x), plan);
-}
-
-void axpy(comm::Communicator& comm, double a, const comm::DistField32& x,
-          comm::DistField32& y, const SpanPlan* plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "axpy field mismatch");
-  const float af = static_cast<float>(a);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::axpy_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                         info.ny, af, x.interior(lb), x.stride(lb),
-                         y.interior(lb), y.stride(lb));
-    else
-      kernels::axpy(info.nx, info.ny, af, x.interior(lb), x.stride(lb),
-                    y.interior(lb), y.stride(lb));
-  }
-  count_update(comm, 2, interior_points(x), plan);
-}
-
-void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField32& x, double b, comm::DistField32& y,
-                  double c, comm::DistField32& z, const SpanPlan* plan) {
-  MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
-                  "lincomb_axpy field mismatch");
-  const float af = static_cast<float>(a), bf = static_cast<float>(b),
-              cf = static_cast<float>(c);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_axpy_span((*plan)[lb].row_offset(),
-                                 (*plan)[lb].spans(), info.ny, af,
-                                 x.interior(lb), x.stride(lb), bf,
-                                 y.interior(lb), y.stride(lb), cf,
-                                 z.interior(lb), z.stride(lb));
-    else
-      kernels::lincomb_axpy(info.nx, info.ny, af, x.interior(lb),
-                            x.stride(lb), bf, y.interior(lb), y.stride(lb),
-                            cf, z.interior(lb), z.stride(lb));
-  }
-  count_update(comm, 4, interior_points(x), plan);
-}
-
-void scale(comm::Communicator& comm, double a, comm::DistField32& x,
-           const SpanPlan* plan) {
-  const float af = static_cast<float>(a);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::scale_span((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                          info.ny, af, x.interior(lb), x.stride(lb));
-    else
-      kernels::scale(info.nx, info.ny, af, x.interior(lb), x.stride(lb));
-  }
-  count_update(comm, 1, interior_points(x), plan);
-}
-
-void copy_interior(const comm::DistField32& x, comm::DistField32& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::copy(info.nx, info.ny, x.interior(lb), x.stride(lb),
-                  y.interior(lb), y.stride(lb));
-  }
-}
-
-void fill_interior(comm::DistField32& x, double v) {
-  const float vf = static_cast<float>(v);
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::fill(info.nx, info.ny, vf, x.interior(lb), x.stride(lb));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Precision boundary
-
-void demote(const comm::DistField& x, comm::DistField32& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "demote field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::convert(info.nx, info.ny, x.interior(lb), x.stride(lb),
-                     y.interior(lb), y.stride(lb));
-  }
-}
-
-void promote(const comm::DistField32& x, comm::DistField& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "promote field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::convert(info.nx, info.ny, x.interior(lb), x.stride(lb),
-                     y.interior(lb), y.stride(lb));
-  }
-}
-
-void axpy_promoted(comm::Communicator& comm, double a,
-                   const comm::DistField32& x, comm::DistField& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "axpy_promoted field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    const float* xp = x.interior(lb);
-    double* yp = y.interior(lb);
-    const std::ptrdiff_t xs = x.stride(lb), ys = y.stride(lb);
-    for (int j = 0; j < info.ny; ++j) {
-      const float* MINIPOP_RESTRICT xr = xp + j * xs;
-      double* MINIPOP_RESTRICT yr = yp + j * ys;
-      for (int i = 0; i < info.nx; ++i)
-        yr[i] += a * static_cast<double>(xr[i]);
-    }
-  }
-  comm.costs().add_flops(2 * interior_points(x));
-}
-
-// ---------------------------------------------------------------------------
-// Batched precision boundary
+// Precision boundary (FieldSet views: a scalar field is a one-member set)
 
 namespace {
 template <typename T>
-std::uint64_t batch_interior_points(const comm::DistFieldBatchT<T>& f) {
+std::uint64_t set_interior_points(const comm::FieldSetT<T>& f) {
   std::uint64_t n = 0;
   for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
     const auto& b = f.info(lb);
@@ -260,8 +157,8 @@ std::uint64_t batch_interior_points(const comm::DistFieldBatchT<T>& f) {
 }
 }  // namespace
 
-void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch demote field mismatch");
+void demote(const comm::FieldSet& x, const comm::FieldSet32& y) {
+  MINIPOP_REQUIRE(x.compatible_with(y), "demote field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     // Interior rows are nb-widened contiguous spans; convert() takes the
@@ -271,8 +168,8 @@ void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y) {
   }
 }
 
-void promote(const comm::DistFieldBatch32& x, comm::DistFieldBatch& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch promote field mismatch");
+void promote(const comm::FieldSet32& x, const comm::FieldSet& y) {
+  MINIPOP_REQUIRE(x.compatible_with(y), "promote field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     kernels::convert(info.nx * x.nb(), info.ny, x.interior(lb), x.stride(lb),
@@ -281,20 +178,20 @@ void promote(const comm::DistFieldBatch32& x, comm::DistFieldBatch& y) {
 }
 
 void axpy_promoted(comm::Communicator& comm, const double* a,
-                   const comm::DistFieldBatch32& x, comm::DistFieldBatch& y,
+                   const comm::FieldSet32& x, const comm::FieldSet& y,
                    const unsigned char* active, int n_act) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy_promoted field mismatch");
+  MINIPOP_REQUIRE(x.compatible_with(y), "axpy_promoted field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     kernels::axpy_promoted_batch(x.nb(), info.nx, info.ny, a, x.interior(lb),
                                  x.stride(lb), y.interior(lb), y.stride(lb),
                                  active);
   }
-  comm.costs().add_flops(2 * batch_interior_points(x) * n_act);
+  comm.costs().add_flops(2 * set_interior_points(x) * n_act);
 }
 
-void copy_interior(const comm::DistFieldBatch& x, comm::DistFieldBatch& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
+void copy_interior(const comm::FieldSet& x, const comm::FieldSet& y) {
+  MINIPOP_REQUIRE(x.compatible_with(y), "copy field mismatch");
   for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     kernels::copy_batch(x.nb(), info.nx, info.ny, x.interior(lb),

@@ -4,7 +4,7 @@
 
 #include "src/comm/communicator.hpp"
 #include "src/comm/dist_field.hpp"
-#include "src/comm/dist_field_batch.hpp"
+#include "src/comm/field_set.hpp"
 #include "src/solver/span_plan.hpp"
 
 namespace minipop::solver {
@@ -15,80 +15,63 @@ namespace minipop::solver {
 // ocean cell, while land cells keep their +0.0 (solver iterates are
 // zero on land, and the dense sweep only ever rewrites that zero).
 
+// Scalar-field operations, instantiated for DistField and DistField32
+// (scalars arrive as double and are rounded once to T at entry, not per
+// element).
+
 /// y = a*x + b*y. Covers the solvers' vector updates: axpy (b=1),
-/// xpby (a=1), and the general P-CSI update.
-void lincomb(comm::Communicator& comm, double a, const comm::DistField& x,
-             double b, comm::DistField& y, const SpanPlan* plan = nullptr);
+/// xpby (a=1), and the general update.
+template <typename T>
+void lincomb(comm::Communicator& comm, double a, const comm::DistFieldT<T>& x,
+             double b, comm::DistFieldT<T>& y,
+             const SpanPlan* plan = nullptr);
 
 /// y = a*x + y.
-void axpy(comm::Communicator& comm, double a, const comm::DistField& x,
-          comm::DistField& y, const SpanPlan* plan = nullptr);
+template <typename T>
+void axpy(comm::Communicator& comm, double a, const comm::DistFieldT<T>& x,
+          comm::DistFieldT<T>& y, const SpanPlan* plan = nullptr);
 
-/// Fused y = a*x + b*y followed by z += c*y in one sweep (the direction
-/// and iterate updates of P-CSI steps 7-8 and ChronGear steps 13-16).
-/// Bit-identical to lincomb(a, x, b, y) then axpy(c, y, z).
+/// Fused y = a*x + b*y followed by z += c*y in one sweep. Bit-identical
+/// to lincomb(a, x, b, y) then axpy(c, y, z).
+template <typename T>
 void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField& x, double b, comm::DistField& y,
-                  double c, comm::DistField& z,
+                  const comm::DistFieldT<T>& x, double b,
+                  comm::DistFieldT<T>& y, double c, comm::DistFieldT<T>& z,
                   const SpanPlan* plan = nullptr);
 
 /// x *= a.
-void scale(comm::Communicator& comm, double a, comm::DistField& x,
+template <typename T>
+void scale(comm::Communicator& comm, double a, comm::DistFieldT<T>& x,
            const SpanPlan* plan = nullptr);
 
 /// y = x (interiors; free of flops).
-void copy_interior(const comm::DistField& x, comm::DistField& y);
+template <typename T>
+void copy_interior(const comm::DistFieldT<T>& x, comm::DistFieldT<T>& y);
 
 /// x = v everywhere in the interiors.
-void fill_interior(comm::DistField& x, double v);
+template <typename T>
+void fill_interior(comm::DistFieldT<T>& x, double v);
 
-// fp32 overloads of the same operations (scalars arrive as double and
-// are rounded once to float at entry, not per element).
-void lincomb(comm::Communicator& comm, double a, const comm::DistField32& x,
-             double b, comm::DistField32& y, const SpanPlan* plan = nullptr);
-void axpy(comm::Communicator& comm, double a, const comm::DistField32& x,
-          comm::DistField32& y, const SpanPlan* plan = nullptr);
-void lincomb_axpy(comm::Communicator& comm, double a,
-                  const comm::DistField32& x, double b,
-                  comm::DistField32& y, double c, comm::DistField32& z,
-                  const SpanPlan* plan = nullptr);
-void scale(comm::Communicator& comm, double a, comm::DistField32& x,
-           const SpanPlan* plan = nullptr);
-void copy_interior(const comm::DistField32& x, comm::DistField32& y);
-void fill_interior(comm::DistField32& x, double v);
-
-// Precision boundary of the mixed-precision refinement loop (interiors
-// only; halos are refreshed by the next exchange).
-
-/// y32 = (float) x64.
-void demote(const comm::DistField& x, comm::DistField32& y);
-
-/// y64 = (double) x32.
-void promote(const comm::DistField32& x, comm::DistField& y);
-
-/// y64 += a * x32, widening each fp32 element to double before the
-/// multiply — the refinement update x += d without materializing a
-/// promoted copy of d.
-void axpy_promoted(comm::Communicator& comm, double a,
-                   const comm::DistField32& x, comm::DistField& y);
-
-// Batched precision boundary (the batched mixed-precision decorator).
-// Same per-element conversions over the nb-widened interior rows.
+// Precision boundary of the mixed-precision refinement loop, over
+// FieldSet views (a scalar field passes as a one-member set): the same
+// per-element conversions over the nb-widened interior rows. Interiors
+// only; halos are refreshed by the next exchange.
 
 /// y32_m = (float) x64_m, all members.
-void demote(const comm::DistFieldBatch& x, comm::DistFieldBatch32& y);
+void demote(const comm::FieldSet& x, const comm::FieldSet32& y);
 
 /// y64_m = (double) x32_m, all members.
-void promote(const comm::DistFieldBatch32& x, comm::DistFieldBatch& y);
+void promote(const comm::FieldSet32& x, const comm::FieldSet& y);
 
-/// y64_m += a[m] * x32_m for active members — the batched refinement
-/// update across the precision boundary. Flops counted for the n_act
+/// y64_m += a[m] * x32_m for active members, widening each fp32 element
+/// to double before the multiply — the refinement update x += d without
+/// materializing a promoted copy of d. Flops counted for the n_act
 /// active lanes.
 void axpy_promoted(comm::Communicator& comm, const double* a,
-                   const comm::DistFieldBatch32& x, comm::DistFieldBatch& y,
+                   const comm::FieldSet32& x, const comm::FieldSet& y,
                    const unsigned char* active, int n_act);
 
 /// y = x over all members' interiors.
-void copy_interior(const comm::DistFieldBatch& x, comm::DistFieldBatch& y);
+void copy_interior(const comm::FieldSet& x, const comm::FieldSet& y);
 
 }  // namespace minipop::solver

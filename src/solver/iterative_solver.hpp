@@ -133,11 +133,10 @@ struct SolverOptions {
   /// SolveStats::residual_history (convergence-curve studies).
   bool record_residuals = false;
   /// Use the split-phase engine: halo exchanges hidden behind the
-  /// interior stencil sweep, and reductions hidden behind computation
-  /// wherever that is possible without changing the arithmetic. Iterates,
-  /// iteration counts and residuals are bitwise identical to the
-  /// blocking path; CostTracker's posted/exposed seconds show how much
-  /// communication was actually hidden.
+  /// interior stencil sweep (pipelined CG also hides its fused
+  /// reduction). Iterates, iteration counts and residuals are bitwise
+  /// identical to the blocking path; CostTracker's posted/exposed
+  /// seconds show how much communication was actually hidden.
   bool overlap = false;
   /// Communication-avoiding ghost-zone depth k of the P-CSI cores:
   /// exchange a depth-k halo of {x, dx, r} once (one aggregated message
@@ -171,7 +170,7 @@ struct SolverOptions {
   /// progress for the stagnation guard.
   double stagnation_decrease = 1e-3;
 
-  // --- mixed-precision path (MixedPrecisionSolver) ---
+  // --- mixed-precision path (BatchedMixedPrecisionSolver) ---
 
   /// Arithmetic of the inner sweeps. kFp64 leaves every existing solver
   /// untouched; kFp32/kMixed route the solve through the fp32 mirror
@@ -187,7 +186,7 @@ struct SolverOptions {
   /// solve reports failure.
   int refine_max_sweeps = 50;
 
-  // --- batched multi-RHS path (BatchedSolver) ---
+  // --- batched multi-RHS path (solve_batch) ---
 
   /// Retirement threshold of the batched solvers: when, at a convergence
   /// check, the fraction of still-active members drops to or below this

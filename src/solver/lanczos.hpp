@@ -15,9 +15,15 @@
 
 #include "src/linalg/tridiag_eigen.hpp"
 #include "src/solver/iterative_solver.hpp"
-#include "src/solver/pcsi.hpp"
 
 namespace minipop::solver {
+
+/// Estimated extreme eigenvalues of M^-1 A: the Chebyshev interval
+/// P-CSI iterates over.
+struct EigenBounds {
+  double nu = 0.0;  ///< smallest eigenvalue estimate
+  double mu = 0.0;  ///< largest eigenvalue estimate
+};
 
 struct LanczosOptions {
   int max_steps = 60;

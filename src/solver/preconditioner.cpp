@@ -6,47 +6,15 @@
 namespace minipop::solver {
 
 void Preconditioner::apply(comm::Communicator& /*comm*/,
-                           const comm::DistField32& /*in*/,
-                           comm::DistField32& /*out*/) {
+                           const comm::FieldSet32& /*in*/,
+                           const comm::FieldSet32& /*out*/) {
   MINIPOP_REQUIRE(false, "preconditioner '" << name()
                                             << "' has no fp32 path");
 }
 
-void Preconditioner::apply_batch(comm::Communicator& comm,
-                                 const comm::DistFieldBatch& in,
-                                 comm::DistFieldBatch& out) {
-  // Demux fallback: per-member scratch planes through the scalar apply.
-  // Bit-exact (each member sees exactly the scalar code path); the fused
-  // overrides below only change how many passes memory takes.
-  MINIPOP_REQUIRE(in.compatible_with(out), "precond batch mismatch");
-  comm::DistField in_m(in.decomposition(), in.rank(), in.halo());
-  comm::DistField out_m(in.decomposition(), in.rank(), in.halo());
-  for (int m = 0; m < in.nb(); ++m) {
-    in.store_member(m, in_m);
-    apply(comm, in_m, out_m);
-    out.load_member(m, out_m);
-  }
-}
-
-void Preconditioner::apply_batch(comm::Communicator& comm,
-                                 const comm::DistFieldBatch32& in,
-                                 comm::DistFieldBatch32& out) {
-  // fp32 demux: same per-member fallback through the scalar fp32 apply,
-  // so every preconditioner with an fp32 path composes with batching
-  // (one without it fails loudly in the scalar apply).
-  MINIPOP_REQUIRE(in.compatible_with(out), "precond batch mismatch");
-  comm::DistField32 in_m(in.decomposition(), in.rank(), in.halo());
-  comm::DistField32 out_m(in.decomposition(), in.rank(), in.halo());
-  for (int m = 0; m < in.nb(); ++m) {
-    in.store_member(m, in_m);
-    apply(comm, in_m, out_m);
-    out.load_member(m, out_m);
-  }
-}
-
-void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
+template <typename T>
+void IdentityPreconditioner::apply_t(const comm::FieldSetT<T>& in,
+                                     const comm::FieldSetT<T>& out) const {
   MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
   const SpanPlan* plan = op_->span_plan();
   for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
@@ -55,75 +23,27 @@ void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
     // Gap-zero kernel: writes in at ocean and 0 at land exactly like the
     // masked copy, so the two paths are unconditionally bit-identical.
     if (plan)
-      kernels::masked_copy_span((*plan)[lb].row_offset(),
-                                (*plan)[lb].spans(), info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
+      kernels::masked_copy_span_batch(
+          (*plan)[lb].row_offset(), (*plan)[lb].spans(), in.nb(), info.nx,
+          info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
+          out.stride(lb));
     else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = mask(i, j) ? in.at(lb, i, j) : 0.0;
+      kernels::masked_copy_batch(mask.data(), mask.nx(), in.nb(), info.nx,
+                                 info.ny, in.interior(lb), in.stride(lb),
+                                 out.interior(lb), out.stride(lb));
   }
 }
 
 void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
-                                   const comm::DistField32& in,
-                                   comm::DistField32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    if (plan)
-      kernels::masked_copy_span((*plan)[lb].row_offset(),
-                                (*plan)[lb].spans(), info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = mask(i, j) ? in.at(lb, i, j) : 0.0f;
-  }
+                                   const comm::FieldSet& in,
+                                   const comm::FieldSet& out) {
+  apply_t(in, out);
 }
 
-void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
-                                         const comm::DistFieldBatch& in,
-                                         comm::DistFieldBatch& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond batch mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    if (plan)
-      kernels::masked_copy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), in.nb(), info.nx,
-          info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
-          out.stride(lb));
-    else
-      kernels::masked_copy_batch(mask.data(), mask.nx(), in.nb(), info.nx,
-                                 info.ny, in.interior(lb), in.stride(lb),
-                                 out.interior(lb), out.stride(lb));
-  }
-}
-
-void IdentityPreconditioner::apply_batch(comm::Communicator& /*comm*/,
-                                         const comm::DistFieldBatch32& in,
-                                         comm::DistFieldBatch32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "identity precond batch mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
-    if (plan)
-      kernels::masked_copy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), in.nb(), info.nx,
-          info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
-          out.stride(lb));
-    else
-      kernels::masked_copy_batch(mask.data(), mask.nx(), in.nb(), info.nx,
-                                 info.ny, in.interior(lb), in.stride(lb),
-                                 out.interior(lb), out.stride(lb));
-  }
+void IdentityPreconditioner::apply(comm::Communicator& /*comm*/,
+                                   const comm::FieldSet32& in,
+                                   const comm::FieldSet32& out) {
+  apply_t(in, out);
 }
 
 DiagonalPreconditioner::DiagonalPreconditioner(const DistOperator& op)
@@ -145,130 +65,59 @@ DiagonalPreconditioner::DiagonalPreconditioner(const DistOperator& op)
   }
 }
 
-void DiagonalPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField& in,
-                                   comm::DistField& out) {
+template <typename T>
+void DiagonalPreconditioner::apply_t(
+    comm::Communicator& comm, const std::vector<util::Array2D<T>>& inv_diag,
+    const comm::FieldSetT<T>& in, const comm::FieldSetT<T>& out) const {
   MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
   const SpanPlan* plan = op_->span_plan();
+  const int nb = in.nb();
   std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
     const auto& info = in.info(lb);
-    const auto& inv = inv_diag_[lb];
+    const auto& inv = inv_diag[lb];
     // Span path: inv*in over ocean, literal 0 in the gaps — the masked
     // loop multiplies by the stored inv = 0.0 there, which is the same
     // +0.0 because solver iterates are +0.0 on land.
     if (plan)
-      kernels::diag_apply_span(inv.data(), inv.nx(),
-                               (*plan)[lb].row_offset(),
-                               (*plan)[lb].spans(), info.nx, info.ny,
-                               in.interior(lb), in.stride(lb),
-                               out.interior(lb), out.stride(lb));
+      kernels::diag_apply_span_batch(
+          inv.data(), inv.nx(), (*plan)[lb].row_offset(),
+          (*plan)[lb].spans(), nb, info.nx, info.ny, in.interior(lb),
+          in.stride(lb), out.interior(lb), out.stride(lb));
     else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = inv(i, j) * in.at(lb, i, j);
+      kernels::diag_apply_batch(inv.data(), inv.nx(), nb, info.nx, info.ny,
+                                in.interior(lb), in.stride(lb),
+                                out.interior(lb), out.stride(lb));
     points += static_cast<std::uint64_t>(info.nx) * info.ny;
     active +=
         static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
   }
   // Paper convention: diagonal preconditioning is 1 op/point (T_p).
-  comm.costs().add_flops(points);
-  comm.costs().add_points(active, points);
+  comm.costs().add_flops(points * nb);
+  comm.costs().add_points(active * nb, points * nb);
 }
 
 void DiagonalPreconditioner::apply(comm::Communicator& comm,
-                                   const comm::DistField32& in,
-                                   comm::DistField32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
-  ensure_inv_diag32();
-  const SpanPlan* plan = op_->span_plan();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag32_[lb];
-    if (plan)
-      kernels::diag_apply_span(inv.data(), inv.nx(),
-                               (*plan)[lb].row_offset(),
-                               (*plan)[lb].spans(), info.nx, info.ny,
-                               in.interior(lb), in.stride(lb),
-                               out.interior(lb), out.stride(lb));
-    else
-      for (int j = 0; j < info.ny; ++j)
-        for (int i = 0; i < info.nx; ++i)
-          out.at(lb, i, j) = inv(i, j) * in.at(lb, i, j);
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
-  comm.costs().add_flops(points);
-  comm.costs().add_points(active, points);
+                                   const comm::FieldSet& in,
+                                   const comm::FieldSet& out) {
+  apply_t(comm, inv_diag_, in, out);
 }
 
-void DiagonalPreconditioner::ensure_inv_diag32() {
-  if (!inv_diag32_.empty()) return;
-  inv_diag32_.reserve(inv_diag_.size());
-  for (const auto& inv : inv_diag_) {
-    util::Array2D<float> inv32(inv.nx(), inv.ny());
-    for (int j = 0; j < inv.ny(); ++j)
-      for (int i = 0; i < inv.nx(); ++i)
-        inv32(i, j) = static_cast<float>(inv(i, j));
-    inv_diag32_.push_back(std::move(inv32));
+void DiagonalPreconditioner::apply(comm::Communicator& comm,
+                                   const comm::FieldSet32& in,
+                                   const comm::FieldSet32& out) {
+  if (inv_diag32_.empty()) {
+    // Each inverse is rounded from the double one, not recomputed.
+    inv_diag32_.reserve(inv_diag_.size());
+    for (const auto& inv : inv_diag_) {
+      util::Array2D<float> inv32(inv.nx(), inv.ny());
+      for (int j = 0; j < inv.ny(); ++j)
+        for (int i = 0; i < inv.nx(); ++i)
+          inv32(i, j) = static_cast<float>(inv(i, j));
+      inv_diag32_.push_back(std::move(inv32));
+    }
   }
-}
-
-void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,
-                                         const comm::DistFieldBatch& in,
-                                         comm::DistFieldBatch& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond batch mismatch");
-  const SpanPlan* plan = op_->span_plan();
-  const int nb = in.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag_[lb];
-    if (plan)
-      kernels::diag_apply_span_batch(
-          inv.data(), inv.nx(), (*plan)[lb].row_offset(),
-          (*plan)[lb].spans(), nb, info.nx, info.ny, in.interior(lb),
-          in.stride(lb), out.interior(lb), out.stride(lb));
-    else
-      kernels::diag_apply_batch(inv.data(), inv.nx(), nb, info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
-  comm.costs().add_flops(points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-}
-
-void DiagonalPreconditioner::apply_batch(comm::Communicator& comm,
-                                         const comm::DistFieldBatch32& in,
-                                         comm::DistFieldBatch32& out) {
-  MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond batch mismatch");
-  ensure_inv_diag32();
-  const SpanPlan* plan = op_->span_plan();
-  const int nb = in.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
-    const auto& info = in.info(lb);
-    const auto& inv = inv_diag32_[lb];
-    if (plan)
-      kernels::diag_apply_span_batch(
-          inv.data(), inv.nx(), (*plan)[lb].row_offset(),
-          (*plan)[lb].spans(), nb, info.nx, info.ny, in.interior(lb),
-          in.stride(lb), out.interior(lb), out.stride(lb));
-    else
-      kernels::diag_apply_batch(inv.data(), inv.nx(), nb, info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
-  }
-  comm.costs().add_flops(points * nb);
-  comm.costs().add_points(active * nb, points * nb);
+  apply_t(comm, inv_diag32_, in, out);
 }
 
 }  // namespace minipop::solver

@@ -21,37 +21,27 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
 
-  /// out = M^{-1} in over block interiors (land cells map to zero).
-  virtual void apply(comm::Communicator& comm, const comm::DistField& in,
-                     comm::DistField& out) = 0;
+  /// out_m = M^{-1} in_m over block interiors for every member of the
+  /// sets (land cells map to zero). A scalar DistField passes as a
+  /// one-member view. Member m of the result is bit-identical whatever
+  /// the set width (kernels.hpp contract).
+  virtual void apply(comm::Communicator& comm, const comm::FieldSet& in,
+                     const comm::FieldSet& out) = 0;
 
   /// fp32 mirror of apply(): same block-local, communication-free
-  /// contract on fp32 fields. The built-in preconditioners all implement
+  /// contract on fp32 sets. The built-in preconditioners all implement
   /// it from a lazily-built float copy of their setup data; the default
   /// errors so a preconditioner without an fp32 path fails loudly rather
   /// than silently up-converting.
-  virtual void apply(comm::Communicator& comm, const comm::DistField32& in,
-                     comm::DistField32& out);
+  virtual void apply(comm::Communicator& comm, const comm::FieldSet32& in,
+                     const comm::FieldSet32& out);
 
-  /// Batched multi-RHS apply: out_m = M^{-1} in_m for every member. The
-  /// default demultiplexes through per-member scratch DistFields and the
-  /// scalar apply — bit-exact per member and correct for ANY
-  /// preconditioner (block-EVP included), just without the fused-lane
-  /// bandwidth win. Identity and diagonal override with fused batch
-  /// kernels (whose per-member results are bit-identical to the scalar
-  /// apply by the kernels.hpp contract).
-  virtual void apply_batch(comm::Communicator& comm,
-                           const comm::DistFieldBatch& in,
-                           comm::DistFieldBatch& out);
-
-  /// fp32 batched apply — the preconditioner step of the batched
-  /// mixed-precision inner solve. Default demuxes through the scalar
-  /// fp32 apply (so any preconditioner with an fp32 path composes with
-  /// batching); identity and diagonal override with the fused fp32
-  /// batch kernels.
-  virtual void apply_batch(comm::Communicator& comm,
-                           const comm::DistFieldBatch32& in,
-                           comm::DistFieldBatch32& out);
+  /// Batched spelling of apply(), kept because the end-to-end benchmark
+  /// (perfbench/) calls it.
+  void apply_batch(comm::Communicator& comm, const comm::FieldSet& in,
+                   const comm::FieldSet& out) {
+    apply(comm, in, out);
+  }
 
   virtual std::string name() const = 0;
 };
@@ -60,18 +50,17 @@ class Preconditioner {
 class IdentityPreconditioner final : public Preconditioner {
  public:
   explicit IdentityPreconditioner(const DistOperator& op) : op_(&op) {}
-  void apply(comm::Communicator& comm, const comm::DistField& in,
-             comm::DistField& out) override;
-  void apply(comm::Communicator& comm, const comm::DistField32& in,
-             comm::DistField32& out) override;
-  void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
-                   comm::DistFieldBatch& out) override;
-  void apply_batch(comm::Communicator& comm,
-                   const comm::DistFieldBatch32& in,
-                   comm::DistFieldBatch32& out) override;
+  void apply(comm::Communicator& comm, const comm::FieldSet& in,
+             const comm::FieldSet& out) override;
+  void apply(comm::Communicator& comm, const comm::FieldSet32& in,
+             const comm::FieldSet32& out) override;
   std::string name() const override { return "identity"; }
 
  private:
+  template <typename T>
+  void apply_t(const comm::FieldSetT<T>& in,
+               const comm::FieldSetT<T>& out) const;
+
   const DistOperator* op_;
 };
 
@@ -79,19 +68,18 @@ class IdentityPreconditioner final : public Preconditioner {
 class DiagonalPreconditioner final : public Preconditioner {
  public:
   explicit DiagonalPreconditioner(const DistOperator& op);
-  void apply(comm::Communicator& comm, const comm::DistField& in,
-             comm::DistField& out) override;
-  void apply(comm::Communicator& comm, const comm::DistField32& in,
-             comm::DistField32& out) override;
-  void apply_batch(comm::Communicator& comm, const comm::DistFieldBatch& in,
-                   comm::DistFieldBatch& out) override;
-  void apply_batch(comm::Communicator& comm,
-                   const comm::DistFieldBatch32& in,
-                   comm::DistFieldBatch32& out) override;
+  void apply(comm::Communicator& comm, const comm::FieldSet& in,
+             const comm::FieldSet& out) override;
+  void apply(comm::Communicator& comm, const comm::FieldSet32& in,
+             const comm::FieldSet32& out) override;
   std::string name() const override { return "diagonal"; }
 
  private:
-  void ensure_inv_diag32();
+  template <typename T>
+  void apply_t(comm::Communicator& comm,
+               const std::vector<util::Array2D<T>>& inv_diag,
+               const comm::FieldSetT<T>& in,
+               const comm::FieldSetT<T>& out) const;
 
   const DistOperator* op_;
   std::vector<util::Field> inv_diag_;  ///< masked inverse diagonal per block

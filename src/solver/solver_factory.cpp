@@ -137,93 +137,61 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
       break;
   }
 
+  // One solver stack for solve() and solve_batch(). The short-recurrence
+  // solvers get a lockstep core; PCG and pipelined CG have none and run
+  // member by member through their scalar iteration.
+  batched_lockstep_ = config_.solver == SolverKind::kPcsi ||
+                      config_.solver == SolverKind::kChronGear;
   switch (config_.solver) {
     case SolverKind::kPcg:
-      solver_ = std::make_unique<PcgSolver>(config_.options);
+      batched_ = std::make_unique<SequentialBatchedSolver>(
+          std::make_unique<PcgSolver>(config_.options));
       break;
     case SolverKind::kChronGear:
-      solver_ = std::make_unique<ChronGearSolver>(config_.options);
+      batched_ = std::make_unique<BatchedChronGearSolver>(config_.options);
       break;
     case SolverKind::kPipelinedCg:
-      solver_ = std::make_unique<PipelinedCgSolver>(config_.options);
+      batched_ = std::make_unique<SequentialBatchedSolver>(
+          std::make_unique<PipelinedCgSolver>(config_.options));
       break;
     case SolverKind::kPcsi: {
       lanczos_ =
           estimate_eigenvalue_bounds(comm, halo, op_, *precond_,
                                      config_.lanczos);
-      solver_ = std::make_unique<PcsiSolver>(lanczos_->bounds,
-                                             config_.options);
+      batched_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
+                                                     config_.options);
       break;
     }
   }
 
   if (config_.options.precision != Precision::kFp64) {
-    MINIPOP_REQUIRE(config_.solver == SolverKind::kPcsi ||
-                        config_.solver == SolverKind::kChronGear,
+    MINIPOP_REQUIRE(batched_lockstep_,
                     "precision " << to_string(config_.options.precision)
                                  << " needs pcsi or chrongear (got "
                                  << to_string(config_.solver) << ")");
-    auto mixed = std::make_unique<MixedPrecisionSolver>(std::move(solver_),
-                                                        config_.options);
+    auto mixed = std::make_unique<BatchedMixedPrecisionSolver>(
+        std::move(batched_), config_.options);
     mixed_ = mixed.get();
-    solver_ = std::move(mixed);
+    batched_ = std::move(mixed);
   }
 
   if (config_.resilient) {
     config_.recovery.lanczos = config_.lanczos;
-    auto resilient = std::make_unique<ResilientSolver>(std::move(solver_),
-                                                       config_.recovery);
+    auto resilient = std::make_unique<BatchedResilientSolver>(
+        std::move(batched_), config_.recovery);
     // Fallback chain toward ever-simpler methods, ending at the
     // configuration least likely to share the primary's failure mode:
-    // PCG with a freshly built diagonal preconditioner.
+    // PCG with a freshly built diagonal preconditioner, member by member.
     if (config_.solver == SolverKind::kPcsi ||
         config_.solver == SolverKind::kPipelinedCg)
       resilient->add_fallback(
-          std::make_unique<ChronGearSolver>(config_.options));
+          std::make_unique<BatchedChronGearSolver>(config_.options));
     if (config_.solver != SolverKind::kPcg)
-      resilient->add_fallback(std::make_unique<PcgSolver>(config_.options),
-                              /*use_diagonal_precond=*/true);
+      resilient->add_scalar_fallback(
+          std::make_unique<PcgSolver>(config_.options),
+          /*use_diagonal_precond=*/true);
     resilient_ = resilient.get();
-    solver_ = std::move(resilient);
-  }
-
-  // Batched execution stack, decorated exactly like the scalar one so
-  // every SolverConfig combination (precision × resilient × overlap)
-  // composes with batching. The short-recurrence solvers get the
-  // lockstep multi-RHS core; PCG and pipelined CG have no lockstep core
-  // and demux through the decorated scalar stack instead.
-  batched_lockstep_ = config_.solver == SolverKind::kPcsi ||
-                      config_.solver == SolverKind::kChronGear;
-  if (batched_lockstep_) {
-    if (config_.solver == SolverKind::kPcsi)
-      batched_ = std::make_unique<BatchedPcsiSolver>(lanczos_->bounds,
-                                                     config_.options);
-    else
-      batched_ = std::make_unique<BatchedChronGearSolver>(config_.options);
-
-    if (config_.options.precision != Precision::kFp64) {
-      auto bmixed = std::make_unique<BatchedMixedPrecisionSolver>(
-          std::move(batched_), config_.options);
-      batched_mixed_ = bmixed.get();
-      batched_ = std::move(bmixed);
-    }
-
-    if (config_.resilient) {
-      auto bres = std::make_unique<BatchedResilientSolver>(
-          std::move(batched_), config_.recovery);
-      // Same chain shape as the scalar decorator: a lockstep fallback
-      // first, then the last-resort scalar demux — PCG with a freshly
-      // built diagonal preconditioner, member by member.
-      if (config_.solver == SolverKind::kPcsi)
-        bres->add_fallback(
-            std::make_unique<BatchedChronGearSolver>(config_.options));
-      bres->add_scalar_fallback(std::make_unique<PcgSolver>(config_.options),
-                                /*use_diagonal_precond=*/true);
-      batched_resilient_ = bres.get();
-      batched_ = std::move(bres);
-    }
-  } else {
-    batched_ = std::make_unique<SequentialBatchedSolver>(solver_.get());
+    batched_ = std::move(resilient);
   }
 }
 
@@ -231,9 +199,9 @@ SolveStats BarotropicSolver::solve(comm::Communicator& comm,
                                    const comm::DistField& b,
                                    comm::DistField& x,
                                    comm::HaloFreshness x_fresh) {
-  return solver_->solve(comm, *halo_, op_, *precond_, b, x, x_fresh);
+  return single_member_stats(
+      batched_->solve(comm, *halo_, op_, *precond_, b, x, x_fresh));
 }
-
 BatchSolveStats BarotropicSolver::solve_batch(
     comm::Communicator& comm, std::span<const comm::DistField* const> bs,
     std::span<comm::DistField* const> xs, comm::HaloFreshness x_fresh) {

@@ -13,13 +13,9 @@
 #include "src/evp/block_evp_preconditioner.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/chron_gear.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/mixed_precision.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/pipelined_cg.hpp"
-#include "src/solver/resilient_solver.hpp"
 
 namespace minipop::solver {
 
@@ -41,11 +37,11 @@ struct SolverConfig {
   /// Select the split-phase (overlapped) solver variants; equivalent to
   /// setting options.overlap. Bitwise identical results either way.
   bool overlap = false;
-  /// Route solves through the ResilientSolver decorator (checkpoint
-  /// restarts, P-CSI bounds re-estimation, fallback chain down to
-  /// diagonal-preconditioned PCG). Fault-free iterates are bitwise
-  /// identical with or without it; the decorator adds one agreement
-  /// reduction per solve.
+  /// Route solves through the BatchedResilientSolver decorator
+  /// (checkpoint restarts, P-CSI bounds re-estimation, fallback chain
+  /// down to diagonal-preconditioned PCG). Fault-free iterates are
+  /// bitwise identical with or without it; the decorator adds one
+  /// agreement reduction per solve.
   bool resilient = true;
   RecoveryPolicy recovery;
 };
@@ -65,19 +61,19 @@ class BarotropicSolver {
   /// Solve A x = b (x is both initial guess and result). Collective.
   /// `x_fresh` attests that x's halo was refreshed since its interior
   /// was last written (the model's barotropic step guarantees this).
+  /// Runs the solver stack on zero-copy one-member views of b and x.
   SolveStats solve(comm::Communicator& comm, const comm::DistField& b,
                    comm::DistField& x,
                    comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
-  /// Solve the B independent systems A x_i = b_i as one batch, through
-  /// the batched decorator stack that mirrors the scalar one — the
-  /// mixed-precision, resilience and overlap settings of SolverConfig
-  /// all compose with batching. P-CSI and ChronGear (at any precision)
-  /// interleave the members into a DistFieldBatch and advance them in
-  /// lockstep: ~B× fewer halo messages and allreduces, per-member fp64
-  /// results bit-identical to B scalar solves. PCG and pipelined CG
-  /// have no lockstep core; their stack is the SequentialBatchedSolver
-  /// adapter over the decorated scalar path — same results, no
+  /// Solve the B independent systems A x_i = b_i as one batch through
+  /// the same stack — the mixed-precision, resilience and overlap
+  /// settings of SolverConfig all compose with batching. P-CSI and
+  /// ChronGear (at any precision) interleave the members into a
+  /// DistFieldBatch and advance them in lockstep: ~B× fewer halo
+  /// messages and allreduces, per-member results bit-identical to B
+  /// separate solve() calls. PCG and pipelined CG have no lockstep core;
+  /// their stack solves the members one at a time — same results, no
   /// batching win (see has_batched_path()).
   BatchSolveStats solve_batch(
       comm::Communicator& comm,
@@ -85,26 +81,22 @@ class BarotropicSolver {
       std::span<comm::DistField* const> xs,
       comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
-  /// True when this configuration runs a fused lockstep batched core
-  /// (P-CSI or ChronGear at any precision). False means solve_batch()
-  /// still works but demuxes member-by-member through the scalar stack.
+  /// True when this configuration runs a fused lockstep core (P-CSI or
+  /// ChronGear at any precision). False means solve_batch() still works
+  /// but solves member-by-member.
   bool has_batched_path() const { return batched_lockstep_; }
 
   const DistOperator& op() const { return op_; }
   Preconditioner& preconditioner() { return *precond_; }
-  /// The mixed-precision wrapper, or nullptr when options.precision is
-  /// kFp64 (only P-CSI and ChronGear have an fp32 inner path).
-  MixedPrecisionSolver* mixed() { return mixed_; }
+  /// The mixed-precision decorator, or nullptr when options.precision
+  /// is kFp64 (only P-CSI and ChronGear have an fp32 path).
+  BatchedMixedPrecisionSolver* mixed() { return mixed_; }
   const SolverConfig& config() const { return config_; }
   /// Lanczos estimation details; only set for P-CSI.
   const std::optional<LanczosResult>& lanczos() const { return lanczos_; }
   /// The resilience decorator, or nullptr when config.resilient is off.
-  ResilientSolver* resilient() { return resilient_; }
-  /// The batched decorators' views (nullptr when not in the batched
-  /// stack — non-lockstep solvers, fp64, or resilient off).
-  BatchedMixedPrecisionSolver* batched_mixed() { return batched_mixed_; }
-  BatchedResilientSolver* batched_resilient() { return batched_resilient_; }
-  /// The assembled batched stack (never null).
+  BatchedResilientSolver* resilient() { return resilient_; }
+  /// The assembled solver stack (never null).
   BatchedSolver& batched() { return *batched_; }
   /// e.g. "pcsi+block-evp".
   std::string description() const;
@@ -114,15 +106,13 @@ class BarotropicSolver {
   const comm::HaloExchanger* halo_;
   DistOperator op_;
   std::unique_ptr<Preconditioner> precond_;
-  std::unique_ptr<IterativeSolver> solver_;
-  /// Batched stack mirroring solver_'s decorators (lockstep core for
-  /// pcsi/chrongear, sequential demux adapter otherwise).
+  /// The solver stack: a lockstep core (pcsi/chrongear) or the
+  /// member-by-member adapter over PCG / pipelined CG, under the
+  /// optional mixed-precision and resilience decorators.
   std::unique_ptr<BatchedSolver> batched_;
   bool batched_lockstep_ = false;
-  ResilientSolver* resilient_ = nullptr;  ///< view into solver_, if wrapped
-  MixedPrecisionSolver* mixed_ = nullptr;  ///< view into solver_, if wrapped
-  BatchedMixedPrecisionSolver* batched_mixed_ = nullptr;  ///< view into batched_
-  BatchedResilientSolver* batched_resilient_ = nullptr;   ///< view into batched_
+  BatchedMixedPrecisionSolver* mixed_ = nullptr;  ///< view into batched_
+  BatchedResilientSolver* resilient_ = nullptr;   ///< view into batched_
   std::optional<LanczosResult> lanczos_;
 };
 

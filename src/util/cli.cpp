@@ -1,5 +1,6 @@
 #include "src/util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/util/error.hpp"
@@ -67,6 +68,35 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   if (*v == "0" || *v == "false" || *v == "no") return false;
   MINIPOP_REQUIRE(false, "--" << name << "=" << *v << " is not a boolean");
   return fallback;
+}
+
+std::optional<int> Cli::check_flags(const std::vector<CliFlag>& accepted,
+                                    const std::string& summary,
+                                    std::ostream& out,
+                                    std::ostream& err) const {
+  const auto usage = [&](std::ostream& os) {
+    os << "usage: " << program_ << " [--flag=value ...]\n" << summary
+       << "\n\nflags:\n";
+    for (const CliFlag& f : accepted) os << "  --" << f.name << f.help << "\n";
+    os << "  --help  print this message and exit\n";
+  };
+  if (has("help")) {
+    usage(out);
+    return 0;
+  }
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : options_)
+    if (std::none_of(accepted.begin(), accepted.end(),
+                     [&](const CliFlag& f) { return f.name == name; }))
+      unknown.push_back("--" + name);
+  std::sort(unknown.begin(), unknown.end());
+  for (const std::string& p : positional_) unknown.push_back(p);
+  if (unknown.empty()) return std::nullopt;
+  err << program_ << ": unknown argument";
+  for (const std::string& u : unknown) err << " " << u;
+  err << "\n";
+  usage(err);
+  return 2;
 }
 
 }  // namespace minipop::util

@@ -129,7 +129,7 @@ TEST(BatchField, LoadStoreRoundtripIsBitExact) {
 
   // Compaction-style migration between different batch widths.
   mc::DistFieldBatch narrow(*p.decomp, 0, 1);
-  narrow.copy_member_from(0, batch, 2);
+  mc::FieldSet(narrow).copy_member_from(0, batch, 2);
   mc::DistField out(*p.decomp, 0);
   narrow.store_member(0, out);
   for (int lb = 0; lb < out.num_local_blocks(); ++lb) {

@@ -11,7 +11,7 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
@@ -341,7 +341,8 @@ TEST(BlockEvp, ReducesChronGearIterationsVsDiagonal) {
   ms::DistOperator op(*p.stencil, *p.decomp, 0);
   ms::SolverOptions sopt;
   sopt.rel_tolerance = 1e-11;
-  ms::ChronGearSolver solver(sopt);
+  ms::OneMemberSolver solver(
+      std::make_unique<ms::BatchedChronGearSolver>(sopt));
 
   ms::DiagonalPreconditioner diag(op);
   mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);

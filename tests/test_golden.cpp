@@ -1,8 +1,8 @@
 // Golden pins of BarotropicSolver::solve. The constants below were
-// recorded from the scalar solver classes (PcsiSolver, ChronGearSolver,
-// MixedPrecisionSolver, ResilientSolver) that solve() ran on before it
-// became a one-member batched solve; they are the reference that stack
-// used to be. Every cell of the matrix — pcsi/chrongear ×
+// recorded from the scalar P-CSI, ChronGear, mixed-precision and
+// resilience solver classes that solve() ran on before it became a
+// one-member batched solve; they are the reference that stack used to
+// be. Every cell of the matrix — pcsi/chrongear ×
 // diagonal/block-evp × fp64/fp32/mixed × overlap on/off × halo depth
 // 1/2 (pcsi + diagonal only) × 1/4 ranks — must reproduce the recorded
 // iteration count, refinement sweeps, the bits of the final relative

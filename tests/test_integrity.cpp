@@ -29,12 +29,8 @@
 #include "src/grid/stencil.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/batched_solver.hpp"
-#include "src/solver/chron_gear.hpp"
 #include "src/solver/integrity.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/mixed_precision.hpp"
-#include "src/solver/pcsi.hpp"
-#include "src/solver/resilient_solver.hpp"
 #include "src/util/crc32c.hpp"
 #include "src/util/rng.hpp"
 
@@ -169,8 +165,10 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
     stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
     if (comm.rank() == 0)
-      if (auto* rs = dynamic_cast<ms::ResilientSolver*>(s.get()))
-        out.events = rs->events();
+      if (auto* one = dynamic_cast<ms::OneMemberSolver*>(s.get()))
+        if (auto* rs =
+                dynamic_cast<ms::BatchedResilientSolver*>(&one->batched()))
+          out.events = rs->events();
   };
   if (nranks == 1) {
     mc::SerialComm comm;
@@ -184,26 +182,39 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   return out;
 }
 
-/// Scalar solver stack: pcsi|cg core, wrapped in the mixed decorator
-/// when opt.precision says so.
+using CoreFactory = std::function<std::unique_ptr<ms::BatchedSolver>()>;
+
+/// Solver stack: pcsi|cg core, wrapped in the mixed decorator when
+/// opt.precision says so.
+CoreFactory make_core(const std::string& kind, const ms::SolverOptions& opt,
+                      ms::EigenBounds bounds = {1.0, 2.0}) {
+  return [kind, opt, bounds]() -> std::unique_ptr<ms::BatchedSolver> {
+    std::unique_ptr<ms::BatchedSolver> core;
+    if (kind == "cg")
+      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
+    else
+      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+    if (opt.precision == ms::Precision::kFp64) return core;
+    return std::make_unique<ms::BatchedMixedPrecisionSolver>(std::move(core),
+                                                             opt);
+  };
+}
+
+/// The same stack as a scalar solver (one-member solves).
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
-  return [kind, opt, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    std::unique_ptr<ms::IterativeSolver> core;
-    if (kind == "cg")
-      core = std::make_unique<ms::ChronGearSolver>(opt);
-    else
-      core = std::make_unique<ms::PcsiSolver>(bounds, opt);
-    if (opt.precision == ms::Precision::kFp64) return core;
-    return std::make_unique<ms::MixedPrecisionSolver>(std::move(core), opt);
+  const CoreFactory core = make_core(kind, opt, bounds);
+  return [core](int) -> std::unique_ptr<ms::IterativeSolver> {
+    return std::make_unique<ms::OneMemberSolver>(core());
   };
 }
 
 #if MINIPOP_FAULTS
-SolverFactory resilient(const SolverFactory& inner,
+SolverFactory resilient(const CoreFactory& inner,
                         ms::RecoveryPolicy pol = {}) {
-  return [inner, pol](int r) -> std::unique_ptr<ms::IterativeSolver> {
-    return std::make_unique<ms::ResilientSolver>(inner(r), pol);
+  return [inner, pol](int) -> std::unique_ptr<ms::IterativeSolver> {
+    return std::make_unique<ms::OneMemberSolver>(
+        std::make_unique<ms::BatchedResilientSolver>(inner(), pol));
   };
 }
 #endif  // MINIPOP_FAULTS
@@ -711,7 +722,7 @@ TEST(SdcCampaign, RecurrenceDriftFromCorruptVectorTypedAndRecovered) {
     // Decorated: restart from the entry checkpoint replays the
     // fault-free solve exactly (the rule is spent after one fire).
     mf::FaultScope scope(plan);
-    SolveRun dec = run_with(p, 1, resilient(make_kind("cg", opt)));
+    SolveRun dec = run_with(p, 1, resilient(make_core("cg", opt)));
     EXPECT_EQ(scope.injector().fire_count(), 1);
     EXPECT_TRUE(dec.stats.converged);
     ASSERT_GE(dec.events.size(), 1u);
@@ -835,7 +846,7 @@ TEST(SdcRecovery, CorruptOperatorRepairedThenReplaysCleanSolve) {
   ASSERT_TRUE(clean.stats.converged);
 
   mf::FaultScope scope(one_rule(mf::FaultSite::kCoeffBitFlip, 2, 62));
-  SolveRun dec = run_with(p, 1, resilient(make_kind("cg", opt)));
+  SolveRun dec = run_with(p, 1, resilient(make_core("cg", opt)));
   EXPECT_EQ(scope.injector().fire_count(), 1);
   EXPECT_TRUE(dec.stats.converged);
   ASSERT_GE(dec.events.size(), 1u);
@@ -880,7 +891,7 @@ TEST(SdcRecovery, CorruptReductionRestartedThenReplaysCleanSolve) {
   ASSERT_TRUE(clean.stats.converged);
 
   mf::FaultScope scope(one_rule(mf::FaultSite::kReductionCorrupt, 3));
-  SolveRun dec = run_with(p, 1, resilient(make_kind("cg", opt)));
+  SolveRun dec = run_with(p, 1, resilient(make_core("cg", opt)));
   EXPECT_EQ(scope.injector().fire_count(), 1);
   EXPECT_TRUE(dec.stats.converged);
   ASSERT_GE(dec.events.size(), 1u);
@@ -900,7 +911,7 @@ TEST(SdcRecovery, ScalarHaloBitFlipBehindCrcRecovered) {
   const mf::FaultPlan plan =
       one_rule(mf::FaultSite::kHaloBitFlip, 5, 0, /*rank=*/1);
   mf::FaultScope scope(plan);
-  SolveRun dec = run_with(p, 4, resilient(make_kind("cg", opt)), nullptr,
+  SolveRun dec = run_with(p, 4, resilient(make_core("cg", opt)), nullptr,
                           0.0, /*halo_crc=*/true);
   EXPECT_EQ(scope.injector().fire_count(), 1);
   EXPECT_TRUE(dec.stats.converged);

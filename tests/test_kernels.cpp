@@ -12,12 +12,11 @@
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/dist_operator.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -681,7 +680,7 @@ TEST(KernelRegression, SolverIterationCountsUnchangedOnSeedProblem) {
   {
     mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
     b.load_global(bg);
-    ms::ChronGearSolver cg(opt);
+    ms::OneMemberSolver cg(std::make_unique<ms::BatchedChronGearSolver>(opt));
     auto s = cg.solve(comm, halo, a, m, b, x);
     ASSERT_TRUE(s.converged);
     EXPECT_EQ(s.iterations, 110);  // seed value
@@ -697,7 +696,8 @@ TEST(KernelRegression, SolverIterationCountsUnchangedOnSeedProblem) {
 
     mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
     b.load_global(bg);
-    ms::PcsiSolver pcsi(bounds, opt);
+    ms::OneMemberSolver pcsi(
+        std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
     auto s = pcsi.solve(comm, halo, a, m, b, x);
     ASSERT_TRUE(s.converged);
     EXPECT_EQ(s.iterations, 210);  // seed value

@@ -18,9 +18,8 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/perf/pop_timing_model.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/pipelined_cg.hpp"
 #include "src/util/rng.hpp"
 
@@ -137,9 +136,11 @@ Run run_solver(const Problem& p, int nranks, const ms::SolverOptions& opt,
       m = std::make_unique<ms::DiagonalPreconditioner>(a);
     std::unique_ptr<ms::IterativeSolver> s;
     if (kind == "cg")
-      s = std::make_unique<ms::ChronGearSolver>(opt);
+      s = std::make_unique<ms::OneMemberSolver>(
+          std::make_unique<ms::BatchedChronGearSolver>(opt));
     else if (kind == "pcsi")
-      s = std::make_unique<ms::PcsiSolver>(bounds, opt);
+      s = std::make_unique<ms::OneMemberSolver>(
+          std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
     else
       s = std::make_unique<ms::PipelinedCgSolver>(opt);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
@@ -541,7 +542,8 @@ TEST(HaloFreshness, FreshInputSkipsExactlyOneExchange) {
     ms::SolverOptions opt;
     opt.rel_tolerance = 1e-10;
     opt.overlap = overlap;
-    ms::ChronGearSolver solver(opt);
+    ms::OneMemberSolver solver(
+        std::make_unique<ms::BatchedChronGearSolver>(opt));
 
     auto solve_with = [&](mc::HaloFreshness fresh, bool pre_exchange) {
       mc::SerialComm comm;

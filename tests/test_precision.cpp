@@ -1,6 +1,6 @@
 // Mixed-precision solver path: the fp32/mixed modes of
-// MixedPrecisionSolver, the fp32 halo payload, and the ResilientSolver
-// precision-escalation rung that rescues an fp32 solve stagnating at its
+// BatchedMixedPrecisionSolver, the fp32 halo payload, and the
+// BatchedResilientSolver precision-escalation rung that rescues an fp32 solve stagnating at its
 // accuracy floor.
 #include <gtest/gtest.h>
 
@@ -165,7 +165,7 @@ TEST(PrecisionEscalation, Fp32StagnatesAtTightToleranceWithoutResilience) {
   EXPECT_GT(stats.relative_residual, 1e-13);
 }
 
-// With the ResilientSolver in the loop, the same stagnation is cured by
+// With the resilience decorator in the loop, the same stagnation is cured by
 // the precision-escalation rung: one typed RecoveryEvent, then the fp64
 // twin finishes the solve to full tolerance.
 TEST(PrecisionEscalation, ResilientEscalatesStagnatedFp32ToFp64) {
@@ -256,7 +256,9 @@ TEST(PrecisionFields, DemotePromoteAxpyPromotedAreExactWhereExpected) {
 
   // axpy_promoted widens each fp32 element before the fp64 fma-free
   // multiply-add, elementwise identical to the scalar expression.
-  ms::axpy_promoted(comm, 0.75, x32, y);
+  const double a = 0.75;
+  const unsigned char active = 1;
+  ms::axpy_promoted(comm, &a, x32, y, &active, 1);
   for (int lb = 0; lb < y.num_local_blocks(); ++lb) {
     const auto& info = y.info(lb);
     for (int j = 0; j < info.ny; ++j)

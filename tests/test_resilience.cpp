@@ -1,6 +1,6 @@
 // Resilience-layer tests: the ConvergenceGuard failure taxonomy, the
 // solvers' typed failure returns (NaN, breakdown, zero RHS), the
-// ResilientSolver recovery chain (restart → re-estimate bounds →
+// BatchedResilientSolver recovery chain (restart → re-estimate bounds →
 // fall back → give up), ThreadComm receive timeouts with the resync
 // fence, and the deterministic fault injector. Full-solve fault
 // campaigns (hooks live in the comm/solver layers) run only when the
@@ -25,12 +25,11 @@
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/pipelined_cg.hpp"
-#include "src/solver/resilient_solver.hpp"
+#include "src/solver/solver_factory.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -124,7 +123,7 @@ using SolverFactory =
 
 /// One solve with a diagonal preconditioner over `nranks` virtual ranks
 /// (1 = SerialComm). Returns the gathered solution, rank-0 stats, and —
-/// when the factory produced a ResilientSolver — rank 0's recovery log.
+/// when the factory produced a resilient stack — rank 0's recovery log.
 struct SolveRun {
   mu::Field x;
   ms::SolveStats stats;
@@ -148,8 +147,10 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
     stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
     x.store_global(out.x);  // disjoint interiors; no race
     if (comm.rank() == 0)
-      if (auto* rs = dynamic_cast<ms::ResilientSolver*>(s.get()))
-        out.events = rs->events();
+      if (auto* one = dynamic_cast<ms::OneMemberSolver*>(s.get()))
+        if (auto* rs =
+                dynamic_cast<ms::BatchedResilientSolver*>(&one->batched()))
+          out.events = rs->events();
   };
   if (nranks == 1) {
     mc::SerialComm comm;
@@ -163,15 +164,38 @@ SolveRun run_with(const Problem& p, int nranks, const SolverFactory& make,
   return out;
 }
 
+/// The solver core of `kind` behind the batched interface (PCG and
+/// pipelined CG through the member-by-member adapter).
+std::unique_ptr<ms::BatchedSolver> make_core(const std::string& kind,
+                                             const ms::SolverOptions& opt,
+                                             ms::EigenBounds bounds = {1.0,
+                                                                       2.0}) {
+  if (kind == "cg") return std::make_unique<ms::BatchedChronGearSolver>(opt);
+  if (kind == "pcg")
+    return std::make_unique<ms::SequentialBatchedSolver>(
+        std::make_unique<ms::PcgSolver>(opt));
+  if (kind == "pipecg")
+    return std::make_unique<ms::SequentialBatchedSolver>(
+        std::make_unique<ms::PipelinedCgSolver>(opt));
+  return std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+}
+
 SolverFactory make_kind(const std::string& kind, const ms::SolverOptions& opt,
                         ms::EigenBounds bounds = {1.0, 2.0}) {
   return [kind, opt, bounds](int) -> std::unique_ptr<ms::IterativeSolver> {
-    if (kind == "cg") return std::make_unique<ms::ChronGearSolver>(opt);
     if (kind == "pcg") return std::make_unique<ms::PcgSolver>(opt);
     if (kind == "pipecg")
       return std::make_unique<ms::PipelinedCgSolver>(opt);
-    return std::make_unique<ms::PcsiSolver>(bounds, opt);
+    return std::make_unique<ms::OneMemberSolver>(
+        make_core(kind, opt, bounds));
   };
+}
+
+/// `primary` under the resilience decorator, as a scalar solver.
+std::unique_ptr<ms::IterativeSolver> resilient(
+    std::unique_ptr<ms::BatchedSolver> primary, ms::RecoveryPolicy pol = {}) {
+  return std::make_unique<ms::OneMemberSolver>(
+      std::make_unique<ms::BatchedResilientSolver>(std::move(primary), pol));
 }
 
 const std::vector<std::string> kAllKinds = {"cg", "pcg", "pcsi", "pipecg"};
@@ -329,7 +353,7 @@ TEST(Detection, NanRhsDetectedOnEveryRankOfATeam) {
 }
 
 // ---------------------------------------------------------------------
-// ResilientSolver: decorator transparency + recovery chain
+// BatchedResilientSolver: decorator transparency + recovery chain
 // ---------------------------------------------------------------------
 
 TEST(Resilient, FaultFreeDecoratedSolveIsBitwiseIdentical) {
@@ -345,8 +369,7 @@ TEST(Resilient, FaultFreeDecoratedSolveIsBitwiseIdentical) {
       SolveRun dec = run_with(
           p, nranks,
           [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-            return std::make_unique<ms::ResilientSolver>(
-                make_kind(kind, opt, bounds)(0));
+            return resilient(make_core(kind, opt, bounds));
           });
       ASSERT_TRUE(raw.stats.converged);
       expect_stats_bitwise(dec.stats, raw.stats);
@@ -379,8 +402,7 @@ TEST(Resilient, PcsiBadBoundsReestimatedViaLanczos) {
   Problem p = make_problem(32, 24, 8, 1);
   const ms::SolverOptions opt = fast_guard_options();
   SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-    return std::make_unique<ms::ResilientSolver>(
-        std::make_unique<ms::PcsiSolver>(kBadBounds, opt));
+    return resilient(std::make_unique<ms::BatchedPcsiSolver>(kBadBounds, opt));
   });
   EXPECT_TRUE(dec.stats.converged);
   ASSERT_EQ(dec.events.size(), 1u);
@@ -399,10 +421,10 @@ TEST(Resilient, RestartThenFallbackWhenPrimaryKeepsFailing) {
   pol.max_restarts = 1;
   pol.reestimate_bounds = false;
   SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-    auto rs = std::make_unique<ms::ResilientSolver>(
-        std::make_unique<ms::PcsiSolver>(kBadBounds, opt), pol);
-    rs->add_fallback(std::make_unique<ms::ChronGearSolver>(opt));
-    return rs;
+    auto rs = std::make_unique<ms::BatchedResilientSolver>(
+        std::make_unique<ms::BatchedPcsiSolver>(kBadBounds, opt), pol);
+    rs->add_fallback(std::make_unique<ms::BatchedChronGearSolver>(opt));
+    return std::make_unique<ms::OneMemberSolver>(std::move(rs));
   });
   EXPECT_TRUE(dec.stats.converged);
   ASSERT_EQ(dec.events.size(), 2u);
@@ -426,8 +448,8 @@ TEST(Resilient, GiveUpReturnsTypedFailure) {
   pol.max_restarts = 0;
   pol.reestimate_bounds = false;
   SolveRun dec = run_with(p, 1, [&](int) -> std::unique_ptr<ms::IterativeSolver> {
-    return std::make_unique<ms::ResilientSolver>(
-        std::make_unique<ms::PcsiSolver>(kBadBounds, opt), pol);
+    return resilient(std::make_unique<ms::BatchedPcsiSolver>(kBadBounds, opt),
+                     pol);
   });
   EXPECT_FALSE(dec.stats.converged);
   EXPECT_EQ(dec.stats.failure, ms::FailureKind::kDiverged);
@@ -436,8 +458,8 @@ TEST(Resilient, GiveUpReturnsTypedFailure) {
 }
 
 TEST(Resilient, NameWrapsPrimary) {
-  ms::ResilientSolver rs(
-      std::make_unique<ms::ChronGearSolver>(ms::SolverOptions{}));
+  ms::BatchedResilientSolver rs(
+      std::make_unique<ms::BatchedChronGearSolver>(ms::SolverOptions{}));
   EXPECT_EQ(rs.name(), "resilient(chrongear)");
 }
 
@@ -760,7 +782,7 @@ TEST(FaultCampaign, SolverVectorNanDetectedAndRecovered) {
     mf::FaultScope scope(plan);
     SolveRun dec = run_with(p, 1, [&](int) {
       return std::unique_ptr<ms::IterativeSolver>(
-          std::make_unique<ms::ResilientSolver>(make_kind("cg", opt)(0)));
+          resilient(make_core("cg", opt)));
     });
     EXPECT_TRUE(dec.stats.converged);
     ASSERT_GE(dec.events.size(), 1u);
@@ -793,8 +815,7 @@ TEST(FaultCampaign, HaloBitFlipRecoversToFaultFreeAnswer) {
   mf::FaultScope scope(plan);
   SolveRun dec = run_with(p, 4, [&](int) {
     return std::unique_ptr<ms::IterativeSolver>(
-        std::make_unique<ms::ResilientSolver>(
-            make_kind("pcsi", opt, bounds)(0)));
+        resilient(make_core("pcsi", opt, bounds)));
   });
   EXPECT_EQ(scope.injector().fire_count(), 1);
   EXPECT_TRUE(dec.stats.converged);
@@ -821,7 +842,7 @@ TEST(FaultCampaign, DroppedMessageTimesOutThenRecovers) {
       p, 4,
       [&](int) {
         return std::unique_ptr<ms::IterativeSolver>(
-            std::make_unique<ms::ResilientSolver>(make_kind("cg", opt)(0)));
+            resilient(make_core("cg", opt)));
       },
       nullptr, /*recv_timeout_ms=*/500.0);
   EXPECT_EQ(scope.injector().fire_count(), 1);
@@ -878,7 +899,7 @@ TEST(FaultCampaign, DuplicatedMessageNeverHangsOrLiesAboutConvergence) {
       p, 4,
       [&](int) {
         return std::unique_ptr<ms::IterativeSolver>(
-            std::make_unique<ms::ResilientSolver>(make_kind("cg", opt)(0)));
+            resilient(make_core("cg", opt)));
       },
       nullptr, /*recv_timeout_ms=*/1000.0);
   EXPECT_EQ(scope.injector().fire_count(), 1);
@@ -929,8 +950,7 @@ TEST(FaultCampaign, CorruptedEigenBoundsReestimatedAndRecovered) {
   mf::FaultScope scope(plan);
   SolveRun dec = run_with(p, 1, [&](int) {
     return std::unique_ptr<ms::IterativeSolver>(
-        std::make_unique<ms::ResilientSolver>(
-            make_kind("pcsi", opt, bounds)(0)));
+        resilient(make_core("pcsi", opt, bounds)));
   });
   EXPECT_EQ(scope.injector().fire_count(), 1);
   EXPECT_TRUE(dec.stats.converged);
@@ -950,6 +970,45 @@ TEST(FaultCampaign, EmptyPlanInstalledIsBitwiseIdentical) {
   EXPECT_EQ(scope.injector().fire_count(), 0);
   expect_stats_bitwise(scoped.stats, clean.stats);
   expect_fields_bitwise(scoped.x, clean.x);
+}
+
+TEST(FaultCampaign, ScalarSolveOffersVectorAndHaloPayloadSites) {
+  // Arming rule (DESIGN.md §8): the solver-vector and halo-payload hooks
+  // arm on one-member fp64 sets — every BarotropicSolver::solve() — so a
+  // single production solve must offer both sites to the injector. The
+  // rules are scheduled far past the solve: nothing fires, every hook
+  // call is counted.
+  Problem p = make_problem(32, 24, 8, 4);
+  mf::FaultPlan plan;
+  for (const mf::FaultSite site :
+       {mf::FaultSite::kSolverVector, mf::FaultSite::kHaloPayload}) {
+    mf::FaultRule r;
+    r.site = site;
+    r.trigger_event = 1L << 40;
+    plan.add(r);
+  }
+  mf::FaultScope scope(plan);
+  std::vector<ms::SolveStats> stats(4);
+  mc::ThreadTeam team(4);
+  team.run([&](mc::Communicator& comm) {
+    mc::HaloExchanger halo(*p.decomp);
+    ms::SolverConfig cfg;
+    cfg.solver = ms::SolverKind::kPcsi;
+    cfg.preconditioner = ms::PreconditionerKind::kBlockEvp;
+    ms::BarotropicSolver solver(comm, halo, *p.grid, p.depth, *p.stencil,
+                                *p.decomp, cfg);
+    mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
+    b.load_global(p.b_global);
+    stats[comm.rank()] = solver.solve(comm, b, x);
+  });
+  EXPECT_TRUE(stats[0].converged);
+  EXPECT_EQ(scope.injector().fire_count(), 0);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_GT(scope.injector().events(mf::FaultSite::kSolverVector, r), 0)
+        << "rank " << r;
+    EXPECT_GT(scope.injector().events(mf::FaultSite::kHaloPayload, r), 0)
+        << "rank " << r;
+  }
 }
 
 #endif  // MINIPOP_FAULTS

@@ -9,11 +9,10 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/lanczos.hpp"
 #include "src/solver/pcg.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -139,7 +138,7 @@ TEST(ChronGear, MatchesDenseSolution) {
   auto p = make_problem(14, 12, 14, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-12;
-  ms::ChronGearSolver solver(opt);
+  ms::OneMemberSolver solver(std::make_unique<ms::BatchedChronGearSolver>(opt));
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(max_abs_err(x, p.x_ref), 1e-8 * std::max(1.0, max_abs(p.x_ref)));
@@ -152,7 +151,7 @@ TEST(ChronGear, IterationCountTracksPcg) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
   ms::PcgSolver pcg(opt);
-  ms::ChronGearSolver cg(opt);
+  ms::OneMemberSolver cg(std::make_unique<ms::BatchedChronGearSolver>(opt));
   auto [x1, s1] = solve_serial(p, pcg);
   auto [x2, s2] = solve_serial(p, cg);
   EXPECT_TRUE(s1.converged);
@@ -164,7 +163,7 @@ TEST(ChronGear, OneReductionPerIteration) {
   auto p = make_problem(20, 16, 20, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver solver(opt);
+  ms::OneMemberSolver solver(std::make_unique<ms::BatchedChronGearSolver>(opt));
   auto [x, stats] = solve_serial(p, solver);
   ASSERT_TRUE(stats.converged);
   // iterations + initial ||b|| reduction.
@@ -193,7 +192,8 @@ TEST(Pcsi, ConvergesWithLanczosBounds) {
   auto bounds = lanczos_bounds_serial(p);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-11;
-  ms::PcsiSolver solver(bounds, opt);
+  ms::OneMemberSolver solver(
+      std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(max_abs_err(x, p.x_ref), 1e-7 * std::max(1.0, max_abs(p.x_ref)));
@@ -205,10 +205,11 @@ TEST(Pcsi, NeedsMoreIterationsThanChronGearButFewerReductions) {
   auto p = make_problem(24, 20, 24, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver cg(opt);
+  ms::OneMemberSolver cg(std::make_unique<ms::BatchedChronGearSolver>(opt));
   auto [xc, sc] = solve_serial(p, cg);
   auto bounds = lanczos_bounds_serial(p);
-  ms::PcsiSolver pcsi(bounds, opt);
+  ms::OneMemberSolver pcsi(
+      std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
   auto [xp, sp] = solve_serial(p, pcsi);
   ASSERT_TRUE(sc.converged);
   ASSERT_TRUE(sp.converged);
@@ -219,14 +220,14 @@ TEST(Pcsi, NeedsMoreIterationsThanChronGearButFewerReductions) {
 }
 
 TEST(Pcsi, RejectsInvalidBounds) {
-  EXPECT_THROW(ms::PcsiSolver(ms::EigenBounds{0.0, 1.0}), mu::Error);
-  EXPECT_THROW(ms::PcsiSolver(ms::EigenBounds{2.0, 1.0}), mu::Error);
+  EXPECT_THROW(ms::BatchedPcsiSolver(ms::EigenBounds{0.0, 1.0}), mu::Error);
+  EXPECT_THROW(ms::BatchedPcsiSolver(ms::EigenBounds{2.0, 1.0}), mu::Error);
 }
 
 TEST(Solvers, ZeroRhsGivesZeroSolution) {
   auto p = make_problem(12, 10, 12, 1);
   p.b_global.fill(0.0);
-  ms::ChronGearSolver solver;
+  ms::OneMemberSolver solver(std::make_unique<ms::BatchedChronGearSolver>());
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(stats.iterations, 0);
@@ -238,7 +239,7 @@ TEST(Solvers, NonConvergenceIsReportedNotThrown) {
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-14;
   opt.max_iterations = 3;
-  ms::ChronGearSolver solver(opt);
+  ms::OneMemberSolver solver(std::make_unique<ms::BatchedChronGearSolver>(opt));
   auto [x, stats] = solve_serial(p, solver);
   EXPECT_FALSE(stats.converged);
   EXPECT_EQ(stats.iterations, 3);
@@ -249,7 +250,7 @@ TEST(Solvers, DiagonalPreconditioningReducesIterations) {
   auto p = make_problem(20, 18, 20, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver solver(opt);
+  ms::OneMemberSolver solver(std::make_unique<ms::BatchedChronGearSolver>(opt));
   auto [xd, sd] = solve_serial(p, solver, /*diagonal=*/true);
   auto [xi, si] = solve_serial(p, solver, /*diagonal=*/false);
   ASSERT_TRUE(sd.converged);
@@ -261,7 +262,7 @@ TEST(Solvers, WarmStartConvergesFaster) {
   auto p = make_problem(18, 16, 18, 1);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  ms::ChronGearSolver solver(opt);
+  ms::OneMemberSolver solver(std::make_unique<ms::BatchedChronGearSolver>(opt));
 
   mc::SerialComm comm;
   mc::HaloExchanger halo(*p.decomp);
@@ -294,7 +295,8 @@ TEST(Solvers, MultiRankMatchesSerial) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(d1, 0), x(d1, 0);
     b.load_global(p.b_global);
-    ms::ChronGearSolver solver(opt);
+    ms::OneMemberSolver solver(
+        std::make_unique<ms::BatchedChronGearSolver>(opt));
     auto stats = solver.solve(comm, halo, a, m, b, x);
     ASSERT_TRUE(stats.converged);
     x.store_global(x_serial);
@@ -309,7 +311,8 @@ TEST(Solvers, MultiRankMatchesSerial) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    ms::ChronGearSolver solver(opt);
+    ms::OneMemberSolver solver(
+        std::make_unique<ms::BatchedChronGearSolver>(opt));
     auto stats = solver.solve(comm, halo, a, m, b, x);
     EXPECT_TRUE(stats.converged);
     iters[comm.rank()] = stats.iterations;
@@ -338,7 +341,8 @@ TEST(Pcsi, MultiRankMatchesSerialWithSameIterations) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(d1, 0), x(d1, 0);
     b.load_global(p.b_global);
-    ms::PcsiSolver solver(bounds, opt);
+    ms::OneMemberSolver solver(
+        std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
     auto stats = solver.solve(comm, halo, a, m, b, x);
     ASSERT_TRUE(stats.converged);
     serial_iters = stats.iterations;
@@ -353,7 +357,8 @@ TEST(Pcsi, MultiRankMatchesSerialWithSameIterations) {
     ms::DiagonalPreconditioner m(a);
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    ms::PcsiSolver solver(bounds, opt);
+    ms::OneMemberSolver solver(
+        std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
     auto stats = solver.solve(comm, halo, a, m, b, x);
     EXPECT_TRUE(stats.converged);
     // P-CSI iterations are scalar-recurrence-driven: identical across

@@ -19,11 +19,10 @@
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/solver/chron_gear.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pcsi.hpp"
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
@@ -567,11 +566,12 @@ SolveOut run_once(const Problem& p, int nranks, bool use_spans,
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
     a.set_use_spans(use_spans);
     ms::DiagonalPreconditioner m(a);
-    std::unique_ptr<ms::IterativeSolver> s;
+    std::unique_ptr<ms::BatchedSolver> core;
     if (kind == "pcsi")
-      s = std::make_unique<ms::PcsiSolver>(bounds, opt);
+      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
     else
-      s = std::make_unique<ms::ChronGearSolver>(opt);
+      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
+    auto s = std::make_unique<ms::OneMemberSolver>(std::move(core));
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
     stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "src/util/array2d.hpp"
 #include "src/util/array3d.hpp"
@@ -109,6 +111,42 @@ TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--nx=12abc"};
   mu::Cli cli(2, argv);
   EXPECT_THROW(cli.get_int("nx", 0), mu::Error);
+}
+
+TEST(Cli, CheckFlagsStopsOnHelpAndUnknownFlags) {
+  const std::vector<mu::CliFlag> flags = {{"days", "=D  days to run"},
+                                          {"ranks", "=N  ranks"}};
+  {
+    const char* argv[] = {"prog", "--days=3", "--ranks=2"};
+    std::ostringstream out, err;
+    EXPECT_EQ(mu::Cli(3, argv).check_flags(flags, "summary", out, err),
+              std::nullopt);
+    EXPECT_TRUE(out.str().empty());
+    EXPECT_TRUE(err.str().empty());
+  }
+  {
+    const char* argv[] = {"prog", "--days=3", "--help"};
+    std::ostringstream out, err;
+    EXPECT_EQ(mu::Cli(3, argv).check_flags(flags, "summary", out, err), 0);
+    EXPECT_NE(out.str().find("--days=D"), std::string::npos);
+    EXPECT_NE(out.str().find("--ranks=N"), std::string::npos);
+    EXPECT_NE(out.str().find("--help"), std::string::npos);
+    EXPECT_TRUE(err.str().empty());
+  }
+  {
+    const char* argv[] = {"prog", "--days=3", "--no-such-flag"};
+    std::ostringstream out, err;
+    EXPECT_EQ(mu::Cli(3, argv).check_flags(flags, "summary", out, err), 2);
+    EXPECT_NE(err.str().find("--no-such-flag"), std::string::npos);
+    EXPECT_NE(err.str().find("--ranks=N"), std::string::npos);
+    EXPECT_TRUE(out.str().empty());
+  }
+  {
+    const char* argv[] = {"prog", "stray"};
+    std::ostringstream out, err;
+    EXPECT_EQ(mu::Cli(2, argv).check_flags(flags, "summary", out, err), 2);
+    EXPECT_NE(err.str().find("stray"), std::string::npos);
+  }
 }
 
 TEST(Table, FormatsAlignedColumns) {
