@@ -1,6 +1,6 @@
-// Golden pins of BarotropicSolver::solve. The constants below were
-// recorded from the scalar P-CSI, ChronGear, mixed-precision and
-// resilience solver classes that solve() ran on before it became a
+// Golden pins of BarotropicSolver::solve. The pcsi/chrongear constants
+// below were recorded from the scalar P-CSI, ChronGear, mixed-precision
+// and resilience solver classes that solve() ran on before it became a
 // one-member batched solve; they are the reference that stack used to
 // be. Every cell of the matrix — pcsi/chrongear ×
 // diagonal/block-evp × fp64/fp32/mixed × overlap on/off × halo depth
@@ -9,6 +9,11 @@
 // residual, the CRC32C of the gathered solution and of the convergence
 // history, exactly. The B>1 identity tests (test_batch, test_integrity,
 // test_comm_avoid) chain to these pins through their B=1 references.
+//
+// The pcg/pipecg rows (fp64 × diagonal/block-evp, pipecg with overlap
+// on/off), the Lanczos eigenvalue bounds, and the land-span problems
+// were recorded from the DistField sweeps with land-span execution both
+// on and off (the two agreed bit for bit).
 //
 // A mismatch here means the arithmetic of the production solve changed;
 // report it, do not re-record it.
@@ -19,15 +24,18 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
+#include "src/solver/batched_decorators.hpp"
 #include "src/solver/solver_factory.hpp"
 #include "src/util/crc32c.hpp"
 #include "src/util/rng.hpp"
+#include "tests/span_problem.hpp"
 
 namespace mc = minipop::comm;
 namespace mg = minipop::grid;
@@ -115,6 +123,18 @@ constexpr Pin kPins[] = {
     {4, "chrongear", "block-evp", "fp32", 1, 1, 30, 0, 0x3ee38b0728a54112ull, 0xe6c04b67u, 3, 0x7e843ddau},
     {4, "chrongear", "block-evp", "mixed", 0, 1, 60, 2, 0x3dc23e92d6369bd5ull, 0xa7249f4bu, 3, 0x633a2f9du},
     {4, "chrongear", "block-evp", "mixed", 1, 1, 60, 2, 0x3dc23e92d6369bd5ull, 0xa7249f4bu, 3, 0x633a2f9du},
+    {1, "pcg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd3f68bbcbf4f07ull, 0xac7f7b14u, 9, 0x12b5ea5du},
+    {1, "pcg", "block-evp", "fp64", 0, 1, 40, 0, 0x3dd03913a0e78bdfull, 0xaf24dbfbu, 4, 0xe1b5b170u},
+    {1, "pipecg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd40ff977557699ull, 0x8c848633u, 9, 0xd8e0372au},
+    {1, "pipecg", "diagonal", "fp64", 1, 1, 90, 0, 0x3dd40ff977557699ull, 0x8c848633u, 9, 0xd8e0372au},
+    {1, "pipecg", "block-evp", "fp64", 0, 1, 50, 0, 0x3d6a05a4aed91f2bull, 0x8a47b9e2u, 5, 0xf195982bu},
+    {1, "pipecg", "block-evp", "fp64", 1, 1, 50, 0, 0x3d6a05a4aed91f2bull, 0x8a47b9e2u, 5, 0xf195982bu},
+    {4, "pcg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd3fb7c3e5a56e2ull, 0x74a07cb1u, 9, 0x6dc17c7au},
+    {4, "pcg", "block-evp", "fp64", 0, 1, 40, 0, 0x3dd03913c05c1450ull, 0x4778e01au, 4, 0x415a9231u},
+    {4, "pipecg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd40df788505f0dull, 0x3ab5088bu, 9, 0x469c65f4u},
+    {4, "pipecg", "diagonal", "fp64", 1, 1, 90, 0, 0x3dd40df788505f0dull, 0x3ab5088bu, 9, 0x469c65f4u},
+    {4, "pipecg", "block-evp", "fp64", 0, 1, 50, 0, 0x3d6a01a5916fd82full, 0x4c483942u, 5, 0x0f5d4ecbu},
+    {4, "pipecg", "block-evp", "fp64", 1, 1, 50, 0, 0x3d6a01a5916fd82full, 0x4c483942u, 5, 0x0f5d4ecbu},
 };
 
 /// 24x20 bowl with a three-cell island, 12x10 blocks (four blocks on one
@@ -209,6 +229,143 @@ TEST(GoldenPins, ScalarSolveReproducesRecordedBits) {
     EXPECT_EQ(st.residual_history.size(), pin.history_len);
     EXPECT_EQ(mu::crc32c_final(hcrc), pin.history_crc);
   }
+}
+
+// Lanczos interval of P-CSI setup, {ranks, precond, steps, raw nu/mu
+// bits, safety-widened nu/mu bits}.
+struct LanczosPin {
+  int nranks;
+  const char* precond;
+  int steps;
+  std::uint64_t raw_nu, raw_mu, nu, mu;
+};
+
+constexpr LanczosPin kLanczosPins[] = {
+    {1, "diagonal", 9, 0x3fabb09435026643ull, 0x40021416142a2918ull, 0x3faa4e26658f1459ull, 0x4002fb7d952c44c0ull},
+    {1, "block-evp", 6, 0x3fc825782ad616f0ull, 0x3ffcdd334f9baf14ull, 0x3fc6f0655be4fc30ull, 0x3ffe4ea91396ab09ull},
+    {4, "diagonal", 9, 0x3fabb094350266d7ull, 0x40021416142a2916ull, 0x3faa4e26658f14e6ull, 0x4002fb7d952c44beull},
+    {4, "block-evp", 6, 0x3fc825782ad6d096ull, 0x3ffcdd334f9b6b34ull, 0x3fc6f0655be5ac8eull, 0x3ffe4ea9139663c4ull},
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(GoldenPins, LanczosBoundsReproduceRecordedBits) {
+  const GoldenProblem p;
+  for (const LanczosPin& pin : kLanczosPins) {
+    SCOPED_TRACE(std::to_string(pin.nranks) + " rank(s) " + pin.precond);
+    mg::Decomposition decomp(24, 20, false, p.stencil->mask(), 12, 10,
+                             pin.nranks);
+    ms::SolverConfig cfg;
+    cfg.solver = ms::SolverKind::kPcsi;
+    cfg.preconditioner = ms::preconditioner_kind_from_string(pin.precond);
+    std::vector<ms::LanczosResult> per_rank(pin.nranks);
+    auto body = [&](mc::Communicator& comm) {
+      mc::HaloExchanger halo(decomp);
+      ms::BarotropicSolver solver(comm, halo, *p.grid, p.depth, *p.stencil,
+                                  decomp, cfg);
+      per_rank[comm.rank()] = *solver.lanczos();
+    };
+    if (pin.nranks == 1) {
+      mc::SerialComm comm;
+      body(comm);
+    } else {
+      mc::ThreadTeam team(pin.nranks);
+      team.run(body);
+    }
+    for (const ms::LanczosResult& lr : per_rank) {
+      EXPECT_EQ(lr.steps, pin.steps);
+      EXPECT_EQ(bits_of(lr.raw.nu), pin.raw_nu);
+      EXPECT_EQ(bits_of(lr.raw.mu), pin.raw_mu);
+      EXPECT_EQ(bits_of(lr.bounds.nu), pin.nu);
+      EXPECT_EQ(bits_of(lr.bounds.mu), pin.mu);
+    }
+  }
+}
+
+// Solves of the land-span identity problem (tests/span_problem.hpp:
+// 30x22 adversarial mask, 6x6 blocks, diagonal preconditioner, P-CSI
+// interval from a serial Lanczos run), {ranks, core, halo depth,
+// iterations, residual bits, solution CRC32C, history length, history
+// CRC32C}.
+struct SpanPin {
+  int nranks;
+  const char* solver;
+  int halo_depth;
+  int iterations;
+  std::uint64_t residual_bits;
+  std::uint32_t solution_crc;
+  std::size_t history_len;
+  std::uint32_t history_crc;
+};
+
+constexpr SpanPin kSpanPins[] = {
+    {1, "pcsi", 1, 310, 0x3dcdc2dd32234721ull, 0x091a0a3cu, 31, 0x45dab237u},
+    {4, "pcsi", 1, 310, 0x3dcdc2dd32234723ull, 0x091a0a3cu, 31, 0x99f81aa3u},
+    {1, "pcsi", 2, 310, 0x3dcdc2dd32234721ull, 0x091a0a3cu, 31, 0x45dab237u},
+    {1, "chrongear", 1, 110, 0x3dd736d03bdf727cull, 0xd50b6f56u, 11, 0xef16de32u},
+};
+
+void expect_span_pin(const SpanPin& pin, bool use_spans) {
+  const minipop::testing::SpanProblem p =
+      minipop::testing::make_span_problem(30, 22, 6, pin.nranks, 77);
+  const ms::EigenBounds bounds = minipop::testing::lanczos_bounds_serial(p);
+  mu::Field out(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
+  std::vector<ms::SolveStats> stats(pin.nranks);
+  mc::HaloExchanger halo(*p.decomp);
+  ms::SolverOptions opt;
+  opt.rel_tolerance = 1e-10;
+  opt.max_iterations = 2000;
+  opt.record_residuals = true;
+  opt.halo_depth = pin.halo_depth;
+  auto body = [&](mc::Communicator& comm) {
+    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
+    a.set_use_spans(use_spans);
+    ms::DiagonalPreconditioner m(a);
+    std::unique_ptr<ms::BatchedSolver> core;
+    if (std::string(pin.solver) == "pcsi")
+      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+    else
+      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
+    ms::OneMemberSolver s(std::move(core));
+    mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
+    b.load_global(p.b_global);
+    stats[comm.rank()] = s.solve(comm, halo, a, m, b, x);
+    x.store_global(out);  // disjoint interiors
+  };
+  if (pin.nranks == 1) {
+    mc::SerialComm comm;
+    body(comm);
+  } else {
+    mc::ThreadTeam team(pin.nranks);
+    team.run(body);
+  }
+  const ms::SolveStats& st = stats[0];
+  std::uint32_t hcrc = mu::kCrc32cInit;
+  for (const auto& [k, rel] : st.residual_history) {
+    hcrc = mu::crc32c_update(hcrc, &k, sizeof k);
+    hcrc = mu::crc32c_update(hcrc, &rel, sizeof rel);
+  }
+  EXPECT_TRUE(st.converged);
+  EXPECT_EQ(st.iterations, pin.iterations);
+  EXPECT_EQ(bits_of(st.relative_residual), pin.residual_bits);
+  EXPECT_EQ(mu::crc32c(out.data(), out.size() * sizeof(double)),
+            pin.solution_crc);
+  EXPECT_EQ(st.residual_history.size(), pin.history_len);
+  EXPECT_EQ(mu::crc32c_final(hcrc), pin.history_crc);
+}
+
+TEST(GoldenPins, SpanPlanSolvesReproduceRecordedBits) {
+  for (const SpanPin& pin : kSpanPins)
+    for (bool use_spans : {true, false}) {
+      SCOPED_TRACE(std::to_string(pin.nranks) + " rank(s) " + pin.solver +
+                   " k=" + std::to_string(pin.halo_depth) +
+                   (use_spans ? " spans" : " masked"));
+      expect_span_pin(pin, use_spans);
+    }
 }
 
 }  // namespace

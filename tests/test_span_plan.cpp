@@ -26,6 +26,7 @@
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
+#include "tests/span_problem.hpp"
 
 namespace mc = minipop::comm;
 namespace mg = minipop::grid;
@@ -34,91 +35,15 @@ namespace mu = minipop::util;
 
 namespace {
 
-// -------------------------------------------------------------------
-// Adversarial mask generator: random ocean/land plus every feature the
-// run-length encoder has to survive — an all-land row crossing active
-// blocks, a full-ocean row, isolated 1-cell spans, and (via the odd
-// grid/block sizes the tests pick) narrow ragged edge blocks.
-// -------------------------------------------------------------------
-
-mu::MaskArray feature_mask(int nx, int ny, std::uint64_t seed,
-                           double p_ocean) {
-  mu::Xoshiro256 rng(seed);
-  mu::MaskArray m(nx, ny, 0);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      m(i, j) = rng.uniform() < p_ocean ? 1 : 0;
-  // Full-ocean row, and an all-land row crossing every active block of
-  // its block row.
-  for (int i = 0; i < nx; ++i) {
-    m(i, ny / 2) = 1;
-    if (ny > 4) m(i, ny / 3) = 0;
-  }
-  // Isolated 1-cell spans: ocean cells with land on both x-neighbors.
-  if (ny > 2) {
-    for (int i = 0; i < nx; ++i) m(i, 1) = 0;
-    for (int i = 1; i + 1 < nx; i += 4) m(i, 1) = 1;
-  }
-  // Keep at least one ocean cell so the decomposition has active blocks.
-  m(nx / 2, ny / 2) = 1;
-  return m;
-}
+using minipop::testing::feature_mask;
+using minipop::testing::lanczos_bounds_serial;
+using Problem = minipop::testing::SpanProblem;
+using minipop::testing::make_span_problem;
 
 long count_mask(const mu::MaskArray& m) {
   long n = 0;
   for (unsigned char v : m) n += v;
   return n;
-}
-
-// A full problem (grid/stencil/decomposition) whose ocean geometry IS a
-// feature mask: depth is positive exactly on the mask's ocean cells.
-struct Problem {
-  std::unique_ptr<mg::CurvilinearGrid> grid;
-  mu::Field depth;
-  std::unique_ptr<mg::NinePointStencil> stencil;
-  std::unique_ptr<mg::Decomposition> decomp;
-  mu::Field b_global;
-};
-
-Problem make_problem(int nx, int ny, int block, int nranks,
-                     std::uint64_t seed) {
-  Problem p;
-  mg::GridSpec spec;
-  spec.kind = mg::GridKind::kUniform;
-  spec.nx = nx;
-  spec.ny = ny;
-  spec.periodic_x = false;
-  spec.dx = 1.0e4;
-  spec.dy = 1.2e4;
-  p.grid = std::make_unique<mg::CurvilinearGrid>(spec);
-  const mu::MaskArray m = feature_mask(nx, ny, seed, 0.6);
-  p.depth = mu::Field(nx, ny, 0.0);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      if (m(i, j)) p.depth(i, j) = 3000.0 + 100.0 * ((i + j) % 7);
-  p.stencil = std::make_unique<mg::NinePointStencil>(
-      *p.grid, p.depth, mg::barotropic_phi(600.0));
-  p.decomp = std::make_unique<mg::Decomposition>(
-      nx, ny, false, p.stencil->mask(), block, block, nranks);
-  mu::Xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  p.b_global = mu::Field(nx, ny, 0.0);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      if (p.stencil->mask()(i, j)) p.b_global(i, j) = rng.uniform(-1, 1);
-  return p;
-}
-
-ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
-  mg::Decomposition d1(p.stencil->nx(), p.stencil->ny(),
-                       p.stencil->periodic_x(), p.stencil->mask(),
-                       p.stencil->nx(), p.stencil->ny(), 1);
-  mc::SerialComm comm;
-  mc::HaloExchanger halo(d1);
-  ms::DistOperator a(*p.stencil, d1, 0);
-  ms::DiagonalPreconditioner m(a);
-  ms::LanczosOptions lopt;
-  lopt.rel_tolerance = 0.02;
-  return ms::estimate_eigenvalue_bounds(comm, halo, a, m, lopt).bounds;
 }
 
 }  // namespace
@@ -384,7 +309,7 @@ void expect_full_bitwise(const FieldT& a, const FieldT& b) {
 template <typename T>
 void operator_identity_case(int halo_width, std::uint64_t seed) {
   const int nx = 26, ny = 18;
-  Problem p = make_problem(nx, ny, 7, 1, seed);
+  Problem p = make_span_problem(nx, ny, 7, 1, seed);
   const mu::MaskArray& m = p.stencil->mask();
   mc::SerialComm comm;
   mc::HaloExchanger halo(*p.decomp);
@@ -590,7 +515,7 @@ SolveOut run_once(const Problem& p, int nranks, bool use_spans,
 
 void solver_identity_case(int nranks, const std::string& kind,
                           int halo_depth) {
-  Problem p = make_problem(30, 22, 6, nranks, 77);
+  Problem p = make_span_problem(30, 22, 6, nranks, 77);
   const ms::EigenBounds bounds = lanczos_bounds_serial(p);
   const SolveOut s = run_once(p, nranks, true, kind, halo_depth, bounds);
   const SolveOut d = run_once(p, nranks, false, kind, halo_depth, bounds);
