@@ -252,14 +252,15 @@ int main(int argc, char** argv) {
   // read/written, 8 B each per point (halo re-reads and write-allocate
   // traffic not counted — "effective" bandwidth in the STREAM sense).
   add("apply9", 88, time_best([&] {
-        mk::apply9(st, info.nx, info.ny, x.interior(0), x.stride(0),
-                   y.interior(0), y.stride(0));
+        mk::apply9_batch(st, 1, info.nx, info.ny, x.interior(0),
+                         x.stride(0), y.interior(0), y.stride(0));
       }));
   add("apply_seed_reference", 88,
       time_best([&] { reference::apply(op, x, y); }));
   const double fused = time_best([&] {
-    mk::residual9(st, info.nx, info.ny, b.interior(0), b.stride(0),
-                  x.interior(0), x.stride(0), r.interior(0), r.stride(0));
+    mk::residual9_batch(st, 1, info.nx, info.ny, b.interior(0), b.stride(0),
+                        x.interior(0), x.stride(0), r.interior(0),
+                        r.stride(0));
   });
   add("residual9_fused", 96, fused);
   const double unfused =
@@ -271,10 +272,12 @@ int main(int argc, char** argv) {
   // Fused: residual_norm2_9, one pass. This is the per-check-iteration
   // "residual path" the fusion exists for.
   const double check_fused = time_best([&] {
-    sink = mk::residual_norm2_9(st, mask.data(), mask.nx(), info.nx,
-                                info.ny, b.interior(0), b.stride(0),
-                                x.interior(0), x.stride(0), r.interior(0),
-                                r.stride(0), 0.0);
+    double n2 = 0.0;
+    mk::residual_norm2_9_batch(st, mask.data(), mask.nx(), 1, info.nx,
+                               info.ny, b.interior(0), b.stride(0),
+                               x.interior(0), x.stride(0), r.interior(0),
+                               r.stride(0), &n2);
+    sink = n2;
   });
   add("residual_norm2_9_fused", 97, check_fused);
   const double check_unfused = time_best([&] {
@@ -285,35 +288,39 @@ int main(int argc, char** argv) {
 
   // Reductions (mask byte counted once per point).
   add("masked_dot", 17, time_best([&] {
-        sink = mk::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                              x.interior(0), x.stride(0), b.interior(0),
-                              b.stride(0), 0.0);
+        double d = 0.0;
+        mk::dot_batch(mask.data(), mask.nx(), 1, info.nx, info.ny,
+                      x.interior(0), x.stride(0), b.interior(0), b.stride(0),
+                      &d);
+        sink = d;
       }));
   add("masked_dot_seed_reference", 17,
       time_best([&] { sink = reference::masked_dot(op, x, b); }));
   add("masked_dot3_fused", 25, time_best([&] {
         double out[3] = {0, 0, 0};
-        mk::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                        r.interior(0), r.stride(0), b.interior(0),
-                        b.stride(0), z.interior(0), z.stride(0), true, out);
+        mk::dot3_batch(mask.data(), mask.nx(), 1, info.nx, info.ny,
+                       r.interior(0), r.stride(0), b.interior(0),
+                       b.stride(0), z.interior(0), z.stride(0), true, out);
         sink = out[0] + out[1] + out[2];
       }));
 
-  // Vector updates.
+  // Vector updates (one member: coefficient arrays of length 1).
+  const double ka = 1.0001, kb = 0.9999, kc = 1e-6;
   add("lincomb", 24, time_best([&] {
-        mk::lincomb(info.nx, info.ny, 1.0001, x.interior(0), x.stride(0),
-                    0.9999, y.interior(0), y.stride(0));
+        mk::lincomb_batch(1, info.nx, info.ny, &ka, x.interior(0),
+                          x.stride(0), &kb, y.interior(0), y.stride(0),
+                          nullptr);
       }));
   add("lincomb_seed_reference", 24,
       time_best([&] { reference::lincomb(1.0001, x, 0.9999, y); }));
   add("axpy", 24, time_best([&] {
-        mk::axpy(info.nx, info.ny, 1e-6, x.interior(0), x.stride(0),
-                 y.interior(0), y.stride(0));
+        mk::axpy_batch(1, info.nx, info.ny, &kc, x.interior(0), x.stride(0),
+                       y.interior(0), y.stride(0), nullptr);
       }));
   add("lincomb_axpy_fused", 40, time_best([&] {
-        mk::lincomb_axpy(info.nx, info.ny, 1.0001, x.interior(0),
-                         x.stride(0), 0.9999, y.interior(0), y.stride(0),
-                         1e-6, z.interior(0), z.stride(0));
+        mk::lincomb_axpy_batch(1, info.nx, info.ny, &ka, x.interior(0),
+                               x.stride(0), &kb, y.interior(0), y.stride(0),
+                               &kc, z.interior(0), z.stride(0), nullptr);
       }));
   // --- fp32 instantiations of the same kernels -------------------------
   // Storage-precision float sweeps over identical data (demoted once).
@@ -341,34 +348,40 @@ int main(int argc, char** argv) {
   }();
   std::printf("\n");
   add("apply9_fp32", 88, time_best([&] {
-        mk::apply9(st32, info.nx, info.ny, x32.interior(0), x32.stride(0),
-                   y32.interior(0), y32.stride(0));
+        mk::apply9_batch(st32, 1, info.nx, info.ny, x32.interior(0),
+                         x32.stride(0), y32.interior(0), y32.stride(0));
       }));
   add("residual9_fp32", 96, time_best([&] {
-        mk::residual9(st32, info.nx, info.ny, b32.interior(0),
-                      b32.stride(0), x32.interior(0), x32.stride(0),
-                      r32.interior(0), r32.stride(0));
+        mk::residual9_batch(st32, 1, info.nx, info.ny, b32.interior(0),
+                            b32.stride(0), x32.interior(0), x32.stride(0),
+                            r32.interior(0), r32.stride(0));
       }));
   add("residual_norm2_9_fp32", 97, time_best([&] {
-        sink = mk::residual_norm2_9(st32, mask.data(), mask.nx(), info.nx,
-                                    info.ny, b32.interior(0), b32.stride(0),
-                                    x32.interior(0), x32.stride(0),
-                                    r32.interior(0), r32.stride(0), 0.0);
+        double n2 = 0.0;
+        mk::residual_norm2_9_batch(st32, mask.data(), mask.nx(), 1, info.nx,
+                                   info.ny, b32.interior(0), b32.stride(0),
+                                   x32.interior(0), x32.stride(0),
+                                   r32.interior(0), r32.stride(0), &n2);
+        sink = n2;
       }));
   add("masked_dot_fp32", 17, time_best([&] {
-        sink = mk::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                              x32.interior(0), x32.stride(0),
-                              b32.interior(0), b32.stride(0), 0.0);
+        double d = 0.0;
+        mk::dot_batch(mask.data(), mask.nx(), 1, info.nx, info.ny,
+                      x32.interior(0), x32.stride(0), b32.interior(0),
+                      b32.stride(0), &d);
+        sink = d;
       }));
+  const float ka32 = 1.0001f, kb32 = 0.9999f, kc32 = 1e-6f;
   add("lincomb_fp32", 24, time_best([&] {
-        mk::lincomb(info.nx, info.ny, 1.0001f, x32.interior(0),
-                    x32.stride(0), 0.9999f, y32.interior(0), y32.stride(0));
+        mk::lincomb_batch(1, info.nx, info.ny, &ka32, x32.interior(0),
+                          x32.stride(0), &kb32, y32.interior(0),
+                          y32.stride(0), nullptr);
       }));
   add("lincomb_axpy_fp32", 40, time_best([&] {
-        mk::lincomb_axpy(info.nx, info.ny, 1.0001f, x32.interior(0),
-                         x32.stride(0), 0.9999f, y32.interior(0),
-                         y32.stride(0), 1e-6f, z32.interior(0),
-                         z32.stride(0));
+        mk::lincomb_axpy_batch(1, info.nx, info.ny, &ka32, x32.interior(0),
+                               x32.stride(0), &kb32, y32.interior(0),
+                               y32.stride(0), &kc32, z32.interior(0),
+                               z32.stride(0), nullptr);
       }));
 
   const double sweep_speedup = unfused / fused;

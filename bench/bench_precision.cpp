@@ -159,22 +159,22 @@ int main(int argc, char** argv) {
   };
 
   add("apply9", "fp64", 88, points, time_best([&] {
-        mk::apply9(st64, info.nx, info.ny, x.interior(0), x.stride(0),
-                   y.interior(0), y.stride(0));
+        mk::apply9_batch(st64, 1, info.nx, info.ny, x.interior(0),
+                         x.stride(0), y.interior(0), y.stride(0));
       }));
   add("apply9", "fp32", 88, points, time_best([&] {
-        mk::apply9(st32, info.nx, info.ny, x32.interior(0), x32.stride(0),
-                   y32.interior(0), y32.stride(0));
+        mk::apply9_batch(st32, 1, info.nx, info.ny, x32.interior(0),
+                         x32.stride(0), y32.interior(0), y32.stride(0));
       }));
   add("residual9", "fp64", 96, points, time_best([&] {
-        mk::residual9(st64, info.nx, info.ny, b.interior(0), b.stride(0),
-                      x.interior(0), x.stride(0), r.interior(0),
-                      r.stride(0));
+        mk::residual9_batch(st64, 1, info.nx, info.ny, b.interior(0),
+                            b.stride(0), x.interior(0), x.stride(0),
+                            r.interior(0), r.stride(0));
       }));
   add("residual9", "fp32", 96, points, time_best([&] {
-        mk::residual9(st32, info.nx, info.ny, b32.interior(0),
-                      b32.stride(0), x32.interior(0), x32.stride(0),
-                      r32.interior(0), r32.stride(0));
+        mk::residual9_batch(st32, 1, info.nx, info.ny, b32.interior(0),
+                            b32.stride(0), x32.interior(0), x32.stride(0),
+                            r32.interior(0), r32.stride(0));
       }));
 
   // EVP marching sweep: the Eq. 4 recurrence on a deep-ocean 12x12 tile

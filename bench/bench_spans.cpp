@@ -1,20 +1,24 @@
-// Land-span execution harness (DESIGN.md §14): masked-twin vs span
-// kernel rates and end-to-end P-CSI solves on a low-land and a
-// high-land synthetic bathymetry, with the bitwise-identity contract
-// re-checked on every run and the active/swept cost counters audited
-// against the decomposition's ocean fraction. Writes BENCH_spans.json:
+// Land-span execution harness (DESIGN.md §14): span kernel rates
+// against the masked reference kernels, and an end-to-end P-CSI solve,
+// on a low-land and a high-land synthetic bathymetry. The bitwise-
+// identity contract of every kernel pair is re-checked on every run, and
+// the solve's active/swept cost counters are audited against the
+// decomposition's ocean fraction. Writes BENCH_spans.json:
 //
 //   ./build/bench/bench_spans [--smoke] [output.json]
 //
+// Kernel rows report the median and the min/max of five timed batches.
 // --smoke runs the CI gate: identity + counter audit plus the
 // masked-norm residual sweep (residual_norm2_9, the convergence-check
-// path) on the >= 40%-land case, asserting the span kernel is at least
-// 1.25x the masked twin. Wall times characterize THIS machine.
+// path) on the >= 40%-land case, asserting the span kernel's median is
+// at least 1.25x the masked kernel's. Wall times characterize THIS
+// machine.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,10 +38,15 @@ namespace mk = solver::kernels;
 
 namespace {
 
-/// Best-of-repeats timing: calibrates the batch size to ~20 ms, then
-/// reports the fastest of several batches (per single call, seconds).
+/// Per-call seconds of `fn` over five timed batches, each calibrated
+/// to ~20 ms: the median and the spread.
+struct Timing {
+  double median = 0, min = 0, max = 0;
+};
+
 template <typename F>
-double time_best(F&& fn, int repeats = 5) {
+Timing time_repeats(F&& fn) {
+  constexpr int kRepeats = 5;
   using clock = std::chrono::steady_clock;
   auto seconds_for = [&](int reps) {
     const auto t0 = clock::now();
@@ -50,10 +59,11 @@ double time_best(F&& fn, int repeats = 5) {
     reps *= 2;
     t = seconds_for(reps);
   }
-  double best = t / reps;
-  for (int k = 1; k < repeats; ++k)
-    best = std::min(best, seconds_for(reps) / reps);
-  return best;
+  std::vector<double> per_call(kRepeats);
+  per_call[0] = t / reps;
+  for (int k = 1; k < kRepeats; ++k) per_call[k] = seconds_for(reps) / reps;
+  std::sort(per_call.begin(), per_call.end());
+  return {per_call[kRepeats / 2], per_call.front(), per_call.back()};
 }
 
 /// One synthetic case: scaled 1-degree grid with a target land
@@ -105,27 +115,25 @@ Case make_case(const std::string& name, double land_target, double scale,
 
 struct KernelPair {
   std::string name;
-  double masked_s = 0;  ///< seconds per masked-twin call
-  double span_s = 0;    ///< seconds per span call
+  Timing masked;  ///< seconds per masked-kernel call
+  Timing span;    ///< seconds per span call
   double bytes_per_point = 0;
   double points = 0;
-  double speedup() const { return masked_s / span_s; }
+  double speedup() const { return masked.median / span.median; }
   double masked_gbs() const {
-    return points * bytes_per_point / masked_s / 1e9;
+    return points * bytes_per_point / masked.median / 1e9;
   }
   /// GB/s-EQUIVALENT: same full-sweep traffic convention as the masked
   /// row, so the span/masked ratio IS the land-skip speedup.
   double span_gbs() const {
-    return points * bytes_per_point / span_s / 1e9;
+    return points * bytes_per_point / span.median / 1e9;
   }
 };
 
-struct SolvePair {
+struct SolveAudit {
   std::string case_name;
   int iterations = 0;
-  double span_on_s = 0;
-  double span_off_s = 0;
-  double speedup() const { return span_off_s / span_on_s; }
+  double active_over_swept = 0;  ///< counter ratio of the whole solve
 };
 
 int failures = 0;
@@ -137,8 +145,7 @@ void check(bool ok, const char* what) {
   }
 }
 
-void expect_ocean_equal(const grid::Decomposition& d,
-                        const util::MaskArray& mask,
+void expect_ocean_equal(const util::MaskArray& mask,
                         const comm::DistField& a, const comm::DistField& b,
                         const char* what) {
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
@@ -151,17 +158,17 @@ void expect_ocean_equal(const grid::Decomposition& d,
           return;
         }
   }
-  (void)d;
 }
 
 /// Per-kernel masked-vs-span rates on the case's whole-grid block, with
-/// every pair's outputs cross-checked bitwise before timing.
+/// every pair's outputs cross-checked bitwise before timing. Kernels run
+/// one member (nb = 1), the width of the production scalar solves.
 std::vector<KernelPair> kernel_pairs(Case& c, bool smoke_only) {
   comm::SerialComm comm;
   comm::HaloExchanger halo(*c.one_block);
   solver::DistOperator op(*c.stencil, *c.one_block, 0);
   const auto& mask = op.block_mask(0);
-  const solver::BlockSpans& bs = (*op.span_plan())[0];
+  const solver::BlockSpans& bs = op.span_plan()[0];
   const int* ro = bs.row_offset();
   const mk::Span* sp = bs.spans();
 
@@ -187,238 +194,199 @@ std::vector<KernelPair> kernel_pairs(Case& c, bool smoke_only) {
   volatile double sink = 0;
 
   std::vector<KernelPair> out;
-  auto add = [&](const std::string& name, double bytes, double masked_s,
-                 double span_s) {
-    out.push_back({name, masked_s, span_s, bytes, points});
-    std::printf("  %-22s masked %8.3f ns/pt  span %8.3f ns/pt  %5.2fx\n",
-                name.c_str(), masked_s / points * 1e9,
-                span_s / points * 1e9, out.back().speedup());
+  auto add = [&](const std::string& name, double bytes, Timing masked,
+                 Timing span) {
+    out.push_back({name, masked, span, bytes, points});
+    std::printf("  %-22s masked %8.3f ns/pt [%.3f, %.3f]  span %8.3f ns/pt "
+                "[%.3f, %.3f]  %5.2fx\n",
+                name.c_str(), masked.median / points * 1e9,
+                masked.min / points * 1e9, masked.max / points * 1e9,
+                span.median / points * 1e9, span.min / points * 1e9,
+                span.max / points * 1e9, out.back().speedup());
   };
 
   // The convergence-check sweep (fused residual + masked norm²): the
   // smoke gate's metric. Identity first, then rates.
-  const double n_m = mk::residual_norm2_9(
-      st, mask.data(), mask.nx(), info.nx, info.ny, b.interior(0),
-      b.stride(0), x.interior(0), x.stride(0), r_m.interior(0),
-      r_m.stride(0), 0.0);
-  const double n_s = mk::residual_norm2_9_span(
-      st, ro, sp, info.ny, b.interior(0), b.stride(0), x.interior(0),
-      x.stride(0), r_s.interior(0), r_s.stride(0), 0.0);
-  check(n_m == n_s, "residual_norm2_9 reduced norm");
-  expect_ocean_equal(*c.one_block, c.stencil->mask(), r_m, r_s,
+  auto norm_m = [&] {
+    double n = 0.0;
+    mk::residual_norm2_9_batch(st, mask.data(), mask.nx(), 1, info.nx,
+                               info.ny, b.interior(0), b.stride(0),
+                               x.interior(0), x.stride(0), r_m.interior(0),
+                               r_m.stride(0), &n);
+    return n;
+  };
+  auto norm_s = [&] {
+    double n = 0.0;
+    mk::residual_norm2_9_span_batch(st, ro, sp, 1, info.ny, b.interior(0),
+                                    b.stride(0), x.interior(0), x.stride(0),
+                                    r_s.interior(0), r_s.stride(0), &n);
+    return n;
+  };
+  check(norm_m() == norm_s(), "residual_norm2_9 reduced norm");
+  expect_ocean_equal(c.stencil->mask(), r_m, r_s,
                      "residual_norm2_9 residual plane");
-  add("residual_norm2_9", 97,
-      time_best([&] {
-        sink = mk::residual_norm2_9(st, mask.data(), mask.nx(), info.nx,
-                                    info.ny, b.interior(0), b.stride(0),
-                                    x.interior(0), x.stride(0),
-                                    r_m.interior(0), r_m.stride(0), 0.0);
-      }),
-      time_best([&] {
-        sink = mk::residual_norm2_9_span(st, ro, sp, info.ny,
-                                         b.interior(0), b.stride(0),
-                                         x.interior(0), x.stride(0),
-                                         r_s.interior(0), r_s.stride(0),
-                                         0.0);
-      }));
+  add("residual_norm2_9", 97, time_repeats([&] { sink = norm_m(); }),
+      time_repeats([&] { sink = norm_s(); }));
   if (smoke_only) return out;
 
   // Residual sweep without the norm.
-  mk::residual9(st, info.nx, info.ny, b.interior(0), b.stride(0),
-                x.interior(0), x.stride(0), r_m.interior(0), r_m.stride(0));
-  mk::residual9_span(st, ro, sp, info.ny, b.interior(0), b.stride(0),
-                     x.interior(0), x.stride(0), r_s.interior(0),
-                     r_s.stride(0));
-  expect_ocean_equal(*c.one_block, c.stencil->mask(), r_m, r_s,
-                     "residual9 plane");
-  add("residual9", 96,
-      time_best([&] {
-        mk::residual9(st, info.nx, info.ny, b.interior(0), b.stride(0),
-                      x.interior(0), x.stride(0), r_m.interior(0),
-                      r_m.stride(0));
-      }),
-      time_best([&] {
-        mk::residual9_span(st, ro, sp, info.ny, b.interior(0), b.stride(0),
-                           x.interior(0), x.stride(0), r_s.interior(0),
-                           r_s.stride(0));
-      }));
+  auto residual_m = [&] {
+    mk::residual9_batch(st, 1, info.nx, info.ny, b.interior(0), b.stride(0),
+                        x.interior(0), x.stride(0), r_m.interior(0),
+                        r_m.stride(0));
+  };
+  auto residual_s = [&] {
+    mk::residual9_span_batch(st, ro, sp, 1, info.ny, b.interior(0),
+                             b.stride(0), x.interior(0), x.stride(0),
+                             r_s.interior(0), r_s.stride(0));
+  };
+  residual_m();
+  residual_s();
+  expect_ocean_equal(c.stencil->mask(), r_m, r_s, "residual9 plane");
+  add("residual9", 96, time_repeats(residual_m), time_repeats(residual_s));
 
   // Reductions.
-  check(mk::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                       x.interior(0), x.stride(0), b.interior(0),
-                       b.stride(0), 0.0) ==
-            mk::dot_span(ro, sp, info.ny, x.interior(0), x.stride(0),
-                         b.interior(0), b.stride(0), 0.0),
-        "masked_dot");
-  add("masked_dot", 17,
-      time_best([&] {
-        sink = mk::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                              x.interior(0), x.stride(0), b.interior(0),
-                              b.stride(0), 0.0);
-      }),
-      time_best([&] {
-        sink = mk::dot_span(ro, sp, info.ny, x.interior(0), x.stride(0),
-                            b.interior(0), b.stride(0), 0.0);
-      }));
+  auto dot_m = [&] {
+    double d = 0.0;
+    mk::dot_batch(mask.data(), mask.nx(), 1, info.nx, info.ny,
+                  x.interior(0), x.stride(0), b.interior(0), b.stride(0),
+                  &d);
+    return d;
+  };
+  auto dot_s = [&] {
+    double d = 0.0;
+    mk::dot_span_batch(ro, sp, 1, info.ny, x.interior(0), x.stride(0),
+                       b.interior(0), b.stride(0), &d);
+    return d;
+  };
+  check(dot_m() == dot_s(), "masked_dot");
+  add("masked_dot", 17, time_repeats([&] { sink = dot_m(); }),
+      time_repeats([&] { sink = dot_s(); }));
+  auto dot3_m = [&](double* o) {
+    mk::dot3_batch(mask.data(), mask.nx(), 1, info.nx, info.ny,
+                   r_m.interior(0), r_m.stride(0), b.interior(0),
+                   b.stride(0), z.interior(0), z.stride(0), true, o);
+  };
+  auto dot3_s = [&](double* o) {
+    mk::dot3_span_batch(ro, sp, 1, info.ny, r_m.interior(0), r_m.stride(0),
+                        b.interior(0), b.stride(0), z.interior(0),
+                        z.stride(0), true, o);
+  };
   {
     double dm[3] = {0, 0, 0}, ds[3] = {0, 0, 0};
-    mk::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                    r_m.interior(0), r_m.stride(0), b.interior(0),
-                    b.stride(0), z.interior(0), z.stride(0), true, dm);
-    mk::dot3_span(ro, sp, info.ny, r_m.interior(0), r_m.stride(0),
-                  b.interior(0), b.stride(0), z.interior(0), z.stride(0),
-                  true, ds);
+    dot3_m(dm);
+    dot3_s(ds);
     check(dm[0] == ds[0] && dm[1] == ds[1] && dm[2] == ds[2],
           "masked_dot3");
   }
   add("masked_dot3", 25,
-      time_best([&] {
+      time_repeats([&] {
         double o[3] = {0, 0, 0};
-        mk::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                        r_m.interior(0), r_m.stride(0), b.interior(0),
-                        b.stride(0), z.interior(0), z.stride(0), true, o);
+        dot3_m(o);
         sink = o[0] + o[1] + o[2];
       }),
-      time_best([&] {
+      time_repeats([&] {
         double o[3] = {0, 0, 0};
-        mk::dot3_span(ro, sp, info.ny, r_m.interior(0), r_m.stride(0),
-                      b.interior(0), b.stride(0), z.interior(0),
-                      z.stride(0), true, o);
+        dot3_s(o);
         sink = o[0] + o[1] + o[2];
       }));
 
-  // Vector updates (dense twin sweeps every cell; span skips land).
+  // Vector updates (the dense kernel sweeps every cell; span skips
+  // land).
+  const double ka = 1.0001, kb = 0.9999, kc = 1e-6, ks = 1.0000001;
   add("lincomb", 24,
-      time_best([&] {
-        mk::lincomb(info.nx, info.ny, 1.0001, x.interior(0), x.stride(0),
-                    0.9999, y.interior(0), y.stride(0));
+      time_repeats([&] {
+        mk::lincomb_batch(1, info.nx, info.ny, &ka, x.interior(0),
+                          x.stride(0), &kb, y.interior(0), y.stride(0),
+                          nullptr);
       }),
-      time_best([&] {
-        mk::lincomb_span(ro, sp, info.ny, 1.0001, x.interior(0),
-                         x.stride(0), 0.9999, y.interior(0), y.stride(0));
+      time_repeats([&] {
+        mk::lincomb_span_batch(ro, sp, 1, info.ny, &ka, x.interior(0),
+                               x.stride(0), &kb, y.interior(0), y.stride(0),
+                               nullptr);
       }));
   add("lincomb_axpy", 40,
-      time_best([&] {
-        mk::lincomb_axpy(info.nx, info.ny, 1.0001, x.interior(0),
-                         x.stride(0), 0.9999, y.interior(0), y.stride(0),
-                         1e-6, z.interior(0), z.stride(0));
+      time_repeats([&] {
+        mk::lincomb_axpy_batch(1, info.nx, info.ny, &ka, x.interior(0),
+                               x.stride(0), &kb, y.interior(0), y.stride(0),
+                               &kc, z.interior(0), z.stride(0), nullptr);
       }),
-      time_best([&] {
-        mk::lincomb_axpy_span(ro, sp, info.ny, 1.0001, x.interior(0),
-                              x.stride(0), 0.9999, y.interior(0),
-                              y.stride(0), 1e-6, z.interior(0),
-                              z.stride(0));
+      time_repeats([&] {
+        mk::lincomb_axpy_span_batch(ro, sp, 1, info.ny, &ka, x.interior(0),
+                                    x.stride(0), &kb, y.interior(0),
+                                    y.stride(0), &kc, z.interior(0),
+                                    z.stride(0), nullptr);
       }));
   add("scale", 16,
-      time_best([&] {
-        mk::scale(info.nx, info.ny, 1.0000001, y.interior(0), y.stride(0));
+      time_repeats([&] {
+        mk::scale_batch(1, info.nx, info.ny, &ks, y.interior(0), y.stride(0),
+                        nullptr);
       }),
-      time_best([&] {
-        mk::scale_span(ro, sp, info.ny, 1.0000001, y.interior(0),
-                       y.stride(0));
+      time_repeats([&] {
+        mk::scale_span_batch(ro, sp, 1, info.ny, &ks, y.interior(0),
+                             y.stride(0), nullptr);
       }));
   return out;
 }
 
-/// End-to-end P-CSI on the 32-cell block decomposition, spans on vs
-/// off, with bitwise identity of iterates/stats and the active/swept
-/// counter audit.
-SolvePair solve_pair(Case& c, bool audit_only) {
+/// End-to-end P-CSI on the 32-cell block decomposition, with the
+/// active/swept counter audit: every sweep records the block's ocean
+/// census against the swept region, so the ratio over the whole solve
+/// must reproduce the decomposition's ocean fraction.
+SolveAudit solve_audit(Case& c) {
   comm::SerialComm comm;
   comm::HaloExchanger halo(*c.blocks);
   solver::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
   opt.max_iterations = 5000;
 
-  solver::EigenBounds bounds;
-  {
-    solver::DistOperator a(*c.stencil, *c.blocks, 0);
-    solver::DiagonalPreconditioner m(a);
-    solver::LanczosOptions lopt;
-    bounds = solver::estimate_eigenvalue_bounds(comm, halo, a, m, lopt)
-                 .bounds;
-  }
-
-  solver::SolveStats st_on, st_off;
-  comm::DistField x_on(*c.blocks, 0), x_off(*c.blocks, 0);
-  auto run = [&](bool spans, comm::DistField& x,
-                 solver::SolveStats& stats) {
-    solver::DistOperator a(*c.stencil, *c.blocks, 0);
-    a.set_use_spans(spans);
-    solver::DiagonalPreconditioner m(a);
-    solver::OneMemberSolver s(
-        std::make_unique<solver::BatchedPcsiSolver>(bounds, opt));
-    comm::DistField b(*c.blocks, 0);
-    b.load_global(c.rhs_global);
-    x.fill(0.0);
-    const auto snap = comm.costs().counters();
-    stats = s.solve(comm, halo, a, m, b, x);
-    const auto d = comm.costs().since(snap);
-    // Counter audit: every span-planned sweep records the block's ocean
-    // census against the swept region, so the ratio must reproduce the
-    // decomposition's ocean fraction.
-    if (spans) {
-      check(d.active_points > 0 && d.swept_points >= d.active_points,
-            "active/swept counters recorded");
-      const double ratio = static_cast<double>(d.active_points) /
-                           static_cast<double>(d.swept_points);
-      check(std::abs(ratio - c.blocks->ocean_fraction()) < 1e-9,
-            "active/swept ratio == decomposition ocean fraction");
-    }
-  };
-  run(true, x_on, st_on);
-  run(false, x_off, st_off);
-  check(st_on.converged && st_off.converged, "solves converged");
-  check(st_on.iterations == st_off.iterations,
-        "span-on/off iteration counts");
-  check(st_on.relative_residual == st_off.relative_residual,
-        "span-on/off relative residuals");
-  expect_ocean_equal(*c.blocks, c.stencil->mask(), x_on, x_off,
-                     "span-on/off solution iterates");
-
-  SolvePair out;
-  out.case_name = c.name;
-  out.iterations = st_on.iterations;
-  if (audit_only) return out;
-
-  comm::DistField x(*c.blocks, 0), b(*c.blocks, 0);
-  b.load_global(c.rhs_global);
-  solver::DistOperator a_on(*c.stencil, *c.blocks, 0);
-  solver::DistOperator a_off(*c.stencil, *c.blocks, 0);
-  a_on.set_use_spans(true);
-  a_off.set_use_spans(false);
-  solver::DiagonalPreconditioner m_on(a_on), m_off(a_off);
+  solver::DistOperator a(*c.stencil, *c.blocks, 0);
+  solver::DiagonalPreconditioner m(a);
+  solver::LanczosOptions lopt;
+  const solver::EigenBounds bounds =
+      solver::estimate_eigenvalue_bounds(comm, halo, a, m, lopt).bounds;
   solver::OneMemberSolver s(
       std::make_unique<solver::BatchedPcsiSolver>(bounds, opt));
-  out.span_on_s = time_best(
-      [&] {
-        x.fill(0.0);
-        s.solve(comm, halo, a_on, m_on, b, x);
-      },
-      3);
-  out.span_off_s = time_best(
-      [&] {
-        x.fill(0.0);
-        s.solve(comm, halo, a_off, m_off, b, x);
-      },
-      3);
-  std::printf("  pcsi %-10s %4d iters  span-on %7.2f ms  span-off %7.2f "
-              "ms  %5.2fx\n",
-              c.name.c_str(), out.iterations, out.span_on_s * 1e3,
-              out.span_off_s * 1e3, out.speedup());
+  comm::DistField b(*c.blocks, 0), x(*c.blocks, 0);
+  b.load_global(c.rhs_global);
+  const auto snap = comm.costs().counters();
+  const solver::SolveStats stats = s.solve(comm, halo, a, m, b, x);
+  const auto d = comm.costs().since(snap);
+
+  SolveAudit out;
+  out.case_name = c.name;
+  out.iterations = stats.iterations;
+  out.active_over_swept = static_cast<double>(d.active_points) /
+                          static_cast<double>(d.swept_points);
+  check(stats.converged, "solve converged");
+  check(d.active_points > 0 && d.swept_points >= d.active_points,
+        "active/swept counters recorded");
+  check(std::abs(out.active_over_swept - c.blocks->ocean_fraction()) < 1e-9,
+        "active/swept ratio == decomposition ocean fraction");
+  std::printf("  pcsi %-10s %4d iters  active/swept %.6f\n", c.name.c_str(),
+              out.iterations, out.active_over_swept);
   return out;
 }
 
 bool write_json(const std::string& path, const std::vector<Case>& cases,
                 const std::vector<std::vector<KernelPair>>& kernels,
-                const std::vector<SolvePair>& solves, bool smoke,
+                const std::vector<SolveAudit>& solves, bool smoke,
                 double smoke_speedup) {
   std::ofstream os(path);
   os.precision(6);
+  auto ns = [](const Timing& t, double points) {
+    std::ostringstream o;
+    o.precision(6);
+    o << "{\"median\": " << t.median / points * 1e9
+      << ", \"min\": " << t.min / points * 1e9
+      << ", \"max\": " << t.max / points * 1e9 << "}";
+    return o.str();
+  };
   os << "{\n  \"bench\": \"spans\",\n  \"smoke\": "
      << (smoke ? "true" : "false")
-     << ",\n  \"identity_checked\": true,\n  \"smoke_speedup\": "
-     << smoke_speedup << ",\n  \"cases\": [\n";
+     << ",\n  \"identity_checked\": true,\n  \"repeats\": 5"
+     << ",\n  \"smoke_speedup\": " << smoke_speedup
+     << ",\n  \"cases\": [\n";
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     const Case& c = cases[ci];
     os << "    {\"name\": \"" << c.name << "\", \"nx\": " << c.grid->nx()
@@ -429,7 +397,9 @@ bool write_json(const std::string& path, const std::vector<Case>& cases,
     for (std::size_t k = 0; k < kernels[ci].size(); ++k) {
       const KernelPair& p = kernels[ci][k];
       os << "       {\"name\": \"" << p.name
-         << "\", \"masked_gb_per_s\": " << p.masked_gbs()
+         << "\", \"masked_ns_per_pt\": " << ns(p.masked, p.points)
+         << ", \"span_ns_per_pt\": " << ns(p.span, p.points)
+         << ",\n        \"masked_gb_per_s\": " << p.masked_gbs()
          << ", \"span_gb_per_s\": " << p.span_gbs()
          << ", \"speedup\": " << p.speedup() << "}"
          << (k + 1 < kernels[ci].size() ? "," : "") << "\n";
@@ -438,12 +408,10 @@ bool write_json(const std::string& path, const std::vector<Case>& cases,
   }
   os << "  ],\n  \"solves\": [\n";
   for (std::size_t k = 0; k < solves.size(); ++k) {
-    const SolvePair& s = solves[k];
+    const SolveAudit& s = solves[k];
     os << "    {\"case\": \"" << s.case_name
        << "\", \"iterations\": " << s.iterations
-       << ", \"span_on_seconds\": " << s.span_on_s
-       << ", \"span_off_seconds\": " << s.span_off_s << ", \"speedup\": "
-       << (s.span_off_s > 0 ? s.speedup() : 0.0) << "}"
+       << ", \"active_over_swept\": " << s.active_over_swept << "}"
        << (k + 1 < solves.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -464,7 +432,7 @@ int main(int argc, char** argv) {
       json_path = a;
   }
   bench::print_header(
-      "spans", "mask-free span kernels vs masked twins, low vs high land");
+      "spans", "mask-free span kernels vs masked kernels, low vs high land");
 
   std::vector<Case> cases;
   cases.push_back(make_case("low_land", 0.25, smoke ? 0.5 : 1.0, 2015));
@@ -474,7 +442,7 @@ int main(int argc, char** argv) {
   check(cases[1].land >= 0.40, "high_land case has >= 40% land");
 
   std::vector<std::vector<KernelPair>> kernels;
-  std::vector<SolvePair> solves;
+  std::vector<SolveAudit> solves;
   double smoke_speedup = 0.0;
   for (Case& c : cases) {
     std::printf("\n%s: %dx%d, %.0f%% land, block ocean fraction %.3f\n",
@@ -484,7 +452,7 @@ int main(int argc, char** argv) {
     if (c.name == "high_land")
       for (const KernelPair& p : kernels.back())
         if (p.name == "residual_norm2_9") smoke_speedup = p.speedup();
-    solves.push_back(solve_pair(c, smoke));
+    solves.push_back(solve_audit(c));
   }
 
   std::printf(

@@ -274,7 +274,7 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
         --n_active;
       }
     }
-    axpy_promoted(comm, ones.data(), d32, x, active.data(), n_active);
+    axpy_promoted(comm, ones.data(), d32, x, active.data());
     if (n_active == 0) break;
   }
 
@@ -321,7 +321,7 @@ void BatchedResilientSolver::checkpoint(const comm::FieldSet& x) {
   while (!ring_.empty() && !comm::FieldSet(ring_.front()).compatible_with(x))
     ring_.clear();
   comm::DistFieldBatch snap(x.decomposition(), x.rank(), x.nb(), x.halo());
-  copy_interior(x, snap);
+  copy_interior<double>(x, snap);
   ring_.push_front(std::move(snap));
   while (ring_.size() > 2) ring_.pop_back();
 }

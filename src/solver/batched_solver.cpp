@@ -8,122 +8,13 @@
 
 #include "src/fault/fault_injector.hpp"
 #include "src/solver/comm_avoid.hpp"
+#include "src/solver/field_ops.hpp"
 #include "src/solver/integrity.hpp"
-#include "src/solver/kernels.hpp"
 #include "src/util/error.hpp"
 
 namespace minipop::solver {
 
 namespace {
-
-/// Interior cell count of one member plane (BlockInfo dims are cells,
-/// not the nb-widened storage columns).
-template <typename T>
-std::uint64_t interior_points(const comm::FieldSetT<T>& f) {
-  std::uint64_t n = 0;
-  for (int lb = 0; lb < f.num_local_blocks(); ++lb) {
-    const auto& b = f.info(lb);
-    n += static_cast<std::uint64_t>(b.nx) * b.ny;
-  }
-  return n;
-}
-
-/// y = x over all members' interiors (batched copy_interior).
-template <typename T>
-void copy_all(const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch copy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    kernels::copy_batch(x.nb(), info.nx, info.ny, x.interior(lb),
-                        x.stride(lb), y.interior(lb), y.stride(lb));
-  }
-}
-
-/// Ocean census of a span plan, for land-aware sweep accounting.
-std::uint64_t plan_active_points(const SpanPlan& plan) {
-  std::uint64_t n = 0;
-  for (const auto& bs : plan)
-    n += static_cast<std::uint64_t>(bs.active_points());
-  return n;
-}
-
-/// x_m *= a[m] for active members. Flops counted for active lanes only
-/// (a frozen member's solve has ended; its lanes only ride along).
-template <typename T>
-void scale_active(comm::Communicator& comm, const T* a,
-                  const comm::FieldSetT<T>& x,
-                  const std::vector<unsigned char>& active, int n_act,
-                  const SpanPlan* plan = nullptr) {
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::scale_span_batch((*plan)[lb].row_offset(),
-                                (*plan)[lb].spans(), x.nb(), info.ny, a,
-                                x.interior(lb), x.stride(lb), active.data());
-    else
-      kernels::scale_batch(x.nb(), info.nx, info.ny, a, x.interior(lb),
-                           x.stride(lb), active.data());
-  }
-  comm.costs().add_flops(interior_points(x) * n_act);
-  if (plan)
-    comm.costs().add_points(plan_active_points(*plan) * n_act,
-                            interior_points(x) * n_act);
-}
-
-/// y_m += a[m] * x_m for active members.
-template <typename T>
-void axpy_active(comm::Communicator& comm, const T* a,
-                 const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y,
-                 const std::vector<unsigned char>& active, int n_act,
-                 const SpanPlan* plan = nullptr) {
-  MINIPOP_REQUIRE(x.compatible_with(y), "batch axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::axpy_span_batch((*plan)[lb].row_offset(), (*plan)[lb].spans(),
-                               x.nb(), info.ny, a, x.interior(lb),
-                               x.stride(lb), y.interior(lb), y.stride(lb),
-                               active.data());
-    else
-      kernels::axpy_batch(x.nb(), info.nx, info.ny, a, x.interior(lb),
-                          x.stride(lb), y.interior(lb), y.stride(lb),
-                          active.data());
-  }
-  comm.costs().add_flops(2 * interior_points(x) * n_act);
-  if (plan)
-    comm.costs().add_points(plan_active_points(*plan) * n_act,
-                            interior_points(x) * n_act);
-}
-
-/// Fused y_m = a[m] x_m + b[m] y_m; z_m += c[m] y_m for active members.
-template <typename T>
-void lincomb_axpy_active(comm::Communicator& comm, const T* a,
-                         const comm::FieldSetT<T>& x, const T* b,
-                         const comm::FieldSetT<T>& y, const T* c,
-                         const comm::FieldSetT<T>& z,
-                         const std::vector<unsigned char>& active,
-                         int n_act, const SpanPlan* plan = nullptr) {
-  MINIPOP_REQUIRE(x.compatible_with(y) && x.compatible_with(z),
-                  "batch lincomb_axpy field mismatch");
-  for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    if (plan)
-      kernels::lincomb_axpy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), x.nb(), info.ny, a,
-          x.interior(lb), x.stride(lb), b, y.interior(lb), y.stride(lb), c,
-          z.interior(lb), z.stride(lb), active.data());
-    else
-      kernels::lincomb_axpy_batch(x.nb(), info.nx, info.ny, a,
-                                  x.interior(lb), x.stride(lb), b,
-                                  y.interior(lb), y.stride(lb), c,
-                                  z.interior(lb), z.stride(lb),
-                                  active.data());
-  }
-  comm.costs().add_flops(4 * interior_points(x) * n_act);
-  if (plan)
-    comm.costs().add_points(plan_active_points(*plan) * n_act,
-                            interior_points(x) * n_act);
-}
 
 /// Slot bookkeeping shared by the batched solvers. Per-MEMBER state
 /// (stats, ||b||², thresholds, guards) is indexed by the member's
@@ -481,13 +372,13 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
   else
     a.residual_batch(comm, halo, bw, xw, r, x_fresh);  // r_0 = b - B x_0
   m.apply(comm, r, rp);
-  copy_all<T>(rp, dx);
+  copy_interior<T>(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
-  scale_active<T>(comm, ca.data(), dx, ctl.active, ctl.n_active,
-                  a.span_plan());  // dx_0 = gamma^-1 M^-1 r_0
+  scale(comm, a.span_plan(), ca.data(), dx,
+        ctl.active.data());  // dx_0 = gamma^-1 M^-1 r_0
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
-  axpy_active<T>(comm, ca.data(), dx, xw, ctl.active, ctl.n_active,
-                 a.span_plan());  // x_1 = x_0 + dx_0
+  axpy(comm, a.span_plan(), ca.data(), dx, xw,
+       ctl.active.data());  // x_1 = x_0 + dx_0
   if (ov)
     a.residual_overlapped_batch(comm, halo, bw, xw, r);
   else
@@ -508,8 +399,8 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     std::fill(cb.begin(), cb.begin() + ctl.cur_nb,
               static_cast<T>(gamma * omega - 1.0));
     std::fill(cc.begin(), cc.begin() + ctl.cur_nb, static_cast<T>(1.0));
-    lincomb_axpy_active<T>(comm, ca.data(), rp, cb.data(), dx, cc.data(), xw,
-                           ctl.active, ctl.n_active, a.span_plan());
+    lincomb_axpy(comm, a.span_plan(), ca.data(), rp, cb.data(), dx,
+                 cc.data(), xw, ctl.active.data());
 
     // Steps 9-11. On check iterations the residual sweep also produces
     // the masked ||r||² (fused kernel), so the convergence check — the
@@ -666,13 +557,11 @@ BatchSolveStats BatchedPcsiSolver::solve_comm_avoid_t(
   // zero-RHS members' solutions stay exactly at the early-out's fill(0).
   a.residual_batch(comm, halo, bw, xw, r);
   m.apply(comm, r, rp);
-  copy_all<T>(rp, dx);
+  copy_interior<T>(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
-  scale_active<T>(comm, ca.data(), dx, ctl.active, ctl.n_active,
-                  a.span_plan());
+  scale(comm, a.span_plan(), ca.data(), dx, ctl.active.data());
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
-  axpy_active<T>(comm, ca.data(), dx, xw, ctl.active, ctl.n_active,
-                 a.span_plan());
+  axpy(comm, a.span_plan(), ca.data(), dx, xw, ctl.active.data());
   a.residual_batch(comm, halo, bw, xw, r);
 
   int k = 1;
@@ -951,10 +840,10 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
     // Steps 13-16, fused pairwise (s = r' + beta s; x += alpha s, then
     // p = z + beta p; r -= alpha p); frozen lanes masked out so their x
     // and r planes stay exactly at freeze state.
-    lincomb_axpy_active<T>(comm, ca.data(), rp, cb.data(), s_dir, cc.data(),
-                           xw, ctl.active, ctl.n_active, a.span_plan());
-    lincomb_axpy_active<T>(comm, ca.data(), z, cb.data(), p_dir, cneg.data(),
-                           r, ctl.active, ctl.n_active, a.span_plan());
+    lincomb_axpy(comm, a.span_plan(), ca.data(), rp, cb.data(), s_dir,
+                 cc.data(), xw, ctl.active.data());
+    lincomb_axpy(comm, a.span_plan(), ca.data(), z, cb.data(), p_dir,
+                 cneg.data(), r, ctl.active.data());
 
     if (check && should_retire(opt_, ctl)) {
       compact<T>(ctl, comm, a, x, bw, b_own, xw, x_own, r,

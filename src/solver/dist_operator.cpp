@@ -44,27 +44,11 @@ kernels::Stencil9T<T> shift(const kernels::Stencil9T<T>& s, int i0, int j0) {
                                s.stride};
 }
 
-/// Field pointer advanced to (i0, j0) of a sub-rectangle.
-template <typename T>
-T* at(T* base, std::ptrdiff_t stride, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride + r.i0;
-}
-template <typename T>
-const T* at(const T* base, std::ptrdiff_t stride, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride + r.i0;
-}
-
-/// Batch-plane pointer advanced to member 0 of cell (i0, j0): the
-/// member-interleaved layout widens cell columns by nb, the stencil
-/// coefficients stay width 1.
+/// Field pointer advanced to member 0 of cell (i0, j0) of a sub-
+/// rectangle: the member-interleaved layout widens cell columns by nb,
+/// the stencil coefficients stay width 1.
 template <typename T>
 T* at_w(T* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
-         static_cast<std::ptrdiff_t>(r.i0) * nb;
-}
-template <typename T>
-const T* at_w(const T* base, std::ptrdiff_t stride, int nb,
-              const SubRect& r) {
   return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
          static_cast<std::ptrdiff_t>(r.i0) * nb;
 }
@@ -95,16 +79,18 @@ int rim_rects(int nx, int ny, SubRect out[4]) {
 
 #if MINIPOP_BOUNDS_CHECK
 /// Debug cross-run audit (DESIGN.md §14): after a span sweep, the
-/// masked kernel is re-run into scratch and the results must agree
-/// bitwise at every ocean cell (land cells are exactly the points the
-/// span path is entitled to skip). nb = 1 audits the scalar sweeps.
+/// masked reference kernel is re-run into scratch and the results must
+/// agree bitwise at every ocean cell (land cells are exactly the points
+/// the span path is entitled to skip) — at every cell with land_too,
+/// for the gap-zeroing kernels.
 template <typename T>
 void audit_span_field(const util::MaskArray& mask, int nb, int nx, int ny,
                       const T* span_out, std::ptrdiff_t stride,
-                      const T* ref, std::ptrdiff_t ref_stride) {
+                      const T* ref, std::ptrdiff_t ref_stride,
+                      bool land_too = false) {
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i) {
-      if (!mask(i, j)) continue;
+      if (!land_too && !mask(i, j)) continue;
       for (int m = 0; m < nb; ++m) {
         const T a =
             span_out[j * stride + static_cast<std::ptrdiff_t>(i) * nb + m];
@@ -116,6 +102,24 @@ void audit_span_field(const util::MaskArray& mask, int nb, int nx, int ny,
                                                           << m);
       }
     }
+}
+
+/// audit_span_field over every local block of a stencil sweep's output:
+/// ref(lb, scratch, scratch_stride) writes the masked reference sweep.
+/// Runs after the sweep, when x's halo is fresh on both the blocking
+/// and the overlapped path.
+template <typename T, typename Ref>
+void audit_span_sweep(const DistOperator& op, const comm::FieldSetT<T>& out,
+                      Ref&& ref) {
+  const int nb = out.nb();
+  for (int lb = 0; lb < op.num_local_blocks(); ++lb) {
+    const auto& info = out.info(lb);
+    const std::ptrdiff_t rs = static_cast<std::ptrdiff_t>(info.nx) * nb;
+    std::vector<T> scratch(static_cast<std::size_t>(rs) * info.ny);
+    ref(lb, scratch.data(), rs);
+    audit_span_field(op.block_mask(lb), nb, info.nx, info.ny,
+                     out.interior(lb), out.stride(lb), scratch.data(), rs);
+  }
 }
 
 /// Reduction sums must agree bitwise (not just to tolerance): the span
@@ -155,6 +159,7 @@ DistOperator::DistOperator(const grid::NinePointStencil& stencil,
         for (int i = 0; i < b.nx; ++i)
           coeffs[d](i, j) = global(b.i0 + i, b.j0 + j);
     }
+    local_points_ += static_cast<std::uint64_t>(b.nx) * b.ny;
     util::MaskArray mask(b.nx, b.ny);
     for (int j = 0; j < b.ny; ++j)
       for (int i = 0; i < b.nx; ++i) {
@@ -288,466 +293,250 @@ void DistOperator::offer_fault_sites(const comm::FieldSet& v) const {
 #endif
 }
 
+void DistOperator::count(comm::Communicator& comm, std::uint64_t per_point,
+                         int nb) const {
+  const std::uint64_t w = static_cast<std::uint64_t>(nb);
+  comm.costs().add_flops(per_point * local_points_ * w);
+  comm.costs().add_points(static_cast<std::uint64_t>(local_ocean_cells_) * w,
+                          local_points_ * w);
+}
+
+template <typename T, typename BlockSweep>
+void DistOperator::sweep_blocks(comm::Communicator& comm,
+                                const comm::HaloExchanger& halo,
+                                const comm::FieldSetT<T>& x,
+                                comm::HaloFreshness fresh, bool overlap,
+                                BlockSweep&& sweep) const {
+  if (!overlap || fresh == comm::HaloFreshness::kFresh) {
+    if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
+    for (int lb = 0; lb < num_local_blocks(); ++lb) {
+      const auto& b = x.info(lb);
+      sweep(lb, SubRect{0, 0, b.nx, b.ny}, span_full_[lb]);
+    }
+    return;
+  }
+  comm::HaloHandleT<T> inflight = halo.begin_set<T>(comm, x);
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& b = x.info(lb);
+    SubRect in;
+    if (interior_rect(b.nx, b.ny, &in)) sweep(lb, in, span_interior_[lb]);
+  }
+  inflight.finish();
+  for (int lb = 0; lb < num_local_blocks(); ++lb) {
+    const auto& b = x.info(lb);
+    SubRect rim[4];
+    const int n = rim_rects(b.nx, b.ny, rim);
+    for (int k = 0; k < n; ++k) sweep(lb, rim[k], span_rim_[lb][k]);
+  }
+}
+
 template <typename T>
 void DistOperator::apply_t(comm::Communicator& comm,
                            const comm::HaloExchanger& halo,
-                           comm::DistFieldT<T>& x, comm::DistFieldT<T>& y,
-                           comm::HaloFreshness fresh) const {
+                           const comm::FieldSetT<T>& x,
+                           const comm::FieldSetT<T>& y,
+                           comm::HaloFreshness fresh, bool overlap) const {
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
+  MINIPOP_REQUIRE(x != y, "apply requires distinct x and y");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
 
   const auto& coeff = coeffs<T>();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    if (use_spans_) {
-      kernels::apply9_span(stencil_view(coeff[lb]),
-                           span_full_[lb].row_offset(),
-                           span_full_[lb].spans(), b.ny, x.interior(lb),
-                           x.stride(lb), y.interior(lb), y.stride(lb));
+  const int nb = x.nb();
+  sweep_blocks<T>(
+      comm, halo, x, fresh, overlap,
+      [&](int lb, const SubRect& r, const BlockSpans& sp) {
+        kernels::apply9_span_batch(
+            shift(stencil_view(coeff[lb]), r.i0, r.j0), sp.row_offset(),
+            sp.spans(), nb, r.nj, at_w(x.interior(lb), x.stride(lb), nb, r),
+            x.stride(lb), at_w(y.interior(lb), y.stride(lb), nb, r),
+            y.stride(lb));
+      });
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(b.nx) * b.ny);
-      kernels::apply9(stencil_view(coeff[lb]), b.nx, b.ny, x.interior(lb),
-                      x.stride(lb), scratch.data(), b.nx);
-      audit_span_field(block_mask_[lb], 1, b.nx, b.ny, y.interior(lb),
-                       y.stride(lb), scratch.data(), b.nx);
+  audit_span_sweep(*this, y, [&](int lb, T* ref, std::ptrdiff_t rs) {
+    const auto& b = x.info(lb);
+    kernels::apply9_batch(stencil_view(coeff[lb]), nb, b.nx, b.ny,
+                          x.interior(lb), x.stride(lb), ref, rs);
+  });
 #endif
-    } else {
-      kernels::apply9(stencil_view(coeff[lb]), b.nx, b.ny, x.interior(lb),
-                      x.stride(lb), y.interior(lb), y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
   // Paper convention (§2): a nine-point matvec is 9 operations per point.
-  comm.costs().add_flops(9 * points);
-  comm.costs().add_points(active, points);
+  count(comm, 9, nb);
   offer_fault_sites(y);
 }
 
 template <typename T>
 void DistOperator::residual_t(comm::Communicator& comm,
                               const comm::HaloExchanger& halo,
-                              const comm::DistFieldT<T>& b,
-                              comm::DistFieldT<T>& x, comm::DistFieldT<T>& r,
-                              comm::HaloFreshness fresh) const {
+                              const comm::FieldSetT<T>& b,
+                              const comm::FieldSetT<T>& x,
+                              const comm::FieldSetT<T>& r,
+                              comm::HaloFreshness fresh,
+                              bool overlap) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
 
   const auto& coeff = coeffs<T>();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    if (use_spans_) {
-      kernels::residual9_span(stencil_view(coeff[lb]),
-                              span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), info.ny,
-                              b.interior(lb), b.stride(lb), x.interior(lb),
-                              x.stride(lb), r.interior(lb), r.stride(lb));
+  const int nb = x.nb();
+  sweep_blocks<T>(
+      comm, halo, x, fresh, overlap,
+      [&](int lb, const SubRect& s, const BlockSpans& sp) {
+        kernels::residual9_span_batch(
+            shift(stencil_view(coeff[lb]), s.i0, s.j0), sp.row_offset(),
+            sp.spans(), nb, s.nj, at_w(b.interior(lb), b.stride(lb), nb, s),
+            b.stride(lb), at_w(x.interior(lb), x.stride(lb), nb, s),
+            x.stride(lb), at_w(r.interior(lb), r.stride(lb), nb, s),
+            r.stride(lb));
+      });
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny);
-      kernels::residual9(stencil_view(coeff[lb]), info.nx, info.ny,
-                         b.interior(lb), b.stride(lb), x.interior(lb),
-                         x.stride(lb), scratch.data(), info.nx);
-      audit_span_field(block_mask_[lb], 1, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       info.nx);
+  audit_span_sweep(*this, r, [&](int lb, T* ref, std::ptrdiff_t rs) {
+    const auto& info = x.info(lb);
+    kernels::residual9_batch(stencil_view(coeff[lb]), nb, info.nx, info.ny,
+                             b.interior(lb), b.stride(lb), x.interior(lb),
+                             x.stride(lb), ref, rs);
+  });
 #endif
-    } else {
-      kernels::residual9(stencil_view(coeff[lb]), info.nx, info.ny,
-                         b.interior(lb), b.stride(lb), x.interior(lb),
-                         x.stride(lb), r.interior(lb), r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
   // Matvec (9 ops/point) + subtraction (1 op/point), as before fusion.
-  comm.costs().add_flops(10 * points);
-  comm.costs().add_points(active, points);
+  count(comm, 10, nb);
   offer_fault_sites(r);
 }
 
 template <typename T>
-double DistOperator::residual_local_norm2_t(comm::Communicator& comm,
-                                            const comm::HaloExchanger& halo,
-                                            const comm::DistFieldT<T>& b,
-                                            comm::DistFieldT<T>& x,
-                                            comm::DistFieldT<T>& r,
-                                            comm::HaloFreshness fresh) const {
+void DistOperator::residual_local_norm2_t(comm::Communicator& comm,
+                                          const comm::HaloExchanger& halo,
+                                          const comm::FieldSetT<T>& b,
+                                          const comm::FieldSetT<T>& x,
+                                          const comm::FieldSetT<T>& r,
+                                          double* sums,
+                                          comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
+  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange(comm, x);
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
 
   const auto& coeff = coeffs<T>();
-  double sum = 0.0;
-  std::uint64_t points = 0, active = 0;
+  const int nb = x.nb();
+  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
-    if (use_spans_) {
 #if MINIPOP_BOUNDS_CHECK
-      const double sum0 = sum;
+    std::vector<double> ref_sums(sums, sums + nb);
 #endif
-      sum = kernels::residual_norm2_9_span(
-          stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-          span_full_[lb].spans(), info.ny, b.interior(lb), b.stride(lb),
-          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sum);
+    kernels::residual_norm2_9_span_batch(
+        stencil_view(coeff[lb]), span_full_[lb].row_offset(),
+        span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
+        x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny);
-      const double ref_sum = kernels::residual_norm2_9(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), scratch.data(),
-          info.nx, sum0);
-      audit_span_field(block_mask_[lb], 1, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       info.nx);
-      audit_span_sums(&sum, &ref_sum, 1);
+    const std::ptrdiff_t rs = static_cast<std::ptrdiff_t>(info.nx) * nb;
+    std::vector<T> ref(static_cast<std::size_t>(rs) * info.ny);
+    kernels::residual_norm2_9_batch(
+        stencil_view(coeff[lb]), block_mask_[lb].data(),
+        block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
+        b.stride(lb), x.interior(lb), x.stride(lb), ref.data(), rs,
+        ref_sums.data());
+    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, r.interior(lb),
+                     r.stride(lb), ref.data(), rs);
+    audit_span_sums(sums, ref_sums.data(), nb);
 #endif
-    } else {
-      sum = kernels::residual_norm2_9(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), r.interior(lb),
-          r.stride(lb), sum);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
   }
   // Residual (10 ops/point) + masked norm (2 ops/point), as when the
   // sweeps were separate.
-  comm.costs().add_flops(12 * points);
-  comm.costs().add_points(active, points);
+  count(comm, 12, nb);
   // Corruption lands after the fused norm was taken, exactly like a bit
   // flip striking between two sweeps: it rides r into the next iterates
   // and the *next* check window must catch it.
   offer_fault_sites(r);
-  return sum;
 }
 
 template <typename T>
-void DistOperator::apply_overlapped_t(comm::Communicator& comm,
-                                      const comm::HaloExchanger& halo,
-                                      comm::DistFieldT<T>& x,
-                                      comm::DistFieldT<T>& y,
-                                      comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    apply_t<T>(comm, halo, x, y, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&x != &y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-
-  const auto& coeff = coeffs<T>();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect in;
-    if (!interior_rect(b.nx, b.ny, &in)) continue;
-    if (use_spans_)
-      kernels::apply9_span(shift(stencil_view(coeff[lb]), in.i0, in.j0),
-                           span_interior_[lb].row_offset(),
-                           span_interior_[lb].spans(), in.nj,
-                           at(x.interior(lb), x.stride(lb), in),
-                           x.stride(lb),
-                           at(y.interior(lb), y.stride(lb), in),
-                           y.stride(lb));
-    else
-      kernels::apply9(shift(stencil_view(coeff[lb]), in.i0, in.j0), in.ni,
-                      in.nj, at(x.interior(lb), x.stride(lb), in),
-                      x.stride(lb), at(y.interior(lb), y.stride(lb), in),
-                      y.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(b.nx, b.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::apply9_span(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(),
-            rim[k].nj, at(x.interior(lb), x.stride(lb), rim[k]),
-            x.stride(lb), at(y.interior(lb), y.stride(lb), rim[k]),
-            y.stride(lb));
-      else
-        kernels::apply9(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            rim[k].ni, rim[k].nj,
-            at(x.interior(lb), x.stride(lb), rim[k]), x.stride(lb),
-            at(y.interior(lb), y.stride(lb), rim[k]), y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(9 * points);
-  comm.costs().add_points(active, points);
-  offer_fault_sites(y);
-}
-
-template <typename T>
-void DistOperator::residual_overlapped_t(comm::Communicator& comm,
-                                         const comm::HaloExchanger& halo,
-                                         const comm::DistFieldT<T>& b,
-                                         comm::DistFieldT<T>& x,
-                                         comm::DistFieldT<T>& r,
-                                         comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    residual_t<T>(comm, halo, b, x, r, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r field mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "field does not match operator decomposition");
-  MINIPOP_REQUIRE(&b != &r && &x != &r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-
-  const auto& coeff = coeffs<T>();
-  comm::HaloHandleT<T> inflight = halo.begin(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect in;
-    if (!interior_rect(info.nx, info.ny, &in)) continue;
-    if (use_spans_)
-      kernels::residual9_span(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0),
-          span_interior_[lb].row_offset(), span_interior_[lb].spans(),
-          in.nj, at(b.interior(lb), b.stride(lb), in), b.stride(lb),
-          at(x.interior(lb), x.stride(lb), in), x.stride(lb),
-          at(r.interior(lb), r.stride(lb), in), r.stride(lb));
-    else
-      kernels::residual9(shift(stencil_view(coeff[lb]), in.i0, in.j0),
-                         in.ni, in.nj,
-                         at(b.interior(lb), b.stride(lb), in), b.stride(lb),
-                         at(x.interior(lb), x.stride(lb), in), x.stride(lb),
-                         at(r.interior(lb), r.stride(lb), in),
-                         r.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(info.nx, info.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::residual9_span(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(),
-            rim[k].nj, at(b.interior(lb), b.stride(lb), rim[k]),
-            b.stride(lb), at(x.interior(lb), x.stride(lb), rim[k]),
-            x.stride(lb), at(r.interior(lb), r.stride(lb), rim[k]),
-            r.stride(lb));
-      else
-        kernels::residual9(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            rim[k].ni, rim[k].nj,
-            at(b.interior(lb), b.stride(lb), rim[k]), b.stride(lb),
-            at(x.interior(lb), x.stride(lb), rim[k]), x.stride(lb),
-            at(r.interior(lb), r.stride(lb), rim[k]), r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(10 * points);
-  comm.costs().add_points(active, points);
-  offer_fault_sites(r);
-}
-
-template <typename T>
-double DistOperator::local_dot_t(comm::Communicator& comm,
-                                 const comm::DistFieldT<T>& a,
-                                 const comm::DistFieldT<T>& b) const {
+void DistOperator::local_dot_t(comm::Communicator& comm,
+                               const comm::FieldSetT<T>& a,
+                               const comm::FieldSetT<T>& b,
+                               double* sums) const {
   MINIPOP_REQUIRE(a.compatible_with(b), "a/b field mismatch");
-  double sum = 0.0;
-  std::uint64_t points = 0, active = 0;
+  const int nb = a.nb();
+  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = a.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
 #if MINIPOP_BOUNDS_CHECK
-      const double ref = kernels::masked_dot(
-          mask.data(), mask.nx(), info.nx, info.ny, a.interior(lb),
-          a.stride(lb), b.interior(lb), b.stride(lb), sum);
+    std::vector<double> ref(sums, sums + nb);
+    kernels::dot_batch(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
+                       info.nx, info.ny, a.interior(lb), a.stride(lb),
+                       b.interior(lb), b.stride(lb), ref.data());
 #endif
-      sum = kernels::dot_span(span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), info.ny,
-                              a.interior(lb), a.stride(lb), b.interior(lb),
-                              b.stride(lb), sum);
+    kernels::dot_span_batch(span_full_[lb].row_offset(),
+                            span_full_[lb].spans(), nb, info.ny,
+                            a.interior(lb), a.stride(lb), b.interior(lb),
+                            b.stride(lb), sums);
 #if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(&sum, &ref, 1);
+    audit_span_sums(sums, ref.data(), nb);
 #endif
-    } else {
-      sum = kernels::masked_dot(mask.data(), mask.nx(), info.nx, info.ny,
-                                a.interior(lb), a.stride(lb),
-                                b.interior(lb), b.stride(lb), sum);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
   }
   // Paper convention: inner product is 2 ops/point (multiply + masked add).
-  comm.costs().add_flops(2 * points);
-  comm.costs().add_points(active, points);
-  return sum;
+  count(comm, 2, nb);
 }
 
 template <typename T>
 void DistOperator::local_dot3_t(comm::Communicator& comm,
-                                const comm::DistFieldT<T>& r,
-                                const comm::DistFieldT<T>& rp,
-                                const comm::DistFieldT<T>& z, bool with_norm,
-                                double out[3]) const {
+                                const comm::FieldSetT<T>& r,
+                                const comm::FieldSetT<T>& rp,
+                                const comm::FieldSetT<T>& z, bool with_norm,
+                                double* out) const {
   MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
                   "r/rp/z field mismatch");
-  out[0] = out[1] = out[2] = 0.0;
-  std::uint64_t points = 0, active = 0;
+  const int nb = r.nb();
+  for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = r.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
 #if MINIPOP_BOUNDS_CHECK
-      double ref[3] = {out[0], out[1], out[2]};
-      kernels::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                           r.interior(lb), r.stride(lb), rp.interior(lb),
-                           rp.stride(lb), z.interior(lb), z.stride(lb),
-                           with_norm, ref);
+    std::vector<double> ref(out, out + 3 * nb);
+    kernels::dot3_batch(block_mask_[lb].data(), block_mask_[lb].nx(), nb,
+                        info.nx, info.ny, r.interior(lb), r.stride(lb),
+                        rp.interior(lb), rp.stride(lb), z.interior(lb),
+                        z.stride(lb), with_norm, ref.data());
 #endif
-      kernels::dot3_span(span_full_[lb].row_offset(),
-                         span_full_[lb].spans(), info.ny, r.interior(lb),
-                         r.stride(lb), rp.interior(lb), rp.stride(lb),
-                         z.interior(lb), z.stride(lb), with_norm, out);
+    kernels::dot3_span_batch(span_full_[lb].row_offset(),
+                             span_full_[lb].spans(), nb, info.ny,
+                             r.interior(lb), r.stride(lb), rp.interior(lb),
+                             rp.stride(lb), z.interior(lb), z.stride(lb),
+                             with_norm, out);
 #if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(out, ref, 3);
+    audit_span_sums(out, ref.data(), 3 * nb);
 #endif
-    } else {
-      kernels::masked_dot3(mask.data(), mask.nx(), info.nx, info.ny,
-                           r.interior(lb), r.stride(lb), rp.interior(lb),
-                           rp.stride(lb), z.interior(lb), z.stride(lb),
-                           with_norm, out);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
   }
-  comm.costs().add_flops((with_norm ? 6 : 4) * points);
-  comm.costs().add_points(active, points);
+  count(comm, with_norm ? 6 : 4, nb);
 }
 
 template <typename T>
-void DistOperator::mask_interior_t(comm::DistFieldT<T>& x) const {
+void DistOperator::mask_interior_t(const comm::FieldSetT<T>& x) const {
+  const int nb = x.nb();
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
-    const auto& mask = block_mask_[lb];
+#if MINIPOP_BOUNDS_CHECK
+    const std::ptrdiff_t rs = static_cast<std::ptrdiff_t>(info.nx) * nb;
+    std::vector<T> ref(static_cast<std::size_t>(rs) * info.ny);
+    kernels::copy_batch(nb, info.nx, info.ny, x.interior(lb), x.stride(lb),
+                        ref.data(), rs);
+    kernels::mask_zero_batch(block_mask_[lb].data(), block_mask_[lb].nx(),
+                             nb, info.nx, info.ny, ref.data(), rs);
+#endif
     // Gap-zero kernel: writes exactly the land zeros the masked version
     // writes, so the two are unconditionally bitwise identical.
-    if (use_spans_)
-      kernels::mask_zero_span(span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), info.nx, info.ny,
-                              x.interior(lb), x.stride(lb));
-    else
-      kernels::mask_zero(mask.data(), mask.nx(), info.nx, info.ny,
-                         x.interior(lb), x.stride(lb));
+    kernels::mask_zero_span_batch(span_full_[lb].row_offset(),
+                                  span_full_[lb].spans(), nb, info.nx,
+                                  info.ny, x.interior(lb), x.stride(lb));
+#if MINIPOP_BOUNDS_CHECK
+    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, x.interior(lb),
+                     x.stride(lb), ref.data(), rs, /*land_too=*/true);
+#endif
   }
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points (double, then the fp32 mirror).
-
-void DistOperator::apply(comm::Communicator& comm,
-                         const comm::HaloExchanger& halo,
-                         comm::DistField& x, comm::DistField& y,
-                         comm::HaloFreshness fresh) const {
-  apply_t<double>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual(comm::Communicator& comm,
-                            const comm::HaloExchanger& halo,
-                            const comm::DistField& b, comm::DistField& x,
-                            comm::DistField& r,
-                            comm::HaloFreshness fresh) const {
-  residual_t<double>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          const comm::DistField& b,
-                                          comm::DistField& x,
-                                          comm::DistField& r,
-                                          comm::HaloFreshness fresh) const {
-  return residual_local_norm2_t<double>(comm, halo, b, x, r, fresh);
-}
-
-void DistOperator::apply_overlapped(comm::Communicator& comm,
-                                    const comm::HaloExchanger& halo,
-                                    comm::DistField& x, comm::DistField& y,
-                                    comm::HaloFreshness fresh) const {
-  apply_overlapped_t<double>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual_overlapped(comm::Communicator& comm,
-                                       const comm::HaloExchanger& halo,
-                                       const comm::DistField& b,
-                                       comm::DistField& x,
-                                       comm::DistField& r,
-                                       comm::HaloFreshness fresh) const {
-  residual_overlapped_t<double>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2_overlapped(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistField& b, comm::DistField& x, comm::DistField& r,
-    comm::HaloFreshness fresh) const {
-  // The fused kernel threads one row-major accumulator through whole
-  // blocks; an interior/rim split would reorder that sum. Instead use
-  // the kernel contract "residual_norm2_9 == residual9 + masked_dot":
-  // overlap the residual sweep, then take the norm in a second pass with
-  // the blocking accumulation order. Flops match the blocking path
-  // (10 + 2 per point).
-  residual_overlapped_t<double>(comm, halo, b, x, r, fresh);
-  return local_dot_t<double>(comm, r, r);
-}
-
-double DistOperator::local_dot(comm::Communicator& comm,
-                               const comm::DistField& a,
-                               const comm::DistField& b) const {
-  return local_dot_t<double>(comm, a, b);
-}
-
-void DistOperator::local_dot3(comm::Communicator& comm,
-                              const comm::DistField& r,
-                              const comm::DistField& rp,
-                              const comm::DistField& z, bool with_norm,
-                              double out[3]) const {
-  local_dot3_t<double>(comm, r, rp, z, with_norm, out);
-}
-
-double DistOperator::global_dot(comm::Communicator& comm,
-                                const comm::DistField& a,
-                                const comm::DistField& b) const {
-  return comm.allreduce_sum(local_dot(comm, a, b));
-}
-
-void DistOperator::mask_interior(comm::DistField& x) const {
-  mask_interior_t<double>(x);
 }
 
 void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
@@ -756,573 +545,91 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
                                          const comm::FieldSet& x,
                                          double* out) const {
   MINIPOP_REQUIRE(b.compatible_with(r) && b.compatible_with(x),
-                  "b/r/x batch mismatch");
+                  "b/r/x field mismatch");
   const int nb = b.nb();
   for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < num_local_blocks(); ++lb) {
     const auto& info = b.info(lb);
-    const auto& mask = block_mask_[lb];
     const util::Field& cs = column_sum_[lb];
-    if (use_spans_) {
-      const int* ro = span_full_[lb].row_offset();
-      const kernels::Span* sp = span_full_[lb].spans();
-      kernels::sum_span_batch(ro, sp, nb, info.ny, b.interior(lb),
-                              b.stride(lb), out);
-      kernels::sum_span_batch(ro, sp, nb, info.ny, r.interior(lb),
-                              r.stride(lb), out + nb);
-      kernels::dot_shared_span_batch(ro, sp, nb, info.ny, cs.data(),
-                                     cs.nx(), x.interior(lb), x.stride(lb),
-                                     out + 2 * nb);
-    } else {
-      kernels::masked_sum_batch(mask.data(), mask.nx(), nb, info.nx,
-                                info.ny, b.interior(lb), b.stride(lb), out);
-      kernels::masked_sum_batch(mask.data(), mask.nx(), nb, info.nx,
-                                info.ny, r.interior(lb), r.stride(lb),
-                                out + nb);
-      kernels::dot_shared_batch(mask.data(), mask.nx(), nb, info.nx,
-                                info.ny, cs.data(), cs.nx(), x.interior(lb),
-                                x.stride(lb), out + 2 * nb);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(4 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-}
-
-void DistOperator::apply(comm::Communicator& comm,
-                         const comm::HaloExchanger& halo,
-                         comm::DistField32& x, comm::DistField32& y,
-                         comm::HaloFreshness fresh) const {
-  apply_t<float>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual(comm::Communicator& comm,
-                            const comm::HaloExchanger& halo,
-                            const comm::DistField32& b, comm::DistField32& x,
-                            comm::DistField32& r,
-                            comm::HaloFreshness fresh) const {
-  residual_t<float>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          const comm::DistField32& b,
-                                          comm::DistField32& x,
-                                          comm::DistField32& r,
-                                          comm::HaloFreshness fresh) const {
-  return residual_local_norm2_t<float>(comm, halo, b, x, r, fresh);
-}
-
-void DistOperator::apply_overlapped(comm::Communicator& comm,
-                                    const comm::HaloExchanger& halo,
-                                    comm::DistField32& x,
-                                    comm::DistField32& y,
-                                    comm::HaloFreshness fresh) const {
-  apply_overlapped_t<float>(comm, halo, x, y, fresh);
-}
-
-void DistOperator::residual_overlapped(comm::Communicator& comm,
-                                       const comm::HaloExchanger& halo,
-                                       const comm::DistField32& b,
-                                       comm::DistField32& x,
-                                       comm::DistField32& r,
-                                       comm::HaloFreshness fresh) const {
-  residual_overlapped_t<float>(comm, halo, b, x, r, fresh);
-}
-
-double DistOperator::residual_local_norm2_overlapped(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::DistField32& b, comm::DistField32& x, comm::DistField32& r,
-    comm::HaloFreshness fresh) const {
-  residual_overlapped_t<float>(comm, halo, b, x, r, fresh);
-  return local_dot_t<float>(comm, r, r);
-}
-
-double DistOperator::local_dot(comm::Communicator& comm,
-                               const comm::DistField32& a,
-                               const comm::DistField32& b) const {
-  return local_dot_t<float>(comm, a, b);
-}
-
-void DistOperator::local_dot3(comm::Communicator& comm,
-                              const comm::DistField32& r,
-                              const comm::DistField32& rp,
-                              const comm::DistField32& z, bool with_norm,
-                              double out[3]) const {
-  local_dot3_t<float>(comm, r, rp, z, with_norm, out);
-}
-
-double DistOperator::global_dot(comm::Communicator& comm,
-                                const comm::DistField32& a,
-                                const comm::DistField32& b) const {
-  return comm.allreduce_sum(local_dot(comm, a, b));
-}
-
-void DistOperator::mask_interior(comm::DistField32& x) const {
-  mask_interior_t<float>(x);
-}
-
-// ---------------------------------------------------------------------------
-// Batched multi-RHS sweeps over FieldSet views, templated on the storage
-// scalar. Solver-vector fault sites arm on one-member fp64 outputs (the
-// scalar solves); wider batches recover through the per-member
-// sub-batch path of the resilient decorator. Coefficient fault sites arm
-// on every fp64 sweep, caught by the ABFT audit.
-
-template <typename T>
-void DistOperator::apply_batch_t(comm::Communicator& comm,
-                               const comm::HaloExchanger& halo,
-                               const comm::FieldSetT<T>& x,
-                               const comm::FieldSetT<T>& y,
-                               comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(x != y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    if (use_spans_) {
-      kernels::apply9_span_batch(stencil_view(coeff[lb]),
-                                 span_full_[lb].row_offset(),
-                                 span_full_[lb].spans(), nb, b.ny,
-                                 x.interior(lb), x.stride(lb),
-                                 y.interior(lb), y.stride(lb));
+    const int* ro = span_full_[lb].row_offset();
+    const kernels::Span* sp = span_full_[lb].spans();
 #if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(b.nx) * b.ny * nb);
-      kernels::apply9_batch(stencil_view(coeff[lb]), nb, b.nx, b.ny,
-                            x.interior(lb), x.stride(lb), scratch.data(),
-                            static_cast<std::ptrdiff_t>(b.nx) * nb);
-      audit_span_field(block_mask_[lb], nb, b.nx, b.ny, y.interior(lb),
-                       y.stride(lb), scratch.data(),
-                       static_cast<std::ptrdiff_t>(b.nx) * nb);
-#endif
-    } else {
-      kernels::apply9_batch(stencil_view(coeff[lb]), nb, b.nx, b.ny,
-                            x.interior(lb), x.stride(lb), y.interior(lb),
-                            y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(9 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(y);
-}
-
-template <typename T>
-void DistOperator::residual_batch_t(comm::Communicator& comm,
-                                  const comm::HaloExchanger& halo,
-                                  const comm::FieldSetT<T>& b,
-                                  const comm::FieldSetT<T>& x,
-                                  const comm::FieldSetT<T>& r,
-                                  comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    if (use_spans_) {
-      kernels::residual9_span_batch(
-          stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-          span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
-          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb));
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny *
-                             nb);
-      kernels::residual9_batch(stencil_view(coeff[lb]), nb, info.nx,
-                               info.ny, b.interior(lb), b.stride(lb),
-                               x.interior(lb), x.stride(lb), scratch.data(),
-                               static_cast<std::ptrdiff_t>(info.nx) * nb);
-      audit_span_field(block_mask_[lb], nb, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       static_cast<std::ptrdiff_t>(info.nx) * nb);
-#endif
-    } else {
-      kernels::residual9_batch(stencil_view(coeff[lb]), nb, info.nx,
-                               info.ny, b.interior(lb), b.stride(lb),
-                               x.interior(lb), x.stride(lb), r.interior(lb),
-                               r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(10 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(r);
-}
-
-template <typename T>
-void DistOperator::residual_local_norm2_batch_t(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
-    const comm::FieldSetT<T>& r, double* sums,
-    comm::HaloFreshness fresh) const {
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> sums0(sums, sums + nb);
-#endif
-      kernels::residual_norm2_9_span_batch(
-          stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-          span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
-          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<T> scratch(static_cast<std::size_t>(info.nx) * info.ny *
-                             nb);
-      kernels::residual_norm2_9_batch(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), scratch.data(),
-          static_cast<std::ptrdiff_t>(info.nx) * nb, sums0.data());
-      audit_span_field(block_mask_[lb], nb, info.nx, info.ny,
-                       r.interior(lb), r.stride(lb), scratch.data(),
-                       static_cast<std::ptrdiff_t>(info.nx) * nb);
-      audit_span_sums(sums, sums0.data(), nb);
-#endif
-    } else {
-      kernels::residual_norm2_9_batch(
-          stencil_view(coeff[lb]), block_mask_[lb].data(),
-          block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
-          b.stride(lb), x.interior(lb), x.stride(lb), r.interior(lb),
-          r.stride(lb), sums);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(12 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(r);
-}
-
-template <typename T>
-void DistOperator::apply_overlapped_batch_t(comm::Communicator& comm,
-                                          const comm::HaloExchanger& halo,
-                                          const comm::FieldSetT<T>& x,
-                                          const comm::FieldSetT<T>& y,
-                                          comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    apply_batch_t<T>(comm, halo, x, y, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(x.compatible_with(y), "x/y batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(x != y, "apply requires distinct x and y");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  comm::HaloHandleT<T> inflight = halo.begin_set<T>(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect in;
-    if (!interior_rect(b.nx, b.ny, &in)) continue;
-    if (use_spans_)
-      kernels::apply9_span_batch(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0),
-          span_interior_[lb].row_offset(), span_interior_[lb].spans(), nb,
-          in.nj, at_w(x.interior(lb), x.stride(lb), nb, in), x.stride(lb),
-          at_w(y.interior(lb), y.stride(lb), nb, in), y.stride(lb));
-    else
-      kernels::apply9_batch(shift(stencil_view(coeff[lb]), in.i0, in.j0),
-                            nb, in.ni, in.nj,
-                            at_w(x.interior(lb), x.stride(lb), nb, in),
-                            x.stride(lb),
-                            at_w(y.interior(lb), y.stride(lb), nb, in),
-                            y.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(b.nx, b.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::apply9_span_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(), nb,
-            rim[k].nj, at_w(x.interior(lb), x.stride(lb), nb, rim[k]),
-            x.stride(lb), at_w(y.interior(lb), y.stride(lb), nb, rim[k]),
-            y.stride(lb));
-      else
-        kernels::apply9_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0), nb,
-            rim[k].ni, rim[k].nj,
-            at_w(x.interior(lb), x.stride(lb), nb, rim[k]), x.stride(lb),
-            at_w(y.interior(lb), y.stride(lb), nb, rim[k]), y.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(b.nx) * b.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(9 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(y);
-}
-
-template <typename T>
-void DistOperator::residual_overlapped_batch_t(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
-    const comm::FieldSetT<T>& r, comm::HaloFreshness fresh) const {
-  if (fresh == comm::HaloFreshness::kFresh) {
-    residual_batch_t<T>(comm, halo, b, x, r, fresh);
-    return;
-  }
-  MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
-                  "b/x/r batch mismatch");
-  MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
-                  "batch does not match operator decomposition");
-  MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
-  if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-
-  const auto& coeff = coeffs<T>();
-  const int nb = x.nb();
-  comm::HaloHandleT<T> inflight = halo.begin_set<T>(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect in;
-    if (!interior_rect(info.nx, info.ny, &in)) continue;
-    if (use_spans_)
-      kernels::residual9_span_batch(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0),
-          span_interior_[lb].row_offset(), span_interior_[lb].spans(), nb,
-          in.nj, at_w(b.interior(lb), b.stride(lb), nb, in), b.stride(lb),
-          at_w(x.interior(lb), x.stride(lb), nb, in), x.stride(lb),
-          at_w(r.interior(lb), r.stride(lb), nb, in), r.stride(lb));
-    else
-      kernels::residual9_batch(
-          shift(stencil_view(coeff[lb]), in.i0, in.j0), nb, in.ni, in.nj,
-          at_w(b.interior(lb), b.stride(lb), nb, in), b.stride(lb),
-          at_w(x.interior(lb), x.stride(lb), nb, in), x.stride(lb),
-          at_w(r.interior(lb), r.stride(lb), nb, in), r.stride(lb));
-  }
-  inflight.finish();
-
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(info.nx, info.ny, rim);
-    for (int k = 0; k < n; ++k) {
-      if (use_spans_)
-        kernels::residual9_span_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0),
-            span_rim_[lb][k].row_offset(), span_rim_[lb][k].spans(), nb,
-            rim[k].nj, at_w(b.interior(lb), b.stride(lb), nb, rim[k]),
-            b.stride(lb), at_w(x.interior(lb), x.stride(lb), nb, rim[k]),
-            x.stride(lb), at_w(r.interior(lb), r.stride(lb), nb, rim[k]),
-            r.stride(lb));
-      else
-        kernels::residual9_batch(
-            shift(stencil_view(coeff[lb]), rim[k].i0, rim[k].j0), nb,
-            rim[k].ni, rim[k].nj,
-            at_w(b.interior(lb), b.stride(lb), nb, rim[k]), b.stride(lb),
-            at_w(x.interior(lb), x.stride(lb), nb, rim[k]), x.stride(lb),
-            at_w(r.interior(lb), r.stride(lb), nb, rim[k]), r.stride(lb));
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops(10 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-  offer_fault_sites(r);
-}
-
-template <typename T>
-void DistOperator::residual_local_norm2_overlapped_batch_t(
-    comm::Communicator& comm, const comm::HaloExchanger& halo,
-    const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
-    const comm::FieldSetT<T>& r, double* sums,
-    comm::HaloFreshness fresh) const {
-  // Same contract as the scalar overlapped norm²: the fused batch
-  // kernel threads whole-block accumulators, so overlap the residual
-  // sweep and take the per-member norms in a second pass with the
-  // blocking accumulation order ("residual_norm2_9_batch ==
-  // residual9_batch + dot_batch"). Flops match the blocking path.
-  residual_overlapped_batch_t<T>(comm, halo, b, x, r, fresh);
-  local_dot_batch_t<T>(comm, r, r, sums);
-}
-
-template <typename T>
-void DistOperator::local_dot_batch_t(comm::Communicator& comm,
-                                   const comm::FieldSetT<T>& a,
-                                   const comm::FieldSetT<T>& b,
-                                   double* sums) const {
-  MINIPOP_REQUIRE(a.compatible_with(b), "a/b batch mismatch");
-  const int nb = a.nb();
-  for (int m = 0; m < nb; ++m) sums[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = a.info(lb);
     const auto& mask = block_mask_[lb];
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> ref(sums, sums + nb);
-      kernels::dot_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                         a.interior(lb), a.stride(lb), b.interior(lb),
-                         b.stride(lb), ref.data());
+    std::vector<double> ref(out, out + 3 * nb);
+    kernels::masked_sum_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
+                              b.interior(lb), b.stride(lb), ref.data());
+    kernels::masked_sum_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
+                              r.interior(lb), r.stride(lb), ref.data() + nb);
+    kernels::dot_shared_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
+                              cs.data(), cs.nx(), x.interior(lb),
+                              x.stride(lb), ref.data() + 2 * nb);
 #endif
-      kernels::dot_span_batch(span_full_[lb].row_offset(),
-                              span_full_[lb].spans(), nb, info.ny,
-                              a.interior(lb), a.stride(lb), b.interior(lb),
-                              b.stride(lb), sums);
+    kernels::sum_span_batch(ro, sp, nb, info.ny, b.interior(lb),
+                            b.stride(lb), out);
+    kernels::sum_span_batch(ro, sp, nb, info.ny, r.interior(lb),
+                            r.stride(lb), out + nb);
+    kernels::dot_shared_span_batch(ro, sp, nb, info.ny, cs.data(), cs.nx(),
+                                   x.interior(lb), x.stride(lb),
+                                   out + 2 * nb);
 #if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(sums, ref.data(), nb);
+    audit_span_sums(out, ref.data(), 3 * nb);
 #endif
-    } else {
-      kernels::dot_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                         a.interior(lb), a.stride(lb), b.interior(lb),
-                         b.stride(lb), sums);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
   }
-  comm.costs().add_flops(2 * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-}
-
-template <typename T>
-void DistOperator::local_dot3_batch_t(comm::Communicator& comm,
-                                    const comm::FieldSetT<T>& r,
-                                    const comm::FieldSetT<T>& rp,
-                                    const comm::FieldSetT<T>& z,
-                                    bool with_norm, double* out) const {
-  MINIPOP_REQUIRE(r.compatible_with(rp) && r.compatible_with(z),
-                  "r/rp/z batch mismatch");
-  const int nb = r.nb();
-  for (int m = 0; m < 3 * nb; ++m) out[m] = 0.0;
-  std::uint64_t points = 0, active = 0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_) {
-#if MINIPOP_BOUNDS_CHECK
-      std::vector<double> ref(out, out + 3 * nb);
-      kernels::dot3_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                          r.interior(lb), r.stride(lb), rp.interior(lb),
-                          rp.stride(lb), z.interior(lb), z.stride(lb),
-                          with_norm, ref.data());
-#endif
-      kernels::dot3_span_batch(span_full_[lb].row_offset(),
-                               span_full_[lb].spans(), nb, info.ny,
-                               r.interior(lb), r.stride(lb),
-                               rp.interior(lb), rp.stride(lb),
-                               z.interior(lb), z.stride(lb), with_norm,
-                               out);
-#if MINIPOP_BOUNDS_CHECK
-      audit_span_sums(out, ref.data(), 3 * nb);
-#endif
-    } else {
-      kernels::dot3_batch(mask.data(), mask.nx(), nb, info.nx, info.ny,
-                          r.interior(lb), r.stride(lb), rp.interior(lb),
-                          rp.stride(lb), z.interior(lb), z.stride(lb),
-                          with_norm, out);
-    }
-    points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active += static_cast<std::uint64_t>(span_full_[lb].active_points());
-  }
-  comm.costs().add_flops((with_norm ? 6u : 4u) * points * nb);
-  comm.costs().add_points(active * nb, points * nb);
-}
-
-template <typename T>
-void DistOperator::mask_interior_batch_t(const comm::FieldSetT<T>& x) const {
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = x.info(lb);
-    const auto& mask = block_mask_[lb];
-    if (use_spans_)
-      kernels::mask_zero_span_batch(span_full_[lb].row_offset(),
-                                    span_full_[lb].spans(), x.nb(), info.nx,
-                                    info.ny, x.interior(lb), x.stride(lb));
-    else
-      kernels::mask_zero_batch(mask.data(), mask.nx(), x.nb(), info.nx,
-                               info.ny, x.interior(lb), x.stride(lb));
-  }
+  count(comm, 4, nb);
 }
 
 // Public overloads: one per storage scalar, forwarding to the bodies.
-#define MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS(FS)                             \
+#define MINIPOP_DIST_OPERATOR_OVERLOADS(FS)                                   \
   void DistOperator::apply_batch(comm::Communicator& comm,                   \
                                  const comm::HaloExchanger& halo,            \
                                  const FS& x, const FS& y,                   \
                                  comm::HaloFreshness fresh) const {          \
-    apply_batch_t(comm, halo, x, y, fresh);                                  \
+    apply_t(comm, halo, x, y, fresh, /*overlap=*/false);                     \
   }                                                                          \
   void DistOperator::residual_batch(                                         \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& b, const FS& x, const FS& r, comm::HaloFreshness fresh)      \
       const {                                                                \
-    residual_batch_t(comm, halo, b, x, r, fresh);                            \
+    residual_t(comm, halo, b, x, r, fresh, /*overlap=*/false);               \
   }                                                                          \
   void DistOperator::residual_local_norm2_batch(                             \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& b, const FS& x, const FS& r, double* sums,                   \
       comm::HaloFreshness fresh) const {                                     \
-    residual_local_norm2_batch_t(comm, halo, b, x, r, sums, fresh);          \
+    residual_local_norm2_t(comm, halo, b, x, r, sums, fresh);                \
   }                                                                          \
   void DistOperator::apply_overlapped_batch(                                 \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& x, const FS& y, comm::HaloFreshness fresh) const {           \
-    apply_overlapped_batch_t(comm, halo, x, y, fresh);                       \
+    apply_t(comm, halo, x, y, fresh, /*overlap=*/true);                      \
   }                                                                          \
   void DistOperator::residual_overlapped_batch(                              \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& b, const FS& x, const FS& r, comm::HaloFreshness fresh)      \
       const {                                                                \
-    residual_overlapped_batch_t(comm, halo, b, x, r, fresh);                 \
+    residual_t(comm, halo, b, x, r, fresh, /*overlap=*/true);                \
   }                                                                          \
   void DistOperator::residual_local_norm2_overlapped_batch(                  \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& b, const FS& x, const FS& r, double* sums,                   \
       comm::HaloFreshness fresh) const {                                     \
-    residual_local_norm2_overlapped_batch_t(comm, halo, b, x, r, sums,       \
-                                            fresh);                          \
+    residual_t(comm, halo, b, x, r, fresh, /*overlap=*/true);                \
+    local_dot_t(comm, r, r, sums);                                           \
   }                                                                          \
   void DistOperator::local_dot_batch(comm::Communicator& comm, const FS& a,  \
                                      const FS& b, double* sums) const {      \
-    local_dot_batch_t(comm, a, b, sums);                                     \
+    local_dot_t(comm, a, b, sums);                                           \
   }                                                                          \
   void DistOperator::local_dot3_batch(comm::Communicator& comm, const FS& r, \
                                       const FS& rp, const FS& z,             \
                                       bool with_norm, double* out) const {   \
-    local_dot3_batch_t(comm, r, rp, z, with_norm, out);                      \
+    local_dot3_t(comm, r, rp, z, with_norm, out);                            \
   }                                                                          \
   void DistOperator::mask_interior_batch(const FS& x) const {                \
-    mask_interior_batch_t(x);                                                \
+    mask_interior_t(x);                                                      \
   }
-MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS(comm::FieldSet)
-MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS(comm::FieldSet32)
-#undef MINIPOP_DIST_OPERATOR_BATCH_OVERLOADS
+MINIPOP_DIST_OPERATOR_OVERLOADS(comm::FieldSet)
+MINIPOP_DIST_OPERATOR_OVERLOADS(comm::FieldSet32)
+#undef MINIPOP_DIST_OPERATOR_OVERLOADS
 
 }  // namespace minipop::solver

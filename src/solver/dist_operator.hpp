@@ -12,10 +12,12 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "src/comm/communicator.hpp"
 #include "src/comm/dist_field.hpp"
+#include "src/comm/field_set.hpp"
 #include "src/comm/halo.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/solver/span_plan.hpp"
@@ -40,24 +42,13 @@ class DistOperator {
   long local_ocean_cells() const { return local_ocean_cells_; }
   double phi() const { return phi_; }
 
-  // -------------------------------------------------------------------
-  // Land-span execution (DESIGN.md §14). The per-block span plans are
-  // always built (cost accounting reads their active-point counts);
-  // use_spans() gates whether the sweeps run the mask-free span kernels
-  // (bitwise-identical at ocean cells; a MINIPOP_BOUNDS_CHECK build
-  // cross-runs the masked kernels and compares) or the masked originals.
-
-  bool use_spans() const { return use_spans_; }
-  void set_use_spans(bool on) { use_spans_ = on; }
-  /// Whole-interior span plan, indexed by local block — the plan the
-  /// preconditioners, field ops, and batched core share. nullptr when
-  /// span execution is disabled, so consumers fall back to the masked
-  /// kernels with one check.
-  const SpanPlan* span_plan() const {
-    return use_spans_ ? &span_full_ : nullptr;
-  }
-  /// Span plan regardless of the use_spans() gate (cost accounting).
-  const SpanPlan& block_spans() const { return span_full_; }
+  /// Land-span plan over the whole block interiors, indexed by local
+  /// block (DESIGN.md §14): every sweep below runs the mask-free span
+  /// kernels it drives, and the preconditioners and field ops share it.
+  /// A MINIPOP_BOUNDS_CHECK build cross-runs the masked reference
+  /// kernels after each operator sweep and requires bitwise agreement at
+  /// every ocean cell and in every reduced sum.
+  const SpanPlan& span_plan() const { return span_full_; }
 
   // -------------------------------------------------------------------
   // ABFT operator checksums (DESIGN.md §12). The column-sum field
@@ -98,94 +89,22 @@ class DistOperator {
   /// checkpoint; a no-op on healthy coefficients (same values copied).
   void repair_coefficients() const;
 
-  /// y = A x over block interiors. Refreshes x's halo first (one
-  /// boundary update) unless the caller attests kFresh, so callers never
-  /// manage halos themselves.
-  void apply(comm::Communicator& comm, const comm::HaloExchanger& halo,
-             comm::DistField& x, comm::DistField& y,
-             comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// r = b - A x (same halo refresh of x), fused into one sweep.
-  void residual(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                const comm::DistField& b, comm::DistField& x,
-                comm::DistField& r,
-                comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Fused r = b - A x AND local masked ||r||² in the same sweep — the
-  /// solvers' convergence check at zero extra field passes. Returns the
-  /// LOCAL sum; combine across ranks with an allreduce. Bit-identical to
-  /// residual() followed by local_dot(r, r).
-  double residual_local_norm2(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              const comm::DistField& b, comm::DistField& x,
-                              comm::DistField& r,
-                              comm::HaloFreshness fresh =
-                                  comm::HaloFreshness::kStale) const;
-
-  // Split-phase variants: halo.begin() -> sweep the halo-independent
-  // interior of each block -> halo.finish() -> sweep the 1-wide boundary
-  // rim whose stencil reads the halo. Per-cell outputs are bitwise
-  // identical to the blocking sweeps (the 9-point stencil writes each
-  // cell independently), and the overlapped norm² accumulates via
-  // residual + local_dot, whose order is contractually bit-identical to
-  // the fused kernel. With kFresh they skip the exchange and degrade to
-  // the plain sweeps.
-
-  /// y = A x with the halo exchange of x hidden behind the interior
-  /// sweep.
-  void apply_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistField& x, comm::DistField& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// r = b - A x with the halo exchange of x hidden behind the interior
-  /// sweep.
-  void residual_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField& b, comm::DistField& x, comm::DistField& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Overlapped r = b - A x plus local masked ||r||²; bit-identical to
-  /// residual_local_norm2 (and to residual + local_dot).
-  double residual_local_norm2_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField& b, comm::DistField& x, comm::DistField& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Local (this rank's) masked inner product over block interiors;
-  /// combine across ranks with an allreduce.
-  double local_dot(comm::Communicator& comm, const comm::DistField& a,
-                   const comm::DistField& b) const;
-
-  /// Fused local dots of the CG-type iterations in one sweep:
-  /// out[0] = <r, rp>, out[1] = <z, rp>, out[2] = <r, r> (only if
-  /// with_norm; else out[2] = 0). Bit-identical to three local_dot calls.
-  void local_dot3(comm::Communicator& comm, const comm::DistField& r,
-                  const comm::DistField& rp, const comm::DistField& z,
-                  bool with_norm, double out[3]) const;
-
-  /// Convenience: global masked dot (one reduction).
-  double global_dot(comm::Communicator& comm, const comm::DistField& a,
-                    const comm::DistField& b) const;
-
-  /// Zero out land cells of the interiors (keeps iterates masked).
-  void mask_interior(comm::DistField& x) const;
-
   // -------------------------------------------------------------------
-  // Batched multi-RHS sweeps over FieldSet views, one overload per
-  // storage scalar: FieldSet (double) carries the fp64 lockstep solves,
-  // FieldSet32 (float) the fp32 inner sweeps of the mixed-precision path
-  // — half the halo bytes in the same aggregated messages. A scalar
-  // DistField enters as a one-member view, so these sweeps also run
-  // every scalar solve of the solver stack. Same structure as the scalar
-  // sweeps over an nb-member interleaved set: ONE aggregated halo
-  // exchange and one coefficient pass serve all members, flop counts
-  // scale by nb, and member m of every result is bit-identical to the
-  // scalar sweep on member m's plane (kernels.hpp contract). Reductions
-  // fill per-member fp64 arrays the caller combines in ONE vector
-  // allreduce. The solver-vector fault hook arms on one-member fp64
-  // outputs (DESIGN.md §8); coefficient fault sites arm on every fp64
-  // sweep (shared planes).
+  // Sweeps over FieldSet views, one overload per storage scalar:
+  // FieldSet (double) carries the fp64 solves, FieldSet32 (float) the
+  // fp32 inner sweeps of the mixed-precision path — half the halo bytes
+  // in the same aggregated messages, over a lazily-built float copy of
+  // the coefficients. A DistField enters as a one-member view, a
+  // DistFieldBatch as an nb-member one: ONE aggregated halo exchange and
+  // one coefficient pass serve all members, flop counts scale by nb, and
+  // member m of every result is bit-identical whatever the width
+  // (kernels.hpp contract). Reductions fill per-member fp64 arrays (also
+  // on fp32 sets — the kernels accumulate in double) that the caller
+  // combines in ONE vector allreduce. Stencil sweeps refresh x's halo
+  // first (one boundary update) unless the caller attests kFresh, so
+  // callers never manage halos themselves. The solver-vector fault hook
+  // arms on one-member fp64 outputs (DESIGN.md §8); coefficient fault
+  // sites arm on every fp64 stencil sweep (shared planes).
 
   /// y = A x, all members. 9*nb flops/point.
   void apply_batch(
@@ -197,7 +116,7 @@ class DistOperator {
       const comm::FieldSet32& x, const comm::FieldSet32& y,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  /// r = b - A x, all members.
+  /// r = b - A x, all members, fused into one sweep.
   void residual_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const comm::FieldSet& b, const comm::FieldSet& x,
@@ -209,9 +128,10 @@ class DistOperator {
       const comm::FieldSet32& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  /// Fused r = b - A x AND local masked ||r_m||² for every member:
-  /// sums[0..nb) is OVERWRITTEN with the local sums (always fp64, also
-  /// on the fp32 set — the kernels accumulate in double).
+  /// Fused r = b - A x AND local masked ||r_m||² in the same sweep — the
+  /// solvers' convergence check at zero extra field passes. sums[0..nb)
+  /// is OVERWRITTEN with the LOCAL sums; bit-identical to residual_batch
+  /// followed by local_dot_batch(r, r).
   void residual_local_norm2_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const comm::FieldSet& b, const comm::FieldSet& x,
@@ -223,12 +143,12 @@ class DistOperator {
       const comm::FieldSet32& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  // Overlapped batch variants: the interior/rim split over the
-  // aggregated exchange — halo.begin() on the set, interior member
-  // sweeps while all rims are on the wire, finish(), rim sweeps.
-  // Per-cell outputs bitwise match the blocking sweeps; the overlapped
-  // norm² accumulates via residual + dot, whose order is contractually
-  // bit-identical to the fused kernel.
+  // Split-phase variants: halo.begin() on the set -> sweep the halo-
+  // independent interior of each block while all rims are on the wire
+  // -> finish() -> sweep the 1-wide boundary rim whose stencil reads the
+  // halo. Per-cell outputs are bitwise identical to the blocking sweeps
+  // (the 9-point stencil writes each cell independently); with kFresh
+  // they degrade to the blocking sweeps.
 
   /// y = A x, all members, exchange hidden behind the interior sweep.
   void apply_overlapped_batch(
@@ -253,9 +173,12 @@ class DistOperator {
       const comm::FieldSet32& r,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  /// Overlapped r = b - A x plus local masked ||r_m||² per member;
-  /// bit-identical to residual_local_norm2_batch (and to
-  /// residual_batch + local_dot_batch). sums[0..nb) is OVERWRITTEN.
+  /// Overlapped r = b - A x plus local masked ||r_m||² per member. The
+  /// fused kernel threads one row-major accumulator through whole
+  /// blocks, which an interior/rim split would reorder, so this is
+  /// residual_overlapped_batch + local_dot_batch — bit-identical to
+  /// residual_local_norm2_batch by the kernels' contract. sums[0..nb) is
+  /// OVERWRITTEN.
   void residual_local_norm2_overlapped_batch(
       comm::Communicator& comm, const comm::HaloExchanger& halo,
       const comm::FieldSet& b, const comm::FieldSet& x,
@@ -267,15 +190,17 @@ class DistOperator {
       const comm::FieldSet32& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  /// Local masked per-member dots: sums[0..nb) is OVERWRITTEN.
+  /// Local masked per-member dots over block interiors: sums[0..nb) is
+  /// OVERWRITTEN. Combine across ranks with an allreduce.
   void local_dot_batch(comm::Communicator& comm, const comm::FieldSet& a,
                        const comm::FieldSet& b, double* sums) const;
   void local_dot_batch(comm::Communicator& comm, const comm::FieldSet32& a,
                        const comm::FieldSet32& b, double* sums) const;
 
-  /// Fused per-member ChronGear dots, grouped for one vector allreduce:
-  /// out[0..nb) = <r, rp>, out[nb..2nb) = <z, rp>, out[2nb..3nb) =
-  /// <r, r> (zeros unless with_norm). out[0..3nb) is OVERWRITTEN.
+  /// Fused local dots of the CG-type iterations in one sweep, grouped
+  /// for one vector allreduce: out[0..nb) = <r, rp>, out[nb..2nb) =
+  /// <z, rp>, out[2nb..3nb) = <r, r> (zeros unless with_norm).
+  /// out[0..3nb) is OVERWRITTEN; bit-identical to separate dots.
   void local_dot3_batch(comm::Communicator& comm, const comm::FieldSet& r,
                         const comm::FieldSet& rp, const comm::FieldSet& z,
                         bool with_norm, double* out) const;
@@ -284,56 +209,31 @@ class DistOperator {
                         const comm::FieldSet32& z, bool with_norm,
                         double* out) const;
 
-  /// Zero out land cells of all members' interiors.
+  /// Zero out land cells of all members' interiors (keeps iterates
+  /// masked).
   void mask_interior_batch(const comm::FieldSet& x) const;
   void mask_interior_batch(const comm::FieldSet32& x) const;
 
-  // -------------------------------------------------------------------
-  // fp32 mirror path. Same sweeps over a lazily-built float copy of the
-  // stencil coefficients: half the bytes per point, half the halo
-  // traffic, identical structure (including the interior/rim overlap
-  // split). Reductions still return double — the kernels accumulate
-  // fp32 operands in fp64, so convergence checks on the fp32 path
-  // measure the true fp32 residual rather than fp32 round-off of it.
-  // The fault-injection hooks only arm the fp64 path: injected state
-  // corruption is caught by the fp64 refinement guard above any fp32
-  // inner solve.
-
+  // Single-field spellings of apply_batch, residual_batch and
+  // local_dot_batch, kept only because the end-to-end benchmark
+  // (perfbench/bench.cpp) calls them.
   void apply(comm::Communicator& comm, const comm::HaloExchanger& halo,
-             comm::DistField32& x, comm::DistField32& y,
-             comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
+             comm::DistField& x, comm::DistField& y,
+             comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const {
+    apply_batch(comm, halo, x, y, fresh);
+  }
   void residual(comm::Communicator& comm, const comm::HaloExchanger& halo,
-                const comm::DistField32& b, comm::DistField32& x,
-                comm::DistField32& r,
-                comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  double residual_local_norm2(comm::Communicator& comm,
-                              const comm::HaloExchanger& halo,
-                              const comm::DistField32& b,
-                              comm::DistField32& x, comm::DistField32& r,
-                              comm::HaloFreshness fresh =
-                                  comm::HaloFreshness::kStale) const;
-  void apply_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      comm::DistField32& x, comm::DistField32& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  void residual_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField32& b, comm::DistField32& x,
-      comm::DistField32& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  double residual_local_norm2_overlapped(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::DistField32& b, comm::DistField32& x,
-      comm::DistField32& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  double local_dot(comm::Communicator& comm, const comm::DistField32& a,
-                   const comm::DistField32& b) const;
-  void local_dot3(comm::Communicator& comm, const comm::DistField32& r,
-                  const comm::DistField32& rp, const comm::DistField32& z,
-                  bool with_norm, double out[3]) const;
-  double global_dot(comm::Communicator& comm, const comm::DistField32& a,
-                    const comm::DistField32& b) const;
-  void mask_interior(comm::DistField32& x) const;
+                const comm::DistField& b, comm::DistField& x,
+                comm::DistField& r,
+                comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const {
+    residual_batch(comm, halo, b, x, r, fresh);
+  }
+  double local_dot(comm::Communicator& comm, const comm::DistField& a,
+                   const comm::DistField& b) const {
+    double sum = 0.0;
+    local_dot_batch(comm, a, b, &sum);
+    return sum;
+  }
 
   /// fp32 coefficient field of direction d for local block lb (builds
   /// the mirror on first use; preconditioners read it for their own
@@ -360,108 +260,57 @@ class DistOperator {
 
   /// Fault-injection point: offer the fp64 coefficient planes to the
   /// installed FaultInjector (kCoeffBitFlip) at the entry of every fp64
-  /// sweep — scalar and batched, since both read the same planes. The
-  /// corrupted sweep output rides into the iterates; the ABFT audit
-  /// must catch it. Compiles to nothing when MINIPOP_FAULTS is off.
+  /// stencil sweep. The corrupted sweep output rides into the iterates;
+  /// the ABFT audit must catch it. Compiles to nothing when
+  /// MINIPOP_FAULTS is off.
   void offer_coeff_fault_sites() const;
 
   /// Rebuild column_sum_ from the current block_coeff_ (construction
   /// and repair).
   void build_column_sums() const;
 
-  // Shared sweep bodies: one template instantiated at double (the
-  // pre-existing code, bit-identical) and float (the mirror).
+  /// Cost accounting of one sweep over every local block and nb
+  /// members: per_point flops per cell, and the swept/ocean census.
+  void count(comm::Communicator& comm, std::uint64_t per_point,
+             int nb) const;
+
+  /// Shared driver of the stencil sweeps: refresh x's halo (unless
+  /// kFresh) and run `sweep(lb, rect, spans)` over every whole block
+  /// interior — or, overlapped, over each halo-independent interior
+  /// while the exchange is in flight and over the rim strips after it.
+  template <typename T, typename BlockSweep>
+  void sweep_blocks(comm::Communicator& comm,
+                    const comm::HaloExchanger& halo,
+                    const comm::FieldSetT<T>& x, comm::HaloFreshness fresh,
+                    bool overlap, BlockSweep&& sweep) const;
+
+  // Sweep bodies behind the FieldSet / FieldSet32 overloads.
   template <typename T>
   void apply_t(comm::Communicator& comm, const comm::HaloExchanger& halo,
-               comm::DistFieldT<T>& x, comm::DistFieldT<T>& y,
-               comm::HaloFreshness fresh) const;
+               const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y,
+               comm::HaloFreshness fresh, bool overlap) const;
   template <typename T>
-  void residual_t(comm::Communicator& comm,
-                  const comm::HaloExchanger& halo,
-                  const comm::DistFieldT<T>& b, comm::DistFieldT<T>& x,
-                  comm::DistFieldT<T>& r, comm::HaloFreshness fresh) const;
+  void residual_t(comm::Communicator& comm, const comm::HaloExchanger& halo,
+                  const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
+                  const comm::FieldSetT<T>& r, comm::HaloFreshness fresh,
+                  bool overlap) const;
   template <typename T>
-  double residual_local_norm2_t(comm::Communicator& comm,
-                                const comm::HaloExchanger& halo,
-                                const comm::DistFieldT<T>& b,
-                                comm::DistFieldT<T>& x,
-                                comm::DistFieldT<T>& r,
-                                comm::HaloFreshness fresh) const;
+  void residual_local_norm2_t(comm::Communicator& comm,
+                              const comm::HaloExchanger& halo,
+                              const comm::FieldSetT<T>& b,
+                              const comm::FieldSetT<T>& x,
+                              const comm::FieldSetT<T>& r, double* sums,
+                              comm::HaloFreshness fresh) const;
   template <typename T>
-  void apply_overlapped_t(comm::Communicator& comm,
-                          const comm::HaloExchanger& halo,
-                          comm::DistFieldT<T>& x, comm::DistFieldT<T>& y,
-                          comm::HaloFreshness fresh) const;
+  void local_dot_t(comm::Communicator& comm, const comm::FieldSetT<T>& a,
+                   const comm::FieldSetT<T>& b, double* sums) const;
   template <typename T>
-  void residual_overlapped_t(comm::Communicator& comm,
-                             const comm::HaloExchanger& halo,
-                             const comm::DistFieldT<T>& b,
-                             comm::DistFieldT<T>& x, comm::DistFieldT<T>& r,
-                             comm::HaloFreshness fresh) const;
+  void local_dot3_t(comm::Communicator& comm, const comm::FieldSetT<T>& r,
+                    const comm::FieldSetT<T>& rp,
+                    const comm::FieldSetT<T>& z, bool with_norm,
+                    double* out) const;
   template <typename T>
-  double local_dot_t(comm::Communicator& comm,
-                     const comm::DistFieldT<T>& a,
-                     const comm::DistFieldT<T>& b) const;
-  template <typename T>
-  void local_dot3_t(comm::Communicator& comm, const comm::DistFieldT<T>& r,
-                    const comm::DistFieldT<T>& rp,
-                    const comm::DistFieldT<T>& z, bool with_norm,
-                    double out[3]) const;
-  template <typename T>
-  void mask_interior_t(comm::DistFieldT<T>& x) const;
-
-  // Batched sweep bodies behind the FieldSet / FieldSet32 overloads.
-  template <typename T>
-  void apply_batch_t(comm::Communicator& comm,
-                     const comm::HaloExchanger& halo,
-                     const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y,
-                     comm::HaloFreshness fresh) const;
-  template <typename T>
-  void residual_batch_t(comm::Communicator& comm,
-                        const comm::HaloExchanger& halo,
-                        const comm::FieldSetT<T>& b,
-                        const comm::FieldSetT<T>& x,
-                        const comm::FieldSetT<T>& r,
-                        comm::HaloFreshness fresh) const;
-  template <typename T>
-  void residual_local_norm2_batch_t(comm::Communicator& comm,
-                                    const comm::HaloExchanger& halo,
-                                    const comm::FieldSetT<T>& b,
-                                    const comm::FieldSetT<T>& x,
-                                    const comm::FieldSetT<T>& r,
-                                    double* sums,
-                                    comm::HaloFreshness fresh) const;
-  template <typename T>
-  void apply_overlapped_batch_t(comm::Communicator& comm,
-                                const comm::HaloExchanger& halo,
-                                const comm::FieldSetT<T>& x,
-                                const comm::FieldSetT<T>& y,
-                                comm::HaloFreshness fresh) const;
-  template <typename T>
-  void residual_overlapped_batch_t(comm::Communicator& comm,
-                                   const comm::HaloExchanger& halo,
-                                   const comm::FieldSetT<T>& b,
-                                   const comm::FieldSetT<T>& x,
-                                   const comm::FieldSetT<T>& r,
-                                   comm::HaloFreshness fresh) const;
-  template <typename T>
-  void residual_local_norm2_overlapped_batch_t(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
-      const comm::FieldSetT<T>& r, double* sums,
-      comm::HaloFreshness fresh) const;
-  template <typename T>
-  void local_dot_batch_t(comm::Communicator& comm,
-                         const comm::FieldSetT<T>& a,
-                         const comm::FieldSetT<T>& b, double* sums) const;
-  template <typename T>
-  void local_dot3_batch_t(comm::Communicator& comm,
-                          const comm::FieldSetT<T>& r,
-                          const comm::FieldSetT<T>& rp,
-                          const comm::FieldSetT<T>& z, bool with_norm,
-                          double* out) const;
-  template <typename T>
-  void mask_interior_batch_t(const comm::FieldSetT<T>& x) const;
+  void mask_interior_t(const comm::FieldSetT<T>& x) const;
 
   /// Coefficient storage for scalar T: the double original or the
   /// lazily-built float mirror.
@@ -470,7 +319,6 @@ class DistOperator {
       const;
   void ensure_coeff32() const;
 
-  bool use_spans_ = true;
   /// Span plans over the full block interiors plus the interior/rim
   /// decomposition the overlapped sweeps use: span_interior_[lb] covers
   /// interior_rect (empty when the block is too thin to have one),
@@ -488,6 +336,8 @@ class DistOperator {
   int rank_;
   double phi_;
   long local_ocean_cells_ = 0;
+  /// Interior cells of all local blocks (the swept-point census).
+  std::uint64_t local_points_ = 0;
   /// mutable: repair_coefficients() restores the planes through the
   /// const reference the solvers hold; each rank owns its DistOperator,
   /// so no two threads share one.

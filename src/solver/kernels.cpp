@@ -8,14 +8,16 @@
 // the stencil loops stay scalar.
 //
 // There is ONE body per kernel, templated `<typename T, int B>` (see
-// kernels.hpp for the width semantics). The nine-point expression keeps
-// the exact term order of the original scalar code (center, E, W, N, S,
-// NE, NW, SE, SW); the nine coefficients of a cell are hoisted into
-// scalars once and reused across the member loop. At B = 1 the member
-// loop collapses (w = 1, m = 0) and the expression is term-for-term the
-// scalar kernels' MINIPOP_POINT9 — hoisting a coefficient load into a
-// named scalar does not change its value, so the B = 1 instantiations
-// are bit-identical to the pre-unification scalar kernels.
+// kernels.hpp for the width semantics): core:: for the masked/dense
+// forms, spancore:: for the span forms, both file-local behind the
+// nb-dispatching entry points at the end of this file. The nine-point
+// expression keeps the exact term order of the original scalar code
+// (center, E, W, N, S, NE, NW, SE, SW); the nine coefficients of a cell
+// are hoisted into scalars once and reused across the member loop. At
+// B = 1 the member loop collapses (w = 1, m = 0) and the expression is
+// term-for-term MINIPOP_POINT9 — hoisting a coefficient load into a
+// named scalar does not change its value, so every width computes the
+// same bits per member.
 //
 // Reductions accumulate scalar, row-major, per member, continuing from
 // the caller's running sums — so the fused kernels are bit-identical to
@@ -75,11 +77,11 @@ inline int eff_width(int nb) {
 }
 
 // Each row helper below carries a `if constexpr (B == 1)` width-1 fast
-// path that is the VERBATIM loop of the pre-unification scalar kernels:
+// path that is the VERBATIM loop of the original single-field kernels:
 // the generic member-loop body computes the same bits at w = 1, but its
 // memory-resident accumulators and runtime `active`/coefficient-array
 // indirections defeat GCC's reduction vectorizer, costing 1.2-2.5x on
-// the scalar hot paths. The fast path keeps accumulators and
+// the one-member hot paths. The fast path keeps accumulators and
 // coefficients in locals (registers) exactly as before; `active` is
 // resolved once per row (it cannot change mid-row).
 
@@ -526,6 +528,7 @@ inline void row_dot_shared_span(const double* MINIPOP_RESTRICT cr,
 // restrict-parameter row helpers above).
 // ---------------------------------------------------------------------
 
+namespace {
 namespace core {
 
 template <typename T, int B>
@@ -776,71 +779,8 @@ void axpy_promoted(int nb, int nx, int ny, const double* a, const float* x,
     row_axpy_promoted<B>(a, x + j * xs, y + j * ys, active, nx, nb);
 }
 
-// The four (T, B) core instantiations. B = 1 is the scalar code path
-// (bit-identical to the pre-unification kernels); B = 0 is the dynamic
-// batch width.
-#define MINIPOP_KERNELS_CORE_INSTANTIATE(T, B)                             \
-  template void apply9<T, B>(const Stencil9T<T>&, int, int, int, const T*, \
-                             std::ptrdiff_t, T*, std::ptrdiff_t);          \
-  template void residual9<T, B>(const Stencil9T<T>&, int, int, int,        \
-                                const T*, std::ptrdiff_t, const T*,        \
-                                std::ptrdiff_t, T*, std::ptrdiff_t);       \
-  template void residual_norm2_9<T, B>(                                    \
-      const Stencil9T<T>&, const unsigned char*, std::ptrdiff_t, int, int, \
-      int, const T*, std::ptrdiff_t, const T*, std::ptrdiff_t, T*,         \
-      std::ptrdiff_t, double*);                                            \
-  template void dot<T, B>(const unsigned char*, std::ptrdiff_t, int, int,  \
-                          int, const T*, std::ptrdiff_t, const T*,         \
-                          std::ptrdiff_t, double*);                        \
-  template void dot3<T, B>(const unsigned char*, std::ptrdiff_t, int, int, \
-                           int, const T*, std::ptrdiff_t, const T*,        \
-                           std::ptrdiff_t, const T*, std::ptrdiff_t, bool, \
-                           double*);                                       \
-  template void masked_sum<T, B>(const unsigned char*, std::ptrdiff_t,     \
-                                 int, int, int, const T*, std::ptrdiff_t,  \
-                                 double*);                                 \
-  template void dot_shared<T, B>(const unsigned char*, std::ptrdiff_t,     \
-                                 int, int, int, const double*,             \
-                                 std::ptrdiff_t, const T*, std::ptrdiff_t, \
-                                 double*);                                 \
-  template void lincomb<T, B>(int, int, int, const T*, const T*,           \
-                              std::ptrdiff_t, const T*, T*,                \
-                              std::ptrdiff_t, const unsigned char*);       \
-  template void axpy<T, B>(int, int, int, const T*, const T*,              \
-                           std::ptrdiff_t, T*, std::ptrdiff_t,             \
-                           const unsigned char*);                          \
-  template void lincomb_axpy<T, B>(int, int, int, const T*, const T*,      \
-                                   std::ptrdiff_t, const T*, T*,           \
-                                   std::ptrdiff_t, const T*, T*,           \
-                                   std::ptrdiff_t, const unsigned char*);  \
-  template void scale<T, B>(int, int, int, const T*, T*, std::ptrdiff_t,   \
-                            const unsigned char*);                         \
-  template void copy<T, B>(int, int, int, const T*, std::ptrdiff_t, T*,    \
-                           std::ptrdiff_t);                                \
-  template void fill<T, B>(int, int, int, T, T*, std::ptrdiff_t);          \
-  template void mask_zero<T, B>(const unsigned char*, std::ptrdiff_t, int, \
-                                int, int, T*, std::ptrdiff_t);             \
-  template void diag_apply<T, B>(const T*, std::ptrdiff_t, int, int, int,  \
-                                 const T*, std::ptrdiff_t, T*,             \
-                                 std::ptrdiff_t);                          \
-  template void masked_copy<T, B>(const unsigned char*, std::ptrdiff_t,    \
-                                  int, int, int, const T*, std::ptrdiff_t, \
-                                  T*, std::ptrdiff_t);
-
-MINIPOP_KERNELS_CORE_INSTANTIATE(double, 1)
-MINIPOP_KERNELS_CORE_INSTANTIATE(double, 0)
-MINIPOP_KERNELS_CORE_INSTANTIATE(float, 1)
-MINIPOP_KERNELS_CORE_INSTANTIATE(float, 0)
-#undef MINIPOP_KERNELS_CORE_INSTANTIATE
-
-template void axpy_promoted<1>(int, int, int, const double*, const float*,
-                               std::ptrdiff_t, double*, std::ptrdiff_t,
-                               const unsigned char*);
-template void axpy_promoted<0>(int, int, int, const double*, const float*,
-                               std::ptrdiff_t, double*, std::ptrdiff_t,
-                               const unsigned char*);
-
 }  // namespace core
+}  // namespace
 
 // ---------------------------------------------------------------------
 // Span core (file-local): block drivers over per-row ocean-span lists.
@@ -1132,139 +1072,25 @@ void masked_copy(const int* ro, const Span* sp, int nb, int nx, int ny,
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Scalar API: thin wrappers over the B = 1 core instantiations.
+// Entry points: nb == 1 runs the B = 1 instantiation (the collapsed
+// member loop), every other width the dynamic B = 0 one. The core
+// bodies ignore their nb argument at B = 1.
 // ---------------------------------------------------------------------
 
-template <typename T>
-void apply9(const Stencil9T<T>& c, int nx, int ny, const T* x,
-            std::ptrdiff_t xs, T* y, std::ptrdiff_t ys) {
-  core::apply9<T, 1>(c, 1, nx, ny, x, xs, y, ys);
-}
-
-template <typename T>
-void residual9(const Stencil9T<T>& c, int nx, int ny, const T* b,
-               std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
-               std::ptrdiff_t rs) {
-  core::residual9<T, 1>(c, 1, nx, ny, b, bs, x, xs, r, rs);
-}
-
-template <typename T>
-double residual_norm2_9(const Stencil9T<T>& c, const unsigned char* mask,
-                        std::ptrdiff_t ms, int nx, int ny, const T* b,
-                        std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
-                        T* r, std::ptrdiff_t rs, double sum0) {
-  double sum = sum0;
-  core::residual_norm2_9<T, 1>(c, mask, ms, 1, nx, ny, b, bs, x, xs, r, rs,
-                               &sum);
-  return sum;
-}
-
-template <typename T>
-double masked_dot(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                  int ny, const T* a, std::ptrdiff_t as, const T* b,
-                  std::ptrdiff_t bs, double sum0) {
-  double sum = sum0;
-  core::dot<T, 1>(mask, ms, 1, nx, ny, a, as, b, bs, &sum);
-  return sum;
-}
-
-template <typename T>
-void masked_dot3(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                 int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-                 std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
-                 bool with_norm, double out[3]) {
-  // At w = 1 the grouped core layout [rho][delta][norm] IS out[3].
-  core::dot3<T, 1>(mask, ms, 1, nx, ny, r, rs, rp, ps, z, zs, with_norm,
-                   out);
-}
-
-template <typename T>
-double masked_sum(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                  int ny, const T* a, std::ptrdiff_t as, double sum0) {
-  double sum = sum0;
-  core::masked_sum<T, 1>(mask, ms, 1, nx, ny, a, as, &sum);
-  return sum;
-}
-
-template <typename T>
-double dot_shared(const unsigned char* mask, std::ptrdiff_t ms, int nx,
-                  int ny, const double* c, std::ptrdiff_t cs, const T* a,
-                  std::ptrdiff_t as, double sum0) {
-  double sum = sum0;
-  core::dot_shared<T, 1>(mask, ms, 1, nx, ny, c, cs, a, as, &sum);
-  return sum;
-}
-
-template <typename T>
-void lincomb(int nx, int ny, T a, const T* x, std::ptrdiff_t xs, T b, T* y,
-             std::ptrdiff_t ys) {
-  const T av[1] = {a}, bv[1] = {b};
-  core::lincomb<T, 1>(1, nx, ny, av, x, xs, bv, y, ys, nullptr);
-}
-
-template <typename T>
-void axpy(int nx, int ny, T a, const T* x, std::ptrdiff_t xs, T* y,
-          std::ptrdiff_t ys) {
-  const T av[1] = {a};
-  core::axpy<T, 1>(1, nx, ny, av, x, xs, y, ys, nullptr);
-}
-
-template <typename T>
-void lincomb_axpy(int nx, int ny, T a, const T* x, std::ptrdiff_t xs, T b,
-                  T* y, std::ptrdiff_t ys, T c, T* z, std::ptrdiff_t zs) {
-  const T av[1] = {a}, bv[1] = {b}, cv[1] = {c};
-  core::lincomb_axpy<T, 1>(1, nx, ny, av, x, xs, bv, y, ys, cv, z, zs,
-                           nullptr);
-}
-
-template <typename T>
-void scale(int nx, int ny, T a, T* x, std::ptrdiff_t xs) {
-  const T av[1] = {a};
-  core::scale<T, 1>(1, nx, ny, av, x, xs, nullptr);
-}
-
-template <typename T>
-void copy(int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
-          std::ptrdiff_t ys) {
-  core::copy<T, 1>(1, nx, ny, x, xs, y, ys);
-}
-
-template <typename T>
-void fill(int nx, int ny, T v, T* x, std::ptrdiff_t xs) {
-  core::fill<T, 1>(1, nx, ny, v, x, xs);
-}
-
-template <typename T>
-void mask_zero(const unsigned char* mask, std::ptrdiff_t ms, int nx, int ny,
-               T* x, std::ptrdiff_t xs) {
-  core::mask_zero<T, 1>(mask, ms, 1, nx, ny, x, xs);
-}
-
-template <typename D, typename S>
-void convert(int nx, int ny, const S* x, std::ptrdiff_t xs, D* y,
-             std::ptrdiff_t ys) {
-  for (int j = 0; j < ny; ++j) row_convert(x + j * xs, y + j * ys, nx);
-}
-
-// ---------------------------------------------------------------------
-// Batched API: dynamic-width wrappers; nb == 1 runs the scalar (B = 1)
-// instantiation.
-// ---------------------------------------------------------------------
+#define MINIPOP_BY_WIDTH(kernel, nb, ...)                            \
+  ((nb) == 1 ? kernel<T, 1>(__VA_ARGS__) : kernel<T, 0>(__VA_ARGS__))
 
 template <typename T>
 void apply9_batch(const Stencil9T<T>& c, int nb, int nx, int ny, const T* x,
                   std::ptrdiff_t xs, T* y, std::ptrdiff_t ys) {
-  if (nb == 1) return core::apply9<T, 1>(c, 1, nx, ny, x, xs, y, ys);
-  core::apply9<T, 0>(c, nb, nx, ny, x, xs, y, ys);
+  MINIPOP_BY_WIDTH(core::apply9, nb, c, nb, nx, ny, x, xs, y, ys);
 }
 
 template <typename T>
 void residual9_batch(const Stencil9T<T>& c, int nb, int nx, int ny,
                      const T* b, std::ptrdiff_t bs, const T* x,
                      std::ptrdiff_t xs, T* r, std::ptrdiff_t rs) {
-  if (nb == 1)
-    return core::residual9<T, 1>(c, 1, nx, ny, b, bs, x, xs, r, rs);
-  core::residual9<T, 0>(c, nb, nx, ny, b, bs, x, xs, r, rs);
+  MINIPOP_BY_WIDTH(core::residual9, nb, c, nb, nx, ny, b, bs, x, xs, r, rs);
 }
 
 template <typename T>
@@ -1273,20 +1099,15 @@ void residual_norm2_9_batch(const Stencil9T<T>& c, const unsigned char* mask,
                             const T* b, std::ptrdiff_t bs, const T* x,
                             std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
                             double* sums) {
-  if (nb == 1)
-    return core::residual_norm2_9<T, 1>(c, mask, ms, 1, nx, ny, b, bs, x,
-                                        xs, r, rs, sums);
-  core::residual_norm2_9<T, 0>(c, mask, ms, nb, nx, ny, b, bs, x, xs, r,
-                               rs, sums);
+  MINIPOP_BY_WIDTH(core::residual_norm2_9, nb, c, mask, ms, nb, nx, ny, b,
+                   bs, x, xs, r, rs, sums);
 }
 
 template <typename T>
 void dot_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb, int nx,
                int ny, const T* a, std::ptrdiff_t as, const T* b,
                std::ptrdiff_t bs, double* sums) {
-  if (nb == 1)
-    return core::dot<T, 1>(mask, ms, 1, nx, ny, a, as, b, bs, sums);
-  core::dot<T, 0>(mask, ms, nb, nx, ny, a, as, b, bs, sums);
+  MINIPOP_BY_WIDTH(core::dot, nb, mask, ms, nb, nx, ny, a, as, b, bs, sums);
 }
 
 template <typename T>
@@ -1294,28 +1115,38 @@ void dot3_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
                 int nx, int ny, const T* r, std::ptrdiff_t rs, const T* rp,
                 std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
                 bool with_norm, double* out) {
-  if (nb == 1)
-    return core::dot3<T, 1>(mask, ms, 1, nx, ny, r, rs, rp, ps, z, zs,
-                            with_norm, out);
-  core::dot3<T, 0>(mask, ms, nb, nx, ny, r, rs, rp, ps, z, zs, with_norm,
-                   out);
+  MINIPOP_BY_WIDTH(core::dot3, nb, mask, ms, nb, nx, ny, r, rs, rp, ps, z,
+                   zs, with_norm, out);
 }
 
 template <typename T>
 void masked_sum_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
                       int nx, int ny, const T* a, std::ptrdiff_t as,
                       double* sums) {
-  if (nb == 1) return core::masked_sum<T, 1>(mask, ms, 1, nx, ny, a, as, sums);
-  core::masked_sum<T, 0>(mask, ms, nb, nx, ny, a, as, sums);
+  MINIPOP_BY_WIDTH(core::masked_sum, nb, mask, ms, nb, nx, ny, a, as, sums);
 }
 
 template <typename T>
 void dot_shared_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
                       int nx, int ny, const double* c, std::ptrdiff_t cs,
                       const T* a, std::ptrdiff_t as, double* sums) {
-  if (nb == 1)
-    return core::dot_shared<T, 1>(mask, ms, 1, nx, ny, c, cs, a, as, sums);
-  core::dot_shared<T, 0>(mask, ms, nb, nx, ny, c, cs, a, as, sums);
+  MINIPOP_BY_WIDTH(core::dot_shared, nb, mask, ms, nb, nx, ny, c, cs, a, as,
+                   sums);
+}
+
+template <typename T>
+void lincomb_batch(int nb, int nx, int ny, const T* a, const T* x,
+                   std::ptrdiff_t xs, const T* b, T* y, std::ptrdiff_t ys,
+                   const unsigned char* active) {
+  MINIPOP_BY_WIDTH(core::lincomb, nb, nb, nx, ny, a, x, xs, b, y, ys,
+                   active);
+}
+
+template <typename T>
+void axpy_batch(int nb, int nx, int ny, const T* a, const T* x,
+                std::ptrdiff_t xs, T* y, std::ptrdiff_t ys,
+                const unsigned char* active) {
+  MINIPOP_BY_WIDTH(core::axpy, nb, nb, nx, ny, a, x, xs, y, ys, active);
 }
 
 template <typename T>
@@ -1323,64 +1154,47 @@ void lincomb_axpy_batch(int nb, int nx, int ny, const T* a, const T* x,
                         std::ptrdiff_t xs, const T* b, T* y,
                         std::ptrdiff_t ys, const T* c, T* z,
                         std::ptrdiff_t zs, const unsigned char* active) {
-  if (nb == 1)
-    return core::lincomb_axpy<T, 1>(1, nx, ny, a, x, xs, b, y, ys, c, z,
-                                    zs, active);
-  core::lincomb_axpy<T, 0>(nb, nx, ny, a, x, xs, b, y, ys, c, z, zs,
-                           active);
-}
-
-template <typename T>
-void axpy_batch(int nb, int nx, int ny, const T* a, const T* x,
-                std::ptrdiff_t xs, T* y, std::ptrdiff_t ys,
-                const unsigned char* active) {
-  if (nb == 1)
-    return core::axpy<T, 1>(1, nx, ny, a, x, xs, y, ys, active);
-  core::axpy<T, 0>(nb, nx, ny, a, x, xs, y, ys, active);
+  MINIPOP_BY_WIDTH(core::lincomb_axpy, nb, nb, nx, ny, a, x, xs, b, y, ys,
+                   c, z, zs, active);
 }
 
 template <typename T>
 void scale_batch(int nb, int nx, int ny, const T* a, T* x,
                  std::ptrdiff_t xs, const unsigned char* active) {
-  if (nb == 1) return core::scale<T, 1>(1, nx, ny, a, x, xs, active);
-  core::scale<T, 0>(nb, nx, ny, a, x, xs, active);
+  MINIPOP_BY_WIDTH(core::scale, nb, nb, nx, ny, a, x, xs, active);
 }
 
 template <typename T>
 void copy_batch(int nb, int nx, int ny, const T* x, std::ptrdiff_t xs, T* y,
                 std::ptrdiff_t ys) {
-  core::copy<T, 0>(nb, nx, ny, x, xs, y, ys);
+  MINIPOP_BY_WIDTH(core::copy, nb, nb, nx, ny, x, xs, y, ys);
 }
 
 template <typename T>
 void fill_batch(int nb, int nx, int ny, T v, T* x, std::ptrdiff_t xs) {
-  core::fill<T, 0>(nb, nx, ny, v, x, xs);
+  MINIPOP_BY_WIDTH(core::fill, nb, nb, nx, ny, v, x, xs);
 }
 
 template <typename T>
 void mask_zero_batch(const unsigned char* mask, std::ptrdiff_t ms, int nb,
                      int nx, int ny, T* x, std::ptrdiff_t xs) {
-  if (nb == 1) return core::mask_zero<T, 1>(mask, ms, 1, nx, ny, x, xs);
-  core::mask_zero<T, 0>(mask, ms, nb, nx, ny, x, xs);
+  MINIPOP_BY_WIDTH(core::mask_zero, nb, mask, ms, nb, nx, ny, x, xs);
 }
 
 template <typename T>
 void diag_apply_batch(const T* inv, std::ptrdiff_t is, int nb, int nx,
                       int ny, const T* in, std::ptrdiff_t ins, T* out,
                       std::ptrdiff_t outs) {
-  if (nb == 1)
-    return core::diag_apply<T, 1>(inv, is, 1, nx, ny, in, ins, out, outs);
-  core::diag_apply<T, 0>(inv, is, nb, nx, ny, in, ins, out, outs);
+  MINIPOP_BY_WIDTH(core::diag_apply, nb, inv, is, nb, nx, ny, in, ins, out,
+                   outs);
 }
 
 template <typename T>
 void masked_copy_batch(const unsigned char* mask, std::ptrdiff_t ms,
                        int nb, int nx, int ny, const T* in,
                        std::ptrdiff_t ins, T* out, std::ptrdiff_t outs) {
-  if (nb == 1)
-    return core::masked_copy<T, 1>(mask, ms, 1, nx, ny, in, ins, out,
-                                   outs);
-  core::masked_copy<T, 0>(mask, ms, nb, nx, ny, in, ins, out, outs);
+  MINIPOP_BY_WIDTH(core::masked_copy, nb, mask, ms, nb, nx, ny, in, ins, out,
+                   outs);
 }
 
 void axpy_promoted_batch(int nb, int nx, int ny, const double* a,
@@ -1391,40 +1205,138 @@ void axpy_promoted_batch(int nb, int nx, int ny, const double* a,
   core::axpy_promoted<0>(nb, nx, ny, a, x, xs, y, ys, active);
 }
 
+template <typename D, typename S>
+void convert(int nx, int ny, const S* x, std::ptrdiff_t xs, D* y,
+             std::ptrdiff_t ys) {
+  for (int j = 0; j < ny; ++j) row_convert(x + j * xs, y + j * ys, nx);
+}
+
+template <typename T>
+void apply9_span_batch(const Stencil9T<T>& c, const int* row_offset,
+                       const Span* spans, int nb, int ny, const T* x,
+                       std::ptrdiff_t xs, T* y, std::ptrdiff_t ys) {
+  MINIPOP_BY_WIDTH(spancore::apply9, nb, c, row_offset, spans, nb, ny, x,
+                   xs, y, ys);
+}
+
+template <typename T>
+void residual9_span_batch(const Stencil9T<T>& c, const int* row_offset,
+                          const Span* spans, int nb, int ny, const T* b,
+                          std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
+                          T* r, std::ptrdiff_t rs) {
+  MINIPOP_BY_WIDTH(spancore::residual9, nb, c, row_offset, spans, nb, ny, b,
+                   bs, x, xs, r, rs);
+}
+
+template <typename T>
+void residual_norm2_9_span_batch(const Stencil9T<T>& c,
+                                 const int* row_offset, const Span* spans,
+                                 int nb, int ny, const T* b,
+                                 std::ptrdiff_t bs, const T* x,
+                                 std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
+                                 double* sums) {
+  MINIPOP_BY_WIDTH(spancore::residual_norm2_9, nb, c, row_offset, spans, nb,
+                   ny, b, bs, x, xs, r, rs, sums);
+}
+
+template <typename T>
+void dot_span_batch(const int* row_offset, const Span* spans, int nb,
+                    int ny, const T* a, std::ptrdiff_t as, const T* b,
+                    std::ptrdiff_t bs, double* sums) {
+  MINIPOP_BY_WIDTH(spancore::dot, nb, row_offset, spans, nb, ny, a, as, b,
+                   bs, sums);
+}
+
+template <typename T>
+void dot3_span_batch(const int* row_offset, const Span* spans, int nb,
+                     int ny, const T* r, std::ptrdiff_t rs, const T* rp,
+                     std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
+                     bool with_norm, double* out) {
+  MINIPOP_BY_WIDTH(spancore::dot3, nb, row_offset, spans, nb, ny, r, rs, rp,
+                   ps, z, zs, with_norm, out);
+}
+
+template <typename T>
+void sum_span_batch(const int* row_offset, const Span* spans, int nb,
+                    int ny, const T* a, std::ptrdiff_t as, double* sums) {
+  MINIPOP_BY_WIDTH(spancore::sum, nb, row_offset, spans, nb, ny, a, as,
+                   sums);
+}
+
+template <typename T>
+void dot_shared_span_batch(const int* row_offset, const Span* spans,
+                           int nb, int ny, const double* c,
+                           std::ptrdiff_t cs, const T* a, std::ptrdiff_t as,
+                           double* sums) {
+  MINIPOP_BY_WIDTH(spancore::dot_shared, nb, row_offset, spans, nb, ny, c,
+                   cs, a, as, sums);
+}
+
+template <typename T>
+void lincomb_span_batch(const int* row_offset, const Span* spans, int nb,
+                        int ny, const T* a, const T* x, std::ptrdiff_t xs,
+                        const T* b, T* y, std::ptrdiff_t ys,
+                        const unsigned char* active) {
+  MINIPOP_BY_WIDTH(spancore::lincomb, nb, row_offset, spans, nb, ny, a, x,
+                   xs, b, y, ys, active);
+}
+
+template <typename T>
+void axpy_span_batch(const int* row_offset, const Span* spans, int nb,
+                     int ny, const T* a, const T* x, std::ptrdiff_t xs,
+                     T* y, std::ptrdiff_t ys, const unsigned char* active) {
+  MINIPOP_BY_WIDTH(spancore::axpy, nb, row_offset, spans, nb, ny, a, x, xs,
+                   y, ys, active);
+}
+
+template <typename T>
+void lincomb_axpy_span_batch(const int* row_offset, const Span* spans,
+                             int nb, int ny, const T* a, const T* x,
+                             std::ptrdiff_t xs, const T* b, T* y,
+                             std::ptrdiff_t ys, const T* c, T* z,
+                             std::ptrdiff_t zs,
+                             const unsigned char* active) {
+  MINIPOP_BY_WIDTH(spancore::lincomb_axpy, nb, row_offset, spans, nb, ny, a,
+                   x, xs, b, y, ys, c, z, zs, active);
+}
+
+template <typename T>
+void scale_span_batch(const int* row_offset, const Span* spans, int nb,
+                      int ny, const T* a, T* x, std::ptrdiff_t xs,
+                      const unsigned char* active) {
+  MINIPOP_BY_WIDTH(spancore::scale, nb, row_offset, spans, nb, ny, a, x, xs,
+                   active);
+}
+
+template <typename T>
+void mask_zero_span_batch(const int* row_offset, const Span* spans, int nb,
+                          int nx, int ny, T* x, std::ptrdiff_t xs) {
+  MINIPOP_BY_WIDTH(spancore::mask_zero, nb, row_offset, spans, nb, nx, ny,
+                   x, xs);
+}
+
+template <typename T>
+void diag_apply_span_batch(const T* inv, std::ptrdiff_t is,
+                           const int* row_offset, const Span* spans,
+                           int nb, int nx, int ny, const T* in,
+                           std::ptrdiff_t ins, T* out,
+                           std::ptrdiff_t outs) {
+  MINIPOP_BY_WIDTH(spancore::diag_apply, nb, inv, is, row_offset, spans, nb,
+                   nx, ny, in, ins, out, outs);
+}
+
+template <typename T>
+void masked_copy_span_batch(const int* row_offset, const Span* spans,
+                            int nb, int nx, int ny, const T* in,
+                            std::ptrdiff_t ins, T* out,
+                            std::ptrdiff_t outs) {
+  MINIPOP_BY_WIDTH(spancore::masked_copy, nb, row_offset, spans, nb, nx, ny,
+                   in, ins, out, outs);
+}
+
+#undef MINIPOP_BY_WIDTH
+
 #define MINIPOP_KERNELS_INSTANTIATE(T)                                     \
-  template void apply9<T>(const Stencil9T<T>&, int, int, const T*,         \
-                          std::ptrdiff_t, T*, std::ptrdiff_t);             \
-  template void residual9<T>(const Stencil9T<T>&, int, int, const T*,      \
-                             std::ptrdiff_t, const T*, std::ptrdiff_t, T*, \
-                             std::ptrdiff_t);                              \
-  template double residual_norm2_9<T>(                                     \
-      const Stencil9T<T>&, const unsigned char*, std::ptrdiff_t, int, int, \
-      const T*, std::ptrdiff_t, const T*, std::ptrdiff_t, T*,              \
-      std::ptrdiff_t, double);                                             \
-  template double masked_dot<T>(const unsigned char*, std::ptrdiff_t, int, \
-                                int, const T*, std::ptrdiff_t, const T*,   \
-                                std::ptrdiff_t, double);                   \
-  template void masked_dot3<T>(const unsigned char*, std::ptrdiff_t, int,  \
-                               int, const T*, std::ptrdiff_t, const T*,    \
-                               std::ptrdiff_t, const T*, std::ptrdiff_t,   \
-                               bool, double[3]);                           \
-  template double masked_sum<T>(const unsigned char*, std::ptrdiff_t, int, \
-                                int, const T*, std::ptrdiff_t, double);    \
-  template double dot_shared<T>(const unsigned char*, std::ptrdiff_t, int, \
-                                int, const double*, std::ptrdiff_t,        \
-                                const T*, std::ptrdiff_t, double);         \
-  template void lincomb<T>(int, int, T, const T*, std::ptrdiff_t, T, T*,   \
-                           std::ptrdiff_t);                                \
-  template void axpy<T>(int, int, T, const T*, std::ptrdiff_t, T*,         \
-                        std::ptrdiff_t);                                   \
-  template void lincomb_axpy<T>(int, int, T, const T*, std::ptrdiff_t, T,  \
-                                T*, std::ptrdiff_t, T, T*, std::ptrdiff_t);\
-  template void scale<T>(int, int, T, T*, std::ptrdiff_t);                 \
-  template void copy<T>(int, int, const T*, std::ptrdiff_t, T*,            \
-                        std::ptrdiff_t);                                   \
-  template void fill<T>(int, int, T, T*, std::ptrdiff_t);                  \
-  template void mask_zero<T>(const unsigned char*, std::ptrdiff_t, int,    \
-                             int, T*, std::ptrdiff_t);                     \
   template void apply9_batch<T>(const Stencil9T<T>&, int, int, int,        \
                                 const T*, std::ptrdiff_t, T*,              \
                                 std::ptrdiff_t);                           \
@@ -1449,14 +1361,17 @@ void axpy_promoted_batch(int nb, int nx, int ny, const double* a,
                                     int, int, int, const double*,          \
                                     std::ptrdiff_t, const T*,              \
                                     std::ptrdiff_t, double*);              \
+  template void lincomb_batch<T>(int, int, int, const T*, const T*,        \
+                                 std::ptrdiff_t, const T*, T*,             \
+                                 std::ptrdiff_t, const unsigned char*);    \
+  template void axpy_batch<T>(int, int, int, const T*, const T*,           \
+                              std::ptrdiff_t, T*, std::ptrdiff_t,          \
+                              const unsigned char*);                       \
   template void lincomb_axpy_batch<T>(int, int, int, const T*, const T*,   \
                                       std::ptrdiff_t, const T*, T*,        \
                                       std::ptrdiff_t, const T*, T*,        \
                                       std::ptrdiff_t,                      \
                                       const unsigned char*);               \
-  template void axpy_batch<T>(int, int, int, const T*, const T*,           \
-                              std::ptrdiff_t, T*, std::ptrdiff_t,          \
-                              const unsigned char*);                       \
   template void scale_batch<T>(int, int, int, const T*, T*,                \
                                std::ptrdiff_t, const unsigned char*);      \
   template void copy_batch<T>(int, int, int, const T*, std::ptrdiff_t,     \
@@ -1469,337 +1384,7 @@ void axpy_promoted_batch(int nb, int nx, int ny, const double* a,
                                     std::ptrdiff_t);                       \
   template void masked_copy_batch<T>(const unsigned char*, std::ptrdiff_t, \
                                      int, int, int, const T*,              \
-                                     std::ptrdiff_t, T*, std::ptrdiff_t);
-
-MINIPOP_KERNELS_INSTANTIATE(double)
-MINIPOP_KERNELS_INSTANTIATE(float)
-#undef MINIPOP_KERNELS_INSTANTIATE
-
-template void convert<float, double>(int, int, const double*,
-                                     std::ptrdiff_t, float*, std::ptrdiff_t);
-template void convert<double, float>(int, int, const float*, std::ptrdiff_t,
-                                     double*, std::ptrdiff_t);
-
-// ---------------------------------------------------------------------
-// Span API: scalar wrappers over the B = 1 span core, batched wrappers
-// dispatching nb == 1 to the scalar code path like the *_batch kernels.
-// ---------------------------------------------------------------------
-
-template <typename T>
-void apply9_span(const Stencil9T<T>& c, const int* row_offset,
-                 const Span* spans, int ny, const T* x, std::ptrdiff_t xs,
-                 T* y, std::ptrdiff_t ys) {
-  spancore::apply9<T, 1>(c, row_offset, spans, 1, ny, x, xs, y, ys);
-}
-
-template <typename T>
-void residual9_span(const Stencil9T<T>& c, const int* row_offset,
-                    const Span* spans, int ny, const T* b,
-                    std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs, T* r,
-                    std::ptrdiff_t rs) {
-  spancore::residual9<T, 1>(c, row_offset, spans, 1, ny, b, bs, x, xs, r,
-                            rs);
-}
-
-template <typename T>
-double residual_norm2_9_span(const Stencil9T<T>& c, const int* row_offset,
-                             const Span* spans, int ny, const T* b,
-                             std::ptrdiff_t bs, const T* x,
-                             std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
-                             double sum0) {
-  double sum = sum0;
-  spancore::residual_norm2_9<T, 1>(c, row_offset, spans, 1, ny, b, bs, x,
-                                   xs, r, rs, &sum);
-  return sum;
-}
-
-template <typename T>
-double dot_span(const int* row_offset, const Span* spans, int ny,
-                const T* a, std::ptrdiff_t as, const T* b,
-                std::ptrdiff_t bs, double sum0) {
-  double sum = sum0;
-  spancore::dot<T, 1>(row_offset, spans, 1, ny, a, as, b, bs, &sum);
-  return sum;
-}
-
-template <typename T>
-void dot3_span(const int* row_offset, const Span* spans, int ny, const T* r,
-               std::ptrdiff_t rs, const T* rp, std::ptrdiff_t ps,
-               const T* z, std::ptrdiff_t zs, bool with_norm,
-               double out[3]) {
-  spancore::dot3<T, 1>(row_offset, spans, 1, ny, r, rs, rp, ps, z, zs,
-                       with_norm, out);
-}
-
-template <typename T>
-double sum_span(const int* row_offset, const Span* spans, int ny,
-                const T* a, std::ptrdiff_t as, double sum0) {
-  double sum = sum0;
-  spancore::sum<T, 1>(row_offset, spans, 1, ny, a, as, &sum);
-  return sum;
-}
-
-template <typename T>
-double dot_shared_span(const int* row_offset, const Span* spans, int ny,
-                       const double* c, std::ptrdiff_t cs, const T* a,
-                       std::ptrdiff_t as, double sum0) {
-  double sum = sum0;
-  spancore::dot_shared<T, 1>(row_offset, spans, 1, ny, c, cs, a, as, &sum);
-  return sum;
-}
-
-template <typename T>
-void lincomb_span(const int* row_offset, const Span* spans, int ny, T a,
-                  const T* x, std::ptrdiff_t xs, T b, T* y,
-                  std::ptrdiff_t ys) {
-  const T av[1] = {a}, bv[1] = {b};
-  spancore::lincomb<T, 1>(row_offset, spans, 1, ny, av, x, xs, bv, y, ys,
-                          nullptr);
-}
-
-template <typename T>
-void axpy_span(const int* row_offset, const Span* spans, int ny, T a,
-               const T* x, std::ptrdiff_t xs, T* y, std::ptrdiff_t ys) {
-  const T av[1] = {a};
-  spancore::axpy<T, 1>(row_offset, spans, 1, ny, av, x, xs, y, ys, nullptr);
-}
-
-template <typename T>
-void lincomb_axpy_span(const int* row_offset, const Span* spans, int ny,
-                       T a, const T* x, std::ptrdiff_t xs, T b, T* y,
-                       std::ptrdiff_t ys, T c, T* z, std::ptrdiff_t zs) {
-  const T av[1] = {a}, bv[1] = {b}, cv[1] = {c};
-  spancore::lincomb_axpy<T, 1>(row_offset, spans, 1, ny, av, x, xs, bv, y,
-                               ys, cv, z, zs, nullptr);
-}
-
-template <typename T>
-void scale_span(const int* row_offset, const Span* spans, int ny, T a,
-                T* x, std::ptrdiff_t xs) {
-  const T av[1] = {a};
-  spancore::scale<T, 1>(row_offset, spans, 1, ny, av, x, xs, nullptr);
-}
-
-template <typename T>
-void mask_zero_span(const int* row_offset, const Span* spans, int nx,
-                    int ny, T* x, std::ptrdiff_t xs) {
-  spancore::mask_zero<T, 1>(row_offset, spans, 1, nx, ny, x, xs);
-}
-
-template <typename T>
-void diag_apply_span(const T* inv, std::ptrdiff_t is, const int* row_offset,
-                     const Span* spans, int nx, int ny, const T* in,
-                     std::ptrdiff_t ins, T* out, std::ptrdiff_t outs) {
-  spancore::diag_apply<T, 1>(inv, is, row_offset, spans, 1, nx, ny, in,
-                             ins, out, outs);
-}
-
-template <typename T>
-void masked_copy_span(const int* row_offset, const Span* spans, int nx,
-                      int ny, const T* in, std::ptrdiff_t ins, T* out,
-                      std::ptrdiff_t outs) {
-  spancore::masked_copy<T, 1>(row_offset, spans, 1, nx, ny, in, ins, out,
-                              outs);
-}
-
-template <typename T>
-void apply9_span_batch(const Stencil9T<T>& c, const int* row_offset,
-                       const Span* spans, int nb, int ny, const T* x,
-                       std::ptrdiff_t xs, T* y, std::ptrdiff_t ys) {
-  if (nb == 1)
-    return spancore::apply9<T, 1>(c, row_offset, spans, 1, ny, x, xs, y,
-                                  ys);
-  spancore::apply9<T, 0>(c, row_offset, spans, nb, ny, x, xs, y, ys);
-}
-
-template <typename T>
-void residual9_span_batch(const Stencil9T<T>& c, const int* row_offset,
-                          const Span* spans, int nb, int ny, const T* b,
-                          std::ptrdiff_t bs, const T* x, std::ptrdiff_t xs,
-                          T* r, std::ptrdiff_t rs) {
-  if (nb == 1)
-    return spancore::residual9<T, 1>(c, row_offset, spans, 1, ny, b, bs, x,
-                                     xs, r, rs);
-  spancore::residual9<T, 0>(c, row_offset, spans, nb, ny, b, bs, x, xs, r,
-                            rs);
-}
-
-template <typename T>
-void residual_norm2_9_span_batch(const Stencil9T<T>& c,
-                                 const int* row_offset, const Span* spans,
-                                 int nb, int ny, const T* b,
-                                 std::ptrdiff_t bs, const T* x,
-                                 std::ptrdiff_t xs, T* r, std::ptrdiff_t rs,
-                                 double* sums) {
-  if (nb == 1)
-    return spancore::residual_norm2_9<T, 1>(c, row_offset, spans, 1, ny, b,
-                                            bs, x, xs, r, rs, sums);
-  spancore::residual_norm2_9<T, 0>(c, row_offset, spans, nb, ny, b, bs, x,
-                                   xs, r, rs, sums);
-}
-
-template <typename T>
-void dot_span_batch(const int* row_offset, const Span* spans, int nb,
-                    int ny, const T* a, std::ptrdiff_t as, const T* b,
-                    std::ptrdiff_t bs, double* sums) {
-  if (nb == 1)
-    return spancore::dot<T, 1>(row_offset, spans, 1, ny, a, as, b, bs,
-                               sums);
-  spancore::dot<T, 0>(row_offset, spans, nb, ny, a, as, b, bs, sums);
-}
-
-template <typename T>
-void dot3_span_batch(const int* row_offset, const Span* spans, int nb,
-                     int ny, const T* r, std::ptrdiff_t rs, const T* rp,
-                     std::ptrdiff_t ps, const T* z, std::ptrdiff_t zs,
-                     bool with_norm, double* out) {
-  if (nb == 1)
-    return spancore::dot3<T, 1>(row_offset, spans, 1, ny, r, rs, rp, ps, z,
-                                zs, with_norm, out);
-  spancore::dot3<T, 0>(row_offset, spans, nb, ny, r, rs, rp, ps, z, zs,
-                       with_norm, out);
-}
-
-template <typename T>
-void sum_span_batch(const int* row_offset, const Span* spans, int nb,
-                    int ny, const T* a, std::ptrdiff_t as, double* sums) {
-  if (nb == 1)
-    return spancore::sum<T, 1>(row_offset, spans, 1, ny, a, as, sums);
-  spancore::sum<T, 0>(row_offset, spans, nb, ny, a, as, sums);
-}
-
-template <typename T>
-void dot_shared_span_batch(const int* row_offset, const Span* spans,
-                           int nb, int ny, const double* c,
-                           std::ptrdiff_t cs, const T* a, std::ptrdiff_t as,
-                           double* sums) {
-  if (nb == 1)
-    return spancore::dot_shared<T, 1>(row_offset, spans, 1, ny, c, cs, a,
-                                      as, sums);
-  spancore::dot_shared<T, 0>(row_offset, spans, nb, ny, c, cs, a, as,
-                             sums);
-}
-
-template <typename T>
-void lincomb_span_batch(const int* row_offset, const Span* spans, int nb,
-                        int ny, const T* a, const T* x, std::ptrdiff_t xs,
-                        const T* b, T* y, std::ptrdiff_t ys,
-                        const unsigned char* active) {
-  if (nb == 1)
-    return spancore::lincomb<T, 1>(row_offset, spans, 1, ny, a, x, xs, b,
-                                   y, ys, active);
-  spancore::lincomb<T, 0>(row_offset, spans, nb, ny, a, x, xs, b, y, ys,
-                          active);
-}
-
-template <typename T>
-void axpy_span_batch(const int* row_offset, const Span* spans, int nb,
-                     int ny, const T* a, const T* x, std::ptrdiff_t xs,
-                     T* y, std::ptrdiff_t ys, const unsigned char* active) {
-  if (nb == 1)
-    return spancore::axpy<T, 1>(row_offset, spans, 1, ny, a, x, xs, y, ys,
-                                active);
-  spancore::axpy<T, 0>(row_offset, spans, nb, ny, a, x, xs, y, ys, active);
-}
-
-template <typename T>
-void lincomb_axpy_span_batch(const int* row_offset, const Span* spans,
-                             int nb, int ny, const T* a, const T* x,
-                             std::ptrdiff_t xs, const T* b, T* y,
-                             std::ptrdiff_t ys, const T* c, T* z,
-                             std::ptrdiff_t zs,
-                             const unsigned char* active) {
-  if (nb == 1)
-    return spancore::lincomb_axpy<T, 1>(row_offset, spans, 1, ny, a, x, xs,
-                                        b, y, ys, c, z, zs, active);
-  spancore::lincomb_axpy<T, 0>(row_offset, spans, nb, ny, a, x, xs, b, y,
-                               ys, c, z, zs, active);
-}
-
-template <typename T>
-void scale_span_batch(const int* row_offset, const Span* spans, int nb,
-                      int ny, const T* a, T* x, std::ptrdiff_t xs,
-                      const unsigned char* active) {
-  if (nb == 1)
-    return spancore::scale<T, 1>(row_offset, spans, 1, ny, a, x, xs,
-                                 active);
-  spancore::scale<T, 0>(row_offset, spans, nb, ny, a, x, xs, active);
-}
-
-template <typename T>
-void mask_zero_span_batch(const int* row_offset, const Span* spans, int nb,
-                          int nx, int ny, T* x, std::ptrdiff_t xs) {
-  if (nb == 1)
-    return spancore::mask_zero<T, 1>(row_offset, spans, 1, nx, ny, x, xs);
-  spancore::mask_zero<T, 0>(row_offset, spans, nb, nx, ny, x, xs);
-}
-
-template <typename T>
-void diag_apply_span_batch(const T* inv, std::ptrdiff_t is,
-                           const int* row_offset, const Span* spans,
-                           int nb, int nx, int ny, const T* in,
-                           std::ptrdiff_t ins, T* out,
-                           std::ptrdiff_t outs) {
-  if (nb == 1)
-    return spancore::diag_apply<T, 1>(inv, is, row_offset, spans, 1, nx,
-                                      ny, in, ins, out, outs);
-  spancore::diag_apply<T, 0>(inv, is, row_offset, spans, nb, nx, ny, in,
-                             ins, out, outs);
-}
-
-template <typename T>
-void masked_copy_span_batch(const int* row_offset, const Span* spans,
-                            int nb, int nx, int ny, const T* in,
-                            std::ptrdiff_t ins, T* out,
-                            std::ptrdiff_t outs) {
-  if (nb == 1)
-    return spancore::masked_copy<T, 1>(row_offset, spans, 1, nx, ny, in,
-                                       ins, out, outs);
-  spancore::masked_copy<T, 0>(row_offset, spans, nb, nx, ny, in, ins, out,
-                              outs);
-}
-
-#define MINIPOP_KERNELS_SPAN_INSTANTIATE(T)                                \
-  template void apply9_span<T>(const Stencil9T<T>&, const int*,            \
-                               const Span*, int, const T*, std::ptrdiff_t, \
-                               T*, std::ptrdiff_t);                        \
-  template void residual9_span<T>(const Stencil9T<T>&, const int*,         \
-                                  const Span*, int, const T*,              \
-                                  std::ptrdiff_t, const T*,                \
-                                  std::ptrdiff_t, T*, std::ptrdiff_t);     \
-  template double residual_norm2_9_span<T>(                                \
-      const Stencil9T<T>&, const int*, const Span*, int, const T*,         \
-      std::ptrdiff_t, const T*, std::ptrdiff_t, T*, std::ptrdiff_t,        \
-      double);                                                             \
-  template double dot_span<T>(const int*, const Span*, int, const T*,      \
-                              std::ptrdiff_t, const T*, std::ptrdiff_t,    \
-                              double);                                     \
-  template void dot3_span<T>(const int*, const Span*, int, const T*,       \
-                             std::ptrdiff_t, const T*, std::ptrdiff_t,     \
-                             const T*, std::ptrdiff_t, bool, double[3]);   \
-  template double sum_span<T>(const int*, const Span*, int, const T*,      \
-                              std::ptrdiff_t, double);                     \
-  template double dot_shared_span<T>(const int*, const Span*, int,         \
-                                     const double*, std::ptrdiff_t,        \
-                                     const T*, std::ptrdiff_t, double);    \
-  template void lincomb_span<T>(const int*, const Span*, int, T, const T*, \
-                                std::ptrdiff_t, T, T*, std::ptrdiff_t);    \
-  template void axpy_span<T>(const int*, const Span*, int, T, const T*,    \
-                             std::ptrdiff_t, T*, std::ptrdiff_t);          \
-  template void lincomb_axpy_span<T>(const int*, const Span*, int, T,      \
-                                     const T*, std::ptrdiff_t, T, T*,      \
-                                     std::ptrdiff_t, T, T*,                \
-                                     std::ptrdiff_t);                      \
-  template void scale_span<T>(const int*, const Span*, int, T, T*,         \
-                              std::ptrdiff_t);                             \
-  template void mask_zero_span<T>(const int*, const Span*, int, int, T*,   \
-                                  std::ptrdiff_t);                         \
-  template void diag_apply_span<T>(const T*, std::ptrdiff_t, const int*,   \
-                                   const Span*, int, int, const T*,        \
-                                   std::ptrdiff_t, T*, std::ptrdiff_t);    \
-  template void masked_copy_span<T>(const int*, const Span*, int, int,     \
-                                    const T*, std::ptrdiff_t, T*,          \
-                                    std::ptrdiff_t);                       \
+                                     std::ptrdiff_t, T*, std::ptrdiff_t);  \
   template void apply9_span_batch<T>(const Stencil9T<T>&, const int*,      \
                                      const Span*, int, int, const T*,      \
                                      std::ptrdiff_t, T*, std::ptrdiff_t);  \
@@ -1847,8 +1432,13 @@ void masked_copy_span_batch(const int* row_offset, const Span* spans,
                                           std::ptrdiff_t, T*,              \
                                           std::ptrdiff_t);
 
-MINIPOP_KERNELS_SPAN_INSTANTIATE(double)
-MINIPOP_KERNELS_SPAN_INSTANTIATE(float)
-#undef MINIPOP_KERNELS_SPAN_INSTANTIATE
+MINIPOP_KERNELS_INSTANTIATE(double)
+MINIPOP_KERNELS_INSTANTIATE(float)
+#undef MINIPOP_KERNELS_INSTANTIATE
+
+template void convert<float, double>(int, int, const double*,
+                                     std::ptrdiff_t, float*, std::ptrdiff_t);
+template void convert<double, float>(int, int, const float*, std::ptrdiff_t,
+                                     double*, std::ptrdiff_t);
 
 }  // namespace minipop::solver::kernels

@@ -54,29 +54,40 @@ LanczosResult estimate_eigenvalue_bounds(comm::Communicator& comm,
   comm::DistField w(decomp, rank, comm::DistField::kDefaultHalo);
   comm::DistField zw(decomp, rank, comm::DistField::kDefaultHalo);
 
+  // One-member FieldSet views of the scalar fields drive every sweep;
+  // dot() is the global M-inner product of two of them.
+  const SpanPlan& plan = a.span_plan();
+  auto dot = [&](const comm::DistField& u, const comm::DistField& v) {
+    double s = 0.0;
+    a.local_dot_batch(comm, u, v, &s);
+    return comm.allreduce_sum(s);
+  };
+
   fill_random_masked(a, w, options.seed);
   m.apply(comm, w, zw);
-  double beta = std::sqrt(comm.allreduce_sum(a.local_dot(comm, w, zw)));
+  double beta = std::sqrt(dot(w, zw));
   MINIPOP_REQUIRE(beta > 0.0, "Lanczos start vector has zero M-norm "
                               "(empty ocean?)");
-  copy_interior(w, q);
-  scale(comm, 1.0 / beta, q, a.span_plan());
-  copy_interior(zw, zq);
-  scale(comm, 1.0 / beta, zq, a.span_plan());
+  const double inv_beta = 1.0 / beta;
+  copy_interior<double>(w, q);
+  scale(comm, plan, &inv_beta, q);
+  copy_interior<double>(zw, zq);
+  scale(comm, plan, &inv_beta, zq);
   fill_interior(q_prev, 0.0);
   double beta_prev = 0.0;
 
   double last_min = 0.0, last_max = 0.0;
   for (int step = 1; step <= options.max_steps; ++step) {
     // w = A zq - beta_prev * q_prev.
-    a.apply(comm, halo, zq, w);
-    if (beta_prev != 0.0) axpy(comm, -beta_prev, q_prev, w, a.span_plan());
+    a.apply_batch(comm, halo, zq, w);
+    const double neg_beta_prev = -beta_prev;
+    if (beta_prev != 0.0) axpy(comm, plan, &neg_beta_prev, q_prev, w);
 
-    const double alpha = comm.allreduce_sum(a.local_dot(comm, zq, w));
-    axpy(comm, -alpha, q, w, a.span_plan());
+    const double alpha = dot(zq, w), neg_alpha = -alpha;
+    axpy(comm, plan, &neg_alpha, q, w);
 
     m.apply(comm, w, zw);
-    double beta2 = comm.allreduce_sum(a.local_dot(comm, w, zw));
+    double beta2 = dot(w, zw);
     MINIPOP_REQUIRE(beta2 > -1e-6 * std::abs(alpha),
                     "Lanczos found w^T M^-1 w = "
                         << beta2
@@ -112,11 +123,12 @@ LanczosResult estimate_eigenvalue_bounds(comm::Communicator& comm,
     if (step == options.max_steps) break;
 
     result.tridiagonal.e.push_back(beta_new);
-    copy_interior(q, q_prev);
-    copy_interior(w, q);
-    scale(comm, 1.0 / beta_new, q, a.span_plan());
-    copy_interior(zw, zq);
-    scale(comm, 1.0 / beta_new, zq, a.span_plan());
+    const double inv_beta_new = 1.0 / beta_new;
+    copy_interior<double>(q, q_prev);
+    copy_interior<double>(w, q);
+    scale(comm, plan, &inv_beta_new, q);
+    copy_interior<double>(zw, zq);
+    scale(comm, plan, &inv_beta_new, zq);
     beta_prev = beta_new;
   }
 

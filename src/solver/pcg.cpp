@@ -20,7 +20,11 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
   comm::DistField p(a.decomposition(), a.rank(), x.halo());
   comm::DistField q(a.decomposition(), a.rank(), x.halo());
 
-  const double b_norm2 = a.global_dot(comm, b, b);
+  // One-member FieldSet views of the scalar fields drive every sweep.
+  const SpanPlan& plan = a.span_plan();
+  double b_norm2 = 0.0;
+  a.local_dot_batch(comm, b, b, &b_norm2);
+  b_norm2 = comm.allreduce_sum(b_norm2);
   if (b_norm2 == 0.0) {
     fill_interior(x, 0.0);
     stats.converged = true;
@@ -30,7 +34,7 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
   const double threshold2 =
       opt_.rel_tolerance * opt_.rel_tolerance * b_norm2;
 
-  a.residual(comm, halo, b, x, r, x_fresh);
+  a.residual_batch(comm, halo, b, x, r, x_fresh);
 
   double rho_old = 1.0;
   fill_interior(p, 0.0);
@@ -42,8 +46,9 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
 
     // Reduction 1: rho = r.z, fused with the periodic convergence check.
     const bool check = (k % opt_.check_frequency == 0);
-    double local[2] = {a.local_dot(comm, r, z),
-                       check ? a.local_dot(comm, r, r) : 0.0};
+    double local[2] = {0.0, 0.0};
+    a.local_dot_batch(comm, r, z, &local[0]);
+    if (check) a.local_dot_batch(comm, r, r, &local[1]);
     comm.allreduce(std::span<double>(local, check ? 2 : 1),
                    comm::ReduceOp::kSum);
     const double rho = local[0];
@@ -59,13 +64,15 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
       if (stats.failure != FailureKind::kNone) break;
     }
 
-    const double beta = rho / rho_old;
-    lincomb(comm, 1.0, z, beta, p);  // p = z + beta p
+    const double one = 1.0, beta = rho / rho_old;
+    lincomb(comm, plan, &one, z, &beta, p);  // p = z + beta p
 
-    a.apply(comm, halo, p, q);
+    a.apply_batch(comm, halo, p, q);
 
     // Reduction 2: sigma = p.q.
-    const double sigma = comm.allreduce_sum(a.local_dot(comm, p, q));
+    double sigma = 0.0;
+    a.local_dot_batch(comm, p, q, &sigma);
+    sigma = comm.allreduce_sum(sigma);
     if (!ConvergenceGuard::finite(rho) || !ConvergenceGuard::finite(sigma)) {
       stats.failure = FailureKind::kNanDetected;
       break;
@@ -74,17 +81,19 @@ SolveStats PcgSolver::solve(comm::Communicator& comm,
       stats.failure = FailureKind::kBreakdown;
       break;
     }
-    const double alpha = rho / sigma;
-    axpy(comm, alpha, p, x, a.span_plan());
-    axpy(comm, -alpha, q, r, a.span_plan());
+    const double alpha = rho / sigma, neg_alpha = -alpha;
+    axpy(comm, plan, &alpha, p, x);
+    axpy(comm, plan, &neg_alpha, q, r);
     rho_old = rho;
   }
 
   if (!stats.converged) {
     if (stats.failure == FailureKind::kNone)
       stats.failure = FailureKind::kMaxIters;
+    double r_norm2 = 0.0;
+    a.local_dot_batch(comm, r, r, &r_norm2);
     stats.relative_residual =
-        std::sqrt(a.global_dot(comm, r, r) / b_norm2);
+        std::sqrt(comm.allreduce_sum(r_norm2) / b_norm2);
   }
   stats.costs = comm.costs().since(snapshot);
   return stats;

@@ -29,7 +29,11 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
   comm::DistField z(d, rank, h), q(d, rank, h), s(d, rank, h),
       p(d, rank, h);
 
-  const double b_norm2 = a.global_dot(comm, b, b);
+  // One-member FieldSet views of the scalar fields drive every sweep.
+  const SpanPlan& plan = a.span_plan();
+  double b_norm2 = 0.0;
+  a.local_dot_batch(comm, b, b, &b_norm2);
+  b_norm2 = comm.allreduce_sum(b_norm2);
   if (b_norm2 == 0.0) {
     fill_interior(x, 0.0);
     stats.converged = true;
@@ -40,13 +44,14 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
       opt_.rel_tolerance * opt_.rel_tolerance * b_norm2;
 
   if (opt_.overlap) {
-    a.residual_overlapped(comm, halo, b, x, r, x_fresh);  // r0 = b - A x0
-    m.apply(comm, r, u);                                  // u0 = M^-1 r0
-    a.apply_overlapped(comm, halo, u, w);                 // w0 = A u0
+    a.residual_overlapped_batch(comm, halo, b, x, r,
+                                x_fresh);            // r0 = b - A x0
+    m.apply(comm, r, u);                             // u0 = M^-1 r0
+    a.apply_overlapped_batch(comm, halo, u, w);      // w0 = A u0
   } else {
-    a.residual(comm, halo, b, x, r, x_fresh);
+    a.residual_batch(comm, halo, b, x, r, x_fresh);
     m.apply(comm, r, u);
-    a.apply(comm, halo, u, w);
+    a.apply_batch(comm, halo, u, w);
   }
 
   double gamma_old = 0.0;
@@ -66,12 +71,12 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
     // counts and residuals are still bitwise identical.)
     const bool check = (k % opt_.check_frequency == 0);
     double local[3];
-    a.local_dot3(comm, r, u, w, check, local);
+    a.local_dot3_batch(comm, r, u, w, check, local);
     if (opt_.overlap) {
       comm::Request red = comm.iallreduce(
           std::span<double>(local, check ? 3 : 2), comm::ReduceOp::kSum);
       m.apply(comm, w, mm);                  // m_k = M^-1 w_k
-      a.apply_overlapped(comm, halo, mm, nn);  // n_k = A m_k
+      a.apply_overlapped_batch(comm, halo, mm, nn);  // n_k = A m_k
       red.wait();
     } else {
       comm.allreduce(std::span<double>(local, check ? 3 : 2),
@@ -94,8 +99,8 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
     // Work that overlaps the reduction in the pipelined formulation
     // (already issued above when overlap is on).
     if (!opt_.overlap) {
-      m.apply(comm, w, mm);        // m_k = M^-1 w_k
-      a.apply(comm, halo, mm, nn);  // n_k = A m_k
+      m.apply(comm, w, mm);              // m_k = M^-1 w_k
+      a.apply_batch(comm, halo, mm, nn);  // n_k = A m_k
     }
 
     if (!ConvergenceGuard::finite(gamma) ||
@@ -122,20 +127,22 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
     }
 
     if (k == 1) {
-      copy_interior(nn, z);
-      copy_interior(mm, q);
-      copy_interior(w, s);
-      copy_interior(u, p);
+      copy_interior<double>(nn, z);
+      copy_interior<double>(mm, q);
+      copy_interior<double>(w, s);
+      copy_interior<double>(u, p);
     } else {
-      lincomb(comm, 1.0, nn, beta, z);  // z = n + beta z
-      lincomb(comm, 1.0, mm, beta, q);  // q = m + beta q
-      lincomb(comm, 1.0, w, beta, s);   // s = w + beta s
-      lincomb(comm, 1.0, u, beta, p);   // p = u + beta p
+      const double one = 1.0;
+      lincomb(comm, plan, &one, nn, &beta, z);  // z = n + beta z
+      lincomb(comm, plan, &one, mm, &beta, q);  // q = m + beta q
+      lincomb(comm, plan, &one, w, &beta, s);   // s = w + beta s
+      lincomb(comm, plan, &one, u, &beta, p);   // p = u + beta p
     }
-    axpy(comm, alpha, p, x, a.span_plan());
-    axpy(comm, -alpha, s, r, a.span_plan());
-    axpy(comm, -alpha, q, u, a.span_plan());
-    axpy(comm, -alpha, z, w, a.span_plan());
+    const double neg_alpha = -alpha;
+    axpy(comm, plan, &alpha, p, x);
+    axpy(comm, plan, &neg_alpha, s, r);
+    axpy(comm, plan, &neg_alpha, q, u);
+    axpy(comm, plan, &neg_alpha, z, w);
 
     // Residual replacement (Cools & Vanroose): the auxiliary
     // recurrences accumulate rounding error much faster than plain CG —
@@ -144,13 +151,13 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
     // definitions; the search-direction recurrences continue unchanged.
     if (k % kReplacementFrequency == 0) {
       if (opt_.overlap) {
-        a.residual_overlapped(comm, halo, b, x, r);
+        a.residual_overlapped_batch(comm, halo, b, x, r);
         m.apply(comm, r, u);
-        a.apply_overlapped(comm, halo, u, w);
+        a.apply_overlapped_batch(comm, halo, u, w);
       } else {
-        a.residual(comm, halo, b, x, r);
+        a.residual_batch(comm, halo, b, x, r);
         m.apply(comm, r, u);
-        a.apply(comm, halo, u, w);
+        a.apply_batch(comm, halo, u, w);
       }
     }
 
@@ -161,8 +168,10 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
   if (!stats.converged) {
     if (stats.failure == FailureKind::kNone)
       stats.failure = FailureKind::kMaxIters;
+    double r_norm2 = 0.0;
+    a.local_dot_batch(comm, r, r, &r_norm2);
     stats.relative_residual =
-        std::sqrt(a.global_dot(comm, r, r) / b_norm2);
+        std::sqrt(comm.allreduce_sum(r_norm2) / b_norm2);
   }
   stats.costs = comm.costs().since(snapshot);
   return stats;

@@ -16,21 +16,15 @@ template <typename T>
 void IdentityPreconditioner::apply_t(const comm::FieldSetT<T>& in,
                                      const comm::FieldSetT<T>& out) const {
   MINIPOP_REQUIRE(in.compatible_with(out), "identity precond field mismatch");
-  const SpanPlan* plan = op_->span_plan();
+  const SpanPlan& plan = op_->span_plan();
   for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
     const auto& info = in.info(lb);
-    const auto& mask = op_->block_mask(lb);
     // Gap-zero kernel: writes in at ocean and 0 at land exactly like the
-    // masked copy, so the two paths are unconditionally bit-identical.
-    if (plan)
-      kernels::masked_copy_span_batch(
-          (*plan)[lb].row_offset(), (*plan)[lb].spans(), in.nb(), info.nx,
-          info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
-          out.stride(lb));
-    else
-      kernels::masked_copy_batch(mask.data(), mask.nx(), in.nb(), info.nx,
-                                 info.ny, in.interior(lb), in.stride(lb),
-                                 out.interior(lb), out.stride(lb));
+    // masked copy, so the two are unconditionally bit-identical.
+    kernels::masked_copy_span_batch(plan[lb].row_offset(), plan[lb].spans(),
+                                    in.nb(), info.nx, info.ny,
+                                    in.interior(lb), in.stride(lb),
+                                    out.interior(lb), out.stride(lb));
   }
 }
 
@@ -70,27 +64,21 @@ void DiagonalPreconditioner::apply_t(
     comm::Communicator& comm, const std::vector<util::Array2D<T>>& inv_diag,
     const comm::FieldSetT<T>& in, const comm::FieldSetT<T>& out) const {
   MINIPOP_REQUIRE(in.compatible_with(out), "diagonal precond field mismatch");
-  const SpanPlan* plan = op_->span_plan();
+  const SpanPlan& plan = op_->span_plan();
   const int nb = in.nb();
   std::uint64_t points = 0, active = 0;
   for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
     const auto& info = in.info(lb);
     const auto& inv = inv_diag[lb];
-    // Span path: inv*in over ocean, literal 0 in the gaps — the masked
-    // loop multiplies by the stored inv = 0.0 there, which is the same
-    // +0.0 because solver iterates are +0.0 on land.
-    if (plan)
-      kernels::diag_apply_span_batch(
-          inv.data(), inv.nx(), (*plan)[lb].row_offset(),
-          (*plan)[lb].spans(), nb, info.nx, info.ny, in.interior(lb),
-          in.stride(lb), out.interior(lb), out.stride(lb));
-    else
-      kernels::diag_apply_batch(inv.data(), inv.nx(), nb, info.nx, info.ny,
-                                in.interior(lb), in.stride(lb),
-                                out.interior(lb), out.stride(lb));
+    // inv*in over ocean, literal 0 in the gaps — the masked loop
+    // multiplies by the stored inv = 0.0 there, which is the same +0.0
+    // because solver iterates are +0.0 on land.
+    kernels::diag_apply_span_batch(
+        inv.data(), inv.nx(), plan[lb].row_offset(), plan[lb].spans(), nb,
+        info.nx, info.ny, in.interior(lb), in.stride(lb), out.interior(lb),
+        out.stride(lb));
     points += static_cast<std::uint64_t>(info.nx) * info.ny;
-    active +=
-        static_cast<std::uint64_t>(op_->block_spans()[lb].active_points());
+    active += static_cast<std::uint64_t>(plan[lb].active_points());
   }
   // Paper convention: diagonal preconditioning is 1 op/point (T_p).
   comm.costs().add_flops(points * nb);

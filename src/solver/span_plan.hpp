@@ -5,14 +5,15 @@
 // per-cell mask load + select — on POP-like bathymetries 30–50% of the
 // swept points are land, so a third of the hot-path bandwidth moves
 // zeros. A BlockSpans compresses a block's ocean mask into, per row, a
-// compact list of contiguous ocean runs ("spans"); the *_span kernels in
-// kernels.hpp then iterate mask-free and unit-stride over those runs.
+// compact list of contiguous ocean runs ("spans"); the *_span_batch
+// kernels in kernels.hpp then iterate mask-free and unit-stride over
+// those runs.
 //
 // The plan is computed once per operator (and once per comm-avoid
-// extension depth) from exactly the mask the masked kernels read, so the
-// span sweeps visit precisely the cells whose masked contribution is
-// non-trivial today — the bitwise-identity argument lives with the span
-// kernel declarations in kernels.hpp.
+// extension depth) from exactly the mask the masked reference kernels
+// read, so the span sweeps visit precisely the cells whose masked
+// contribution is non-trivial — the bitwise-identity argument lives
+// with the span kernel declarations in kernels.hpp.
 #pragma once
 
 #include <cstddef>

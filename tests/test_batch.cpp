@@ -241,15 +241,18 @@ TEST(BatchDots, MatchScalarDotsBitwise) {
 
   std::vector<double> sums(nb);
   a.local_dot_batch(comm, ba, bb, sums.data());
-  for (int m = 0; m < nb; ++m)
-    EXPECT_EQ(sums[m], a.local_dot(comm, ra[m], rb[m])) << "member " << m;
+  for (int m = 0; m < nb; ++m) {
+    double ref = 0.0;
+    a.local_dot_batch(comm, ra[m], rb[m], &ref);
+    EXPECT_EQ(sums[m], ref) << "member " << m;
+  }
 
   for (const bool with_norm : {false, true}) {
     std::vector<double> out(3 * nb, -1.0);
     a.local_dot3_batch(comm, ba, bb, bz, with_norm, out.data());
     for (int m = 0; m < nb; ++m) {
       double ref[3];
-      a.local_dot3(comm, ra[m], rb[m], rz[m], with_norm, ref);
+      a.local_dot3_batch(comm, ra[m], rb[m], rz[m], with_norm, ref);
       EXPECT_EQ(out[m], ref[0]) << "rho, member " << m;
       EXPECT_EQ(out[nb + m], ref[1]) << "delta, member " << m;
       EXPECT_EQ(out[2 * nb + m], ref[2])
@@ -450,7 +453,7 @@ TEST(BatchedSolve, EasyMemberFreezesUnperturbedWhileHardMemberIterates) {
   be.load_global(rhs_easy);
   (void)solver.solve(comm, be, warm);
   mc::DistField x_easy_ref(*p.decomp, 0);
-  ms::copy_interior(warm, x_easy_ref);
+  ms::copy_interior<double>(warm, x_easy_ref);
   p.halo->exchange(comm, x_easy_ref);
   const auto easy_ref = solver.solve(comm, be, x_easy_ref);
 
@@ -460,7 +463,7 @@ TEST(BatchedSolve, EasyMemberFreezesUnperturbedWhileHardMemberIterates) {
 
   // The batched twin: member 0 warm, member 1 cold.
   mc::DistField x_easy(*p.decomp, 0), x_hard(*p.decomp, 0);
-  ms::copy_interior(warm, x_easy);
+  ms::copy_interior<double>(warm, x_easy);
   p.halo->exchange(comm, x_easy);
   const mc::DistField* bs[2] = {&be, &bh};
   mc::DistField* xs[2] = {&x_easy, &x_hard};

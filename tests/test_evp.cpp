@@ -293,8 +293,9 @@ TEST(BlockEvp, InverseIsSymmetric) {
   y.load_global(random_field(N, N, 2));
   m.apply(comm, x, mx);
   m.apply(comm, y, my);
-  const double a = op.local_dot(comm, y, mx);
-  const double b = op.local_dot(comm, x, my);
+  double a = 0.0, b = 0.0;
+  op.local_dot_batch(comm, y, mx, &a);
+  op.local_dot_batch(comm, x, my, &b);
   EXPECT_NEAR(a, b, 1e-9 * std::abs(a));
 }
 

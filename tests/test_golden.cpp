@@ -12,8 +12,9 @@
 //
 // The pcg/pipecg rows (fp64 × diagonal/block-evp, pipecg with overlap
 // on/off), the Lanczos eigenvalue bounds, and the land-span problems
-// were recorded from the DistField sweeps with land-span execution both
-// on and off (the two agreed bit for bit).
+// were recorded from the single-field sweeps with land-span execution
+// both on and off, which agreed bit for bit; the span sweeps are now
+// the only path, and these pins stand in for the masked one.
 //
 // A mismatch here means the arithmetic of the production solve changed;
 // report it, do not re-record it.
@@ -309,7 +310,7 @@ constexpr SpanPin kSpanPins[] = {
     {1, "chrongear", 1, 110, 0x3dd736d03bdf727cull, 0xd50b6f56u, 11, 0xef16de32u},
 };
 
-void expect_span_pin(const SpanPin& pin, bool use_spans) {
+void expect_span_pin(const SpanPin& pin) {
   const minipop::testing::SpanProblem p =
       minipop::testing::make_span_problem(30, 22, 6, pin.nranks, 77);
   const ms::EigenBounds bounds = minipop::testing::lanczos_bounds_serial(p);
@@ -323,7 +324,6 @@ void expect_span_pin(const SpanPin& pin, bool use_spans) {
   opt.halo_depth = pin.halo_depth;
   auto body = [&](mc::Communicator& comm) {
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
-    a.set_use_spans(use_spans);
     ms::DiagonalPreconditioner m(a);
     std::unique_ptr<ms::BatchedSolver> core;
     if (std::string(pin.solver) == "pcsi")
@@ -358,14 +358,14 @@ void expect_span_pin(const SpanPin& pin, bool use_spans) {
   EXPECT_EQ(mu::crc32c_final(hcrc), pin.history_crc);
 }
 
-TEST(GoldenPins, SpanPlanSolvesReproduceRecordedBits) {
-  for (const SpanPin& pin : kSpanPins)
-    for (bool use_spans : {true, false}) {
-      SCOPED_TRACE(std::to_string(pin.nranks) + " rank(s) " + pin.solver +
-                   " k=" + std::to_string(pin.halo_depth) +
-                   (use_spans ? " spans" : " masked"));
-      expect_span_pin(pin, use_spans);
-    }
+// One test per pinned land-span problem.
+TEST(SpanPlan, PcsiSolveBitwiseSerial) { expect_span_pin(kSpanPins[0]); }
+TEST(SpanPlan, PcsiSolveBitwiseFourRanks) { expect_span_pin(kSpanPins[1]); }
+TEST(SpanPlan, PcsiCommAvoidDepth2SolveBitwise) {
+  expect_span_pin(kSpanPins[2]);
+}
+TEST(SpanPlan, ChronGearSolveBitwiseSerial) {
+  expect_span_pin(kSpanPins[3]);
 }
 
 }  // namespace

@@ -153,8 +153,8 @@ TEST(Kernels, Apply9MatchesReferenceBitwise) {
     Coeffs c(tc.nx, tc.ny, rng);
     Padded x(tc.nx, tc.ny, tc.h, rng), y(tc.nx, tc.ny, tc.h, rng),
         yref(tc.nx, tc.ny, tc.h, rng);
-    mk::apply9(c.view(), tc.nx, tc.ny, x.interior(), x.pitch, y.interior(),
-               y.pitch);
+    mk::apply9_batch(c.view(), 1, tc.nx, tc.ny, x.interior(), x.pitch,
+                     y.interior(), y.pitch);
     reference::apply9(c, x, yref);
     EXPECT_TRUE(same_interior(y, yref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
@@ -167,8 +167,8 @@ TEST(Kernels, Residual9MatchesReferenceBitwise) {
     Coeffs c(tc.nx, tc.ny, rng);
     Padded b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
         r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
-    mk::residual9(c.view(), tc.nx, tc.ny, b.interior(), b.pitch,
-                  x.interior(), x.pitch, r.interior(), r.pitch);
+    mk::residual9_batch(c.view(), 1, tc.nx, tc.ny, b.interior(), b.pitch,
+                        x.interior(), x.pitch, r.interior(), r.pitch);
     reference::residual9(c, b, x, rref);
     EXPECT_TRUE(same_interior(r, rref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
@@ -183,9 +183,10 @@ TEST(Kernels, ResidualNorm2FusesResidualAndDot) {
     Padded b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
         r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
     const double start = 3.25;  // continues an accumulator mid-stream
-    const double n2 = mk::residual_norm2_9(
-        c.view(), m.data(), tc.nx, tc.nx, tc.ny, b.interior(), b.pitch,
-        x.interior(), x.pitch, r.interior(), r.pitch, start);
+    double n2 = start;
+    mk::residual_norm2_9_batch(c.view(), m.data(), tc.nx, 1, tc.nx, tc.ny,
+                               b.interior(), b.pitch, x.interior(), x.pitch,
+                               r.interior(), r.pitch, &n2);
     reference::residual9(c, b, x, rref);
     const double n2ref =
         reference::masked_dot(m, tc.nx, tc.ny, rref, rref, start);
@@ -201,9 +202,9 @@ TEST(Kernels, MaskedDotMatchesReference) {
     auto m = random_mask(tc.nx, tc.ny, rng);
     Padded a(tc.nx, tc.ny, tc.h, rng), b(tc.nx, tc.ny, tc.h, rng);
     const double start = -1.5;
-    const double got = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                      a.interior(), a.pitch, b.interior(),
-                                      b.pitch, start);
+    double got = start;
+    mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, a.interior(), a.pitch,
+                  b.interior(), b.pitch, &got);
     const double want = reference::masked_dot(m, tc.nx, tc.ny, a, b, start);
     EXPECT_NEAR(got, want, 1e-14 * std::max(1.0, std::abs(want)));
   }
@@ -217,20 +218,17 @@ TEST(Kernels, MaskedDot3MatchesThreeMaskedDots) {
       Padded r(tc.nx, tc.ny, tc.h, rng), rp(tc.nx, tc.ny, tc.h, rng),
           z(tc.nx, tc.ny, tc.h, rng);
       double out[3] = {0.5, -0.25, 1.0};  // continues prior partial sums
-      const double d0 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                       r.interior(), r.pitch, rp.interior(),
-                                       rp.pitch, out[0]);
-      const double d1 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                       z.interior(), z.pitch, rp.interior(),
-                                       rp.pitch, out[1]);
-      const double d2 =
-          with_norm
-              ? mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny, r.interior(),
-                               r.pitch, r.interior(), r.pitch, out[2])
-              : out[2];
-      mk::masked_dot3(m.data(), tc.nx, tc.nx, tc.ny, r.interior(), r.pitch,
-                      rp.interior(), rp.pitch, z.interior(), z.pitch,
-                      with_norm, out);
+      double d0 = out[0], d1 = out[1], d2 = out[2];
+      mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, r.interior(), r.pitch,
+                    rp.interior(), rp.pitch, &d0);
+      mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, z.interior(), z.pitch,
+                    rp.interior(), rp.pitch, &d1);
+      if (with_norm)
+        mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, r.interior(),
+                      r.pitch, r.interior(), r.pitch, &d2);
+      mk::dot3_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, r.interior(), r.pitch,
+                     rp.interior(), rp.pitch, z.interior(), z.pitch,
+                     with_norm, out);
       // Fusing the sweeps must not change any accumulator's add order.
       EXPECT_TRUE(bitwise_equal(out[0], d0));
       EXPECT_TRUE(bitwise_equal(out[1], d1));
@@ -246,8 +244,9 @@ TEST(Kernels, LincombAxpyFusedMatchesUnfusedBitwise) {
         z(tc.nx, tc.ny, tc.h, rng);
     Padded yref = y, zref = z;
     const double a = 0.7, b = -1.3, cc = 0.31;
-    mk::lincomb_axpy(tc.nx, tc.ny, a, x.interior(), x.pitch, b,
-                     y.interior(), y.pitch, cc, z.interior(), z.pitch);
+    mk::lincomb_axpy_batch(1, tc.nx, tc.ny, &a, x.interior(), x.pitch, &b,
+                           y.interior(), y.pitch, &cc, z.interior(), z.pitch,
+                           nullptr);
     reference::lincomb(a, x, b, yref);
     reference::axpy(cc, yref, zref);
     EXPECT_TRUE(same_interior(y, yref));
@@ -260,18 +259,19 @@ TEST(Kernels, LincombAndAxpyAndScaleMatchReference) {
     mu::Xoshiro256 rng(71 + tc.nx * 100 + tc.ny + tc.h);
     Padded x(tc.nx, tc.ny, tc.h, rng), y(tc.nx, tc.ny, tc.h, rng);
     Padded yref = y;
-    mk::lincomb(tc.nx, tc.ny, 1.25, x.interior(), x.pitch, -0.5,
-                y.interior(), y.pitch);
+    const double a = 1.25, b = -0.5, c = -2.0, d = 0.125;
+    mk::lincomb_batch(1, tc.nx, tc.ny, &a, x.interior(), x.pitch, &b,
+                      y.interior(), y.pitch, nullptr);
     reference::lincomb(1.25, x, -0.5, yref);
     EXPECT_TRUE(same_interior(y, yref));
 
-    mk::axpy(tc.nx, tc.ny, -2.0, x.interior(), x.pitch, y.interior(),
-             y.pitch);
+    mk::axpy_batch(1, tc.nx, tc.ny, &c, x.interior(), x.pitch, y.interior(),
+                   y.pitch, nullptr);
     reference::axpy(-2.0, x, yref);
     EXPECT_TRUE(same_interior(y, yref));
 
     Padded s = y, sref = y;
-    mk::scale(tc.nx, tc.ny, 0.125, s.interior(), s.pitch);
+    mk::scale_batch(1, tc.nx, tc.ny, &d, s.interior(), s.pitch, nullptr);
     for (int j = 0; j < tc.ny; ++j)
       for (int i = 0; i < tc.nx; ++i)
         sref.interior()[j * sref.pitch + i] *= 0.125;
@@ -284,7 +284,7 @@ TEST(Kernels, CopyFillMaskZeroTouchInteriorOnly) {
   const int nx = 13, ny = 7, h = 2;
   Padded x(nx, ny, h, rng), y(nx, ny, h, rng);
   const Padded y_before = y;
-  mk::copy(nx, ny, x.interior(), x.pitch, y.interior(), y.pitch);
+  mk::copy_batch(1, nx, ny, x.interior(), x.pitch, y.interior(), y.pitch);
   EXPECT_TRUE(same_interior(y, x));
   // Halo ring untouched by the row-wise memcpy.
   for (std::size_t k = 0; k < y.v.size(); ++k) {
@@ -295,13 +295,13 @@ TEST(Kernels, CopyFillMaskZeroTouchInteriorOnly) {
     }
   }
 
-  mk::fill(nx, ny, 7.5, y.interior(), y.pitch);
+  mk::fill_batch(1, nx, ny, 7.5, y.interior(), y.pitch);
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i)
       EXPECT_EQ(y.interior()[j * y.pitch + i], 7.5);
 
   auto m = random_mask(nx, ny, rng);
-  mk::mask_zero(m.data(), nx, nx, ny, y.interior(), y.pitch);
+  mk::mask_zero_batch(m.data(), nx, 1, nx, ny, y.interior(), y.pitch);
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx; ++i)
       EXPECT_EQ(y.interior()[j * y.pitch + i],
@@ -417,16 +417,16 @@ TEST(KernelsFp32, Apply9AndResidual9MatchNaiveFp32Bitwise) {
     PaddedF b(tc.nx, tc.ny, tc.h, rng), x(tc.nx, tc.ny, tc.h, rng),
         y(tc.nx, tc.ny, tc.h, rng), yref(tc.nx, tc.ny, tc.h, rng),
         r(tc.nx, tc.ny, tc.h, rng), rref(tc.nx, tc.ny, tc.h, rng);
-    mk::apply9(c.view(), tc.nx, tc.ny, x.interior(), x.pitch, y.interior(),
-               y.pitch);
+    mk::apply9_batch(c.view(), 1, tc.nx, tc.ny, x.interior(), x.pitch,
+                     y.interior(), y.pitch);
     for (int j = 0; j < tc.ny; ++j)
       for (int i = 0; i < tc.nx; ++i)
         yref.interior()[j * yref.pitch + i] = reference32::point9(c, x, i, j);
     EXPECT_TRUE(same_interior_f(y, yref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
 
-    mk::residual9(c.view(), tc.nx, tc.ny, b.interior(), b.pitch,
-                  x.interior(), x.pitch, r.interior(), r.pitch);
+    mk::residual9_batch(c.view(), 1, tc.nx, tc.ny, b.interior(), b.pitch,
+                        x.interior(), x.pitch, r.interior(), r.pitch);
     reference32::residual9(c, b, x, rref);
     EXPECT_TRUE(same_interior_f(r, rref))
         << "nx=" << tc.nx << " ny=" << tc.ny << " h=" << tc.h;
@@ -443,34 +443,33 @@ TEST(KernelsFp32, ReductionsAccumulateInDoubleExactly) {
         rref(tc.nx, tc.ny, tc.h, rng);
     const double start = 0.375;  // continues an accumulator mid-stream
 
-    const double got = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                      a.interior(), a.pitch, b.interior(),
-                                      b.pitch, start);
+    double got = start;
+    mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, a.interior(), a.pitch,
+                  b.interior(), b.pitch, &got);
     EXPECT_TRUE(bitwise_equal(
         got, reference32::masked_dot(m, tc.nx, tc.ny, a, b, start)));
 
     // Fused residual + norm²: the residual elements are fp32, their
     // squares accumulate in double.
-    const double n2 = mk::residual_norm2_9(
-        c.view(), m.data(), tc.nx, tc.nx, tc.ny, b.interior(), b.pitch,
-        x.interior(), x.pitch, r.interior(), r.pitch, start);
+    double n2 = start;
+    mk::residual_norm2_9_batch(c.view(), m.data(), tc.nx, 1, tc.nx, tc.ny,
+                               b.interior(), b.pitch, x.interior(), x.pitch,
+                               r.interior(), r.pitch, &n2);
     reference32::residual9(c, b, x, rref);
     EXPECT_TRUE(same_interior_f(r, rref));
     EXPECT_TRUE(bitwise_equal(
         n2, reference32::masked_dot(m, tc.nx, tc.ny, rref, rref, start)));
 
     double out[3] = {0.5, -0.25, 1.0};
-    const double d0 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                     r.interior(), r.pitch, a.interior(),
-                                     a.pitch, out[0]);
-    const double d1 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                     b.interior(), b.pitch, a.interior(),
-                                     a.pitch, out[1]);
-    const double d2 = mk::masked_dot(m.data(), tc.nx, tc.nx, tc.ny,
-                                     r.interior(), r.pitch, r.interior(),
-                                     r.pitch, out[2]);
-    mk::masked_dot3(m.data(), tc.nx, tc.nx, tc.ny, r.interior(), r.pitch,
-                    a.interior(), a.pitch, b.interior(), b.pitch, true, out);
+    double d0 = out[0], d1 = out[1], d2 = out[2];
+    mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, r.interior(), r.pitch,
+                  a.interior(), a.pitch, &d0);
+    mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, b.interior(), b.pitch,
+                  a.interior(), a.pitch, &d1);
+    mk::dot_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, r.interior(), r.pitch,
+                  r.interior(), r.pitch, &d2);
+    mk::dot3_batch(m.data(), tc.nx, 1, tc.nx, tc.ny, r.interior(), r.pitch,
+                   a.interior(), a.pitch, b.interior(), b.pitch, true, out);
     EXPECT_TRUE(bitwise_equal(out[0], d0));
     EXPECT_TRUE(bitwise_equal(out[1], d1));
     EXPECT_TRUE(bitwise_equal(out[2], d2));
@@ -484,20 +483,22 @@ TEST(KernelsFp32, VectorUpdatesMatchNaiveFp32Bitwise) {
         z(tc.nx, tc.ny, tc.h, rng);
     PaddedF yref = y, zref = z;
     const float a = 0.7f, b = -1.3f, cc = 0.31f;
-    mk::lincomb_axpy(tc.nx, tc.ny, a, x.interior(), x.pitch, b,
-                     y.interior(), y.pitch, cc, z.interior(), z.pitch);
+    mk::lincomb_axpy_batch(1, tc.nx, tc.ny, &a, x.interior(), x.pitch, &b,
+                           y.interior(), y.pitch, &cc, z.interior(), z.pitch,
+                           nullptr);
     reference32::lincomb(a, x, b, yref);
     reference32::axpy(cc, yref, zref);
     EXPECT_TRUE(same_interior_f(y, yref));
     EXPECT_TRUE(same_interior_f(z, zref));
 
-    mk::lincomb(tc.nx, tc.ny, 1.25f, x.interior(), x.pitch, -0.5f,
-                y.interior(), y.pitch);
+    const float a2 = 1.25f, b2 = -0.5f, c2 = -2.0f;
+    mk::lincomb_batch(1, tc.nx, tc.ny, &a2, x.interior(), x.pitch, &b2,
+                      y.interior(), y.pitch, nullptr);
     reference32::lincomb(1.25f, x, -0.5f, yref);
     EXPECT_TRUE(same_interior_f(y, yref));
 
-    mk::axpy(tc.nx, tc.ny, -2.0f, x.interior(), x.pitch, y.interior(),
-             y.pitch);
+    mk::axpy_batch(1, tc.nx, tc.ny, &c2, x.interior(), x.pitch, y.interior(),
+                   y.pitch, nullptr);
     reference32::axpy(-2.0f, x, yref);
     EXPECT_TRUE(same_interior_f(y, yref));
   }
@@ -577,9 +578,10 @@ TEST(DistOperatorFused, ResidualNorm2EqualsResidualThenDot) {
   load_random(*p.stencil, b, rng);
   load_random(*p.stencil, x, rng);
 
-  a.residual(comm, halo, b, x, r1);
-  const double n_unfused = a.local_dot(comm, r1, r1);
-  const double n_fused = a.residual_local_norm2(comm, halo, b, x, r2);
+  a.residual_batch(comm, halo, b, x, r1);
+  double n_unfused = 0.0, n_fused = 0.0;
+  a.local_dot_batch(comm, r1, r1, &n_unfused);
+  a.residual_local_norm2_batch(comm, halo, b, x, r2, &n_fused);
   EXPECT_TRUE(bitwise_equal(n_fused, n_unfused));
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = r1.info(lb);
@@ -599,13 +601,18 @@ TEST(DistOperatorFused, LocalDot3EqualsThreeLocalDots) {
   load_random(*p.stencil, rp, rng);
   load_random(*p.stencil, z, rng);
 
+  auto dot = [&](const mc::DistField& u, const mc::DistField& v) {
+    double s = 0.0;
+    a.local_dot_batch(comm, u, v, &s);
+    return s;
+  };
   for (bool with_norm : {false, true}) {
     double out[3];
-    a.local_dot3(comm, r, rp, z, with_norm, out);
-    EXPECT_TRUE(bitwise_equal(out[0], a.local_dot(comm, r, rp)));
-    EXPECT_TRUE(bitwise_equal(out[1], a.local_dot(comm, z, rp)));
+    a.local_dot3_batch(comm, r, rp, z, with_norm, out);
+    EXPECT_TRUE(bitwise_equal(out[0], dot(r, rp)));
+    EXPECT_TRUE(bitwise_equal(out[1], dot(z, rp)));
     if (with_norm)
-      EXPECT_TRUE(bitwise_equal(out[2], a.local_dot(comm, r, r)));
+      EXPECT_TRUE(bitwise_equal(out[2], dot(r, r)));
     else
       EXPECT_EQ(out[2], 0.0);
   }
@@ -631,7 +638,9 @@ TEST(DistOperatorFused, LocalDotCarriesOneAccumulatorAcrossBlocks) {
       for (int i = 0; i < info.nx; ++i)
         if (mask(i, j)) want += u.at(lb, i, j) * v.at(lb, i, j);
   }
-  EXPECT_TRUE(bitwise_equal(a.local_dot(comm, u, v), want));
+  double got = 0.0;
+  a.local_dot_batch(comm, u, v, &got);
+  EXPECT_TRUE(bitwise_equal(got, want));
 }
 
 TEST(FieldOpsFused, LincombAxpyEqualsLincombThenAxpy) {
@@ -645,9 +654,10 @@ TEST(FieldOpsFused, LincombAxpyEqualsLincombThenAxpy) {
   load_random(*p.stencil, z1, rng);
   mc::DistField y2 = y1, z2 = z1;
 
-  ms::lincomb(comm, 0.9, x, -0.4, y1);
-  ms::axpy(comm, 1.7, y1, z1);
-  ms::lincomb_axpy(comm, 0.9, x, -0.4, y2, 1.7, z2);
+  const double ca = 0.9, cb = -0.4, cc = 1.7;
+  ms::lincomb(comm, a.span_plan(), &ca, x, &cb, y1);
+  ms::axpy(comm, a.span_plan(), &cc, y1, z1);
+  ms::lincomb_axpy(comm, a.span_plan(), &ca, x, &cb, y2, &cc, z2);
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = x.info(lb);
     for (int j = 0; j < info.ny; ++j)

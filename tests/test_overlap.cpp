@@ -421,13 +421,13 @@ TEST(OverlapOperator, SweepsBitwiseIdenticalIncludingThinBlocks) {
       x.load_global(global);
       b.load_global(p.b_global);
 
-      a.apply(comm, halo, x, y1);
-      a.apply_overlapped(comm, halo, x, y2);
-      a.residual(comm, halo, b, x, r1);
-      a.residual_overlapped(comm, halo, b, x, r2);
-      const double n1 = a.residual_local_norm2(comm, halo, b, x, r1);
-      const double n2 =
-          a.residual_local_norm2_overlapped(comm, halo, b, x, r2);
+      a.apply_batch(comm, halo, x, y1);
+      a.apply_overlapped_batch(comm, halo, x, y2);
+      a.residual_batch(comm, halo, b, x, r1);
+      a.residual_overlapped_batch(comm, halo, b, x, r2);
+      double n1 = 0.0, n2 = 0.0;
+      a.residual_local_norm2_batch(comm, halo, b, x, r1, &n1);
+      a.residual_local_norm2_overlapped_batch(comm, halo, b, x, r2, &n2);
 
       EXPECT_EQ(n1, n2);
       for (int lb = 0; lb < x.num_local_blocks(); ++lb) {

@@ -258,7 +258,7 @@ TEST(PrecisionFields, DemotePromoteAxpyPromotedAreExactWhereExpected) {
   // multiply-add, elementwise identical to the scalar expression.
   const double a = 0.75;
   const unsigned char active = 1;
-  ms::axpy_promoted(comm, &a, x32, y, &active, 1);
+  ms::axpy_promoted(comm, &a, x32, y, &active);
   for (int lb = 0; lb < y.num_local_blocks(); ++lb) {
     const auto& info = y.info(lb);
     for (int j = 0; j < info.ny; ++j)

@@ -445,16 +445,18 @@ TEST(FieldOps, LincombAxpyScale) {
   mu::MaskArray mask(8, 8, 1);
   mg::Decomposition d(8, 8, false, mask, 8, 8, 1);
   mc::SerialComm comm;
+  const ms::SpanPlan plan{ms::BlockSpans(mask.data(), mask.nx(), 8, 8)};
   mc::DistField x(d, 0), y(d, 0);
   ms::fill_interior(x, 2.0);
   ms::fill_interior(y, 3.0);
-  ms::lincomb(comm, 2.0, x, -1.0, y);  // y = 2*2 - 3 = 1
+  const double two = 2.0, minus_one = -1.0, three = 3.0, half = 0.5;
+  ms::lincomb(comm, plan, &two, x, &minus_one, y);  // y = 2*2 - 3 = 1
   EXPECT_DOUBLE_EQ(y.at(0, 4, 4), 1.0);
-  ms::axpy(comm, 3.0, x, y);  // y = 1 + 6 = 7
+  ms::axpy(comm, plan, &three, x, y);  // y = 1 + 6 = 7
   EXPECT_DOUBLE_EQ(y.at(0, 0, 0), 7.0);
-  ms::scale(comm, 0.5, y);
+  ms::scale(comm, plan, &half, y);
   EXPECT_DOUBLE_EQ(y.at(0, 7, 7), 3.5);
-  ms::copy_interior(x, y);
+  ms::copy_interior<double>(x, y);
   EXPECT_DOUBLE_EQ(y.at(0, 3, 3), 2.0);
   EXPECT_GT(comm.costs().counters().flops, 0u);
 }

@@ -1,28 +1,21 @@
 // Land-span execution plans (DESIGN.md §14): structural properties of
 // BlockSpans on adversarial randomized masks, and the bitwise-identity
-// contract of the span kernels against their masked twins — scalar and
-// B=4 batches, fp64 and fp32, halo depths 1 and 2, through the actual
-// DistOperator / preconditioner / field-ops plumbing and through full
-// solver runs (P-CSI, ChronGear, and the depth-2 comm-avoiding
-// schedule) with span execution toggled on and off.
+// contract of the span kernels against the masked reference kernels —
+// one-member and B=4 sets, fp64 and fp32, halo depths 1 and 2, on raw
+// planes and through the actual DistOperator / preconditioner /
+// field-ops plumbing. Full solver runs on these masks are pinned in
+// test_golden.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/comm/serial_comm.hpp"
-#include "src/comm/thread_comm.hpp"
-#include "src/grid/bathymetry.hpp"
-#include "src/grid/decomposition.hpp"
-#include "src/grid/stencil.hpp"
-#include "src/solver/batched_decorators.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/kernels.hpp"
-#include "src/solver/lanczos.hpp"
 #include "src/solver/preconditioner.hpp"
 #include "src/solver/span_plan.hpp"
 #include "src/util/rng.hpp"
@@ -32,11 +25,11 @@ namespace mc = minipop::comm;
 namespace mg = minipop::grid;
 namespace ms = minipop::solver;
 namespace mu = minipop::util;
+namespace mk = minipop::solver::kernels;
 
 namespace {
 
 using minipop::testing::feature_mask;
-using minipop::testing::lanczos_bounds_serial;
 using Problem = minipop::testing::SpanProblem;
 using minipop::testing::make_span_problem;
 
@@ -122,7 +115,7 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
   const mu::MaskArray m = feature_mask(nx, ny, seed, p_ocean);
   const ms::BlockSpans bs(m.data(), m.nx(), nx, ny);
   const int* ro = bs.row_offset();
-  const ms::kernels::Span* sp = bs.spans();
+  const mk::Span* sp = bs.spans();
 
   mu::Xoshiro256 rng(seed * 31 + 7);
   const std::ptrdiff_t st = nx * nb;  // batched plane stride
@@ -143,7 +136,7 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
   std::vector<double> cshared(static_cast<std::size_t>(nx) * ny);
   for (double& v : cshared) v = rng.uniform(-1, 1);
 
-  {  // scalar forms on densely packed member-0 planes
+  {  // one-member forms on densely packed member-0 planes
     std::vector<T> a1(static_cast<std::size_t>(nx) * ny), b1(a1.size()),
         z1(a1.size());
     for (int j = 0; j < ny; ++j)
@@ -152,43 +145,60 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
         b1[j * nx + i] = b[j * st + i * nb];
         z1[j * nx + i] = z[j * st + i * nb];
       }
-    const double seed_sum = 0.3125;  // exercise sum0 continuation
-    EXPECT_EQ(ms::kernels::masked_dot(m.data(), m.nx(), nx, ny, a1.data(),
-                                      nx, b1.data(), nx, seed_sum),
-              ms::kernels::dot_span(ro, sp, ny, a1.data(), nx, b1.data(),
-                                    nx, seed_sum));
-    EXPECT_EQ(ms::kernels::masked_sum(m.data(), m.nx(), nx, ny, a1.data(),
-                                      nx, seed_sum),
-              ms::kernels::sum_span(ro, sp, ny, a1.data(), nx, seed_sum));
-    EXPECT_EQ(
-        ms::kernels::dot_shared(m.data(), m.nx(), nx, ny, cshared.data(),
-                                nx, a1.data(), nx, seed_sum),
-        ms::kernels::dot_shared_span(ro, sp, ny, cshared.data(), nx,
-                                     a1.data(), nx, seed_sum));
+    // Run f on one accumulator seeded with 0.3125 (exercises the
+    // continuation of the caller's running sum).
+    auto sum1 = [](auto&& f) {
+      double s = 0.3125;
+      f(&s);
+      return s;
+    };
+    EXPECT_EQ(sum1([&](double* s) {
+                mk::dot_batch(m.data(), m.nx(), 1, nx, ny, a1.data(), nx,
+                              b1.data(), nx, s);
+              }),
+              sum1([&](double* s) {
+                mk::dot_span_batch(ro, sp, 1, ny, a1.data(), nx, b1.data(),
+                                   nx, s);
+              }));
+    EXPECT_EQ(sum1([&](double* s) {
+                mk::masked_sum_batch(m.data(), m.nx(), 1, nx, ny, a1.data(),
+                                     nx, s);
+              }),
+              sum1([&](double* s) {
+                mk::sum_span_batch(ro, sp, 1, ny, a1.data(), nx, s);
+              }));
+    EXPECT_EQ(sum1([&](double* s) {
+                mk::dot_shared_batch(m.data(), m.nx(), 1, nx, ny,
+                                     cshared.data(), nx, a1.data(), nx, s);
+              }),
+              sum1([&](double* s) {
+                mk::dot_shared_span_batch(ro, sp, 1, ny, cshared.data(), nx,
+                                          a1.data(), nx, s);
+              }));
     double ref3[3] = {0.5, -0.25, 0.125}, got3[3] = {0.5, -0.25, 0.125};
-    ms::kernels::masked_dot3(m.data(), m.nx(), nx, ny, a1.data(), nx,
-                             b1.data(), nx, z1.data(), nx, true, ref3);
-    ms::kernels::dot3_span(ro, sp, ny, a1.data(), nx, b1.data(), nx,
-                           z1.data(), nx, true, got3);
+    mk::dot3_batch(m.data(), m.nx(), 1, nx, ny, a1.data(), nx, b1.data(),
+                   nx, z1.data(), nx, true, ref3);
+    mk::dot3_span_batch(ro, sp, 1, ny, a1.data(), nx, b1.data(), nx,
+                        z1.data(), nx, true, got3);
     for (int k = 0; k < 3; ++k) EXPECT_EQ(ref3[k], got3[k]);
   }
   {  // batched reductions
     std::vector<double> ref(nb, 0.75), got(nb, 0.75);
-    ms::kernels::dot_batch(m.data(), m.nx(), nb, nx, ny, a.data(), st,
+    mk::dot_batch(m.data(), m.nx(), nb, nx, ny, a.data(), st,
                            b.data(), st, ref.data());
-    ms::kernels::dot_span_batch(ro, sp, nb, ny, a.data(), st, b.data(), st,
+    mk::dot_span_batch(ro, sp, nb, ny, a.data(), st, b.data(), st,
                                 got.data());
     for (int mm = 0; mm < nb; ++mm) EXPECT_EQ(ref[mm], got[mm]);
     std::vector<double> ref3(3 * nb, 0.5), got3(3 * nb, 0.5);
-    ms::kernels::dot3_batch(m.data(), m.nx(), nb, nx, ny, a.data(), st,
+    mk::dot3_batch(m.data(), m.nx(), nb, nx, ny, a.data(), st,
                             b.data(), st, z.data(), st, true, ref3.data());
-    ms::kernels::dot3_span_batch(ro, sp, nb, ny, a.data(), st, b.data(),
+    mk::dot3_span_batch(ro, sp, nb, ny, a.data(), st, b.data(),
                                  st, z.data(), st, true, got3.data());
     for (int k = 0; k < 3 * nb; ++k) EXPECT_EQ(ref3[k], got3[k]);
     std::vector<double> refs(nb, -0.5), gots(nb, -0.5);
-    ms::kernels::masked_sum_batch(m.data(), m.nx(), nb, nx, ny, a.data(),
+    mk::masked_sum_batch(m.data(), m.nx(), nb, nx, ny, a.data(),
                                   st, refs.data());
-    ms::kernels::sum_span_batch(ro, sp, nb, ny, a.data(), st, gots.data());
+    mk::sum_span_batch(ro, sp, nb, ny, a.data(), st, gots.data());
     for (int mm = 0; mm < nb; ++mm) EXPECT_EQ(refs[mm], gots[mm]);
   }
 
@@ -200,25 +210,25 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
         if (m(i, j)) inv[j * nx + i] = static_cast<T>(rng.uniform(1, 2));
     const std::vector<T> in = rand_plane(false);
     std::vector<T> ref(in.size(), T(7)), got(in.size(), T(7));
-    ms::kernels::diag_apply_batch(inv.data(), nx, nb, nx, ny, in.data(),
+    mk::diag_apply_batch(inv.data(), nx, nb, nx, ny, in.data(),
                                   st, ref.data(), st);
-    ms::kernels::diag_apply_span_batch(inv.data(), nx, ro, sp, nb, nx, ny,
+    mk::diag_apply_span_batch(inv.data(), nx, ro, sp, nb, nx, ny,
                                        in.data(), st, got.data(), st);
     EXPECT_EQ(ref, got);
 
     std::fill(ref.begin(), ref.end(), T(7));
     std::fill(got.begin(), got.end(), T(7));
-    ms::kernels::masked_copy_batch(m.data(), m.nx(), nb, nx, ny, in.data(),
+    mk::masked_copy_batch(m.data(), m.nx(), nb, nx, ny, in.data(),
                                    st, ref.data(), st);
-    ms::kernels::masked_copy_span_batch(ro, sp, nb, nx, ny, in.data(), st,
+    mk::masked_copy_span_batch(ro, sp, nb, nx, ny, in.data(), st,
                                         got.data(), st);
     EXPECT_EQ(ref, got);
 
     std::vector<T> x_ref = rand_plane(false);
     std::vector<T> x_got = x_ref;
-    ms::kernels::mask_zero_batch(m.data(), m.nx(), nb, nx, ny,
+    mk::mask_zero_batch(m.data(), m.nx(), nb, nx, ny,
                                  x_ref.data(), st);
-    ms::kernels::mask_zero_span_batch(ro, sp, nb, nx, ny, x_got.data(), st);
+    mk::mask_zero_span_batch(ro, sp, nb, nx, ny, x_got.data(), st);
     EXPECT_EQ(x_ref, x_got);
   }
 
@@ -236,10 +246,10 @@ void kernel_identity_case(std::uint64_t seed, double p_ocean) {
     std::vector<T> y_got = y_ref, z_ref = rand_plane(false);
     std::vector<T> z_got = z_ref;
     const std::vector<T> y0 = y_ref, z0 = z_ref;
-    ms::kernels::lincomb_axpy_batch(nb, nx, ny, ca.data(), x.data(), st,
+    mk::lincomb_axpy_batch(nb, nx, ny, ca.data(), x.data(), st,
                                     cb.data(), y_ref.data(), st, cc.data(),
                                     z_ref.data(), st, active.data());
-    ms::kernels::lincomb_axpy_span_batch(ro, sp, nb, ny, ca.data(),
+    mk::lincomb_axpy_span_batch(ro, sp, nb, ny, ca.data(),
                                          x.data(), st, cb.data(),
                                          y_got.data(), st, cc.data(),
                                          z_got.data(), st, active.data());
@@ -273,37 +283,235 @@ TEST(SpanPlan, KernelsBitwiseIdenticalFp32) {
 }
 
 // -------------------------------------------------------------------
-// Operator-level identity: the same sweeps with span execution on vs
-// off, fp64 and fp32, scalar and B=4 batches, field halos 1 and 2.
-// Pure-skip outputs compare bitwise at ocean cells; gap-zero outputs
-// and reduced scalars compare bitwise outright.
+// Operator-level identity: the DistOperator / preconditioner / field-op
+// span sweeps against the masked reference kernels run block by block
+// on the operator's own coefficient planes, fp64 and fp32, one-member
+// and B=4 sets, field halos 1 and 2. Pure-skip outputs compare bitwise
+// at ocean cells; gap-zero outputs and reduced scalars compare bitwise
+// outright.
 // -------------------------------------------------------------------
 
 namespace {
 
-template <typename FieldT>
-void expect_ocean_bitwise(const mu::MaskArray& m, const FieldT& a,
-                          const FieldT& b) {
+template <typename T>
+void expect_ocean_bitwise(const mu::MaskArray& m, const mc::FieldSetT<T>& a,
+                          const mc::FieldSetT<T>& b) {
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = a.info(lb);
     for (int j = 0; j < info.ny; ++j)
       for (int i = 0; i < info.nx; ++i)
         if (m(info.i0 + i, info.j0 + j)) {
-          ASSERT_EQ(a.at(lb, i, j), b.at(lb, i, j))
-              << "block " << lb << " (" << i << "," << j << ")";
+          for (int mm = 0; mm < a.nb(); ++mm)
+            ASSERT_EQ(a.at(lb, i, j, mm), b.at(lb, i, j, mm))
+                << "block " << lb << " (" << i << "," << j << ") member "
+                << mm;
         }
   }
 }
 
-template <typename FieldT>
-void expect_full_bitwise(const FieldT& a, const FieldT& b) {
+template <typename T>
+void expect_full_bitwise(const mc::FieldSetT<T>& a,
+                         const mc::FieldSetT<T>& b) {
   for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
     const auto& info = a.info(lb);
     for (int j = 0; j < info.ny; ++j)
       for (int i = 0; i < info.nx; ++i)
-        ASSERT_EQ(a.at(lb, i, j), b.at(lb, i, j))
-            << "block " << lb << " (" << i << "," << j << ")";
+        for (int mm = 0; mm < a.nb(); ++mm)
+          ASSERT_EQ(a.at(lb, i, j, mm), b.at(lb, i, j, mm))
+              << "block " << lb << " (" << i << "," << j << ") member "
+              << mm;
   }
+}
+
+/// The masked/dense reference kernels over FieldSet views, on the
+/// operator's coefficient planes and land mask (fp32: its float mirror,
+/// and the diagonal preconditioner's rounding rule).
+template <typename T>
+struct MaskedReference {
+  const ms::DistOperator& op;
+
+  mk::Stencil9T<T> stencil(int lb) const {
+    auto c = [&](mg::Dir d) -> const T* {
+      if constexpr (std::is_same_v<T, float>)
+        return op.block_coeff32(lb, d).data();
+      else
+        return op.block_coeff(lb, d).data();
+    };
+    return {c(mg::Dir::kCenter),    c(mg::Dir::kEast),
+            c(mg::Dir::kWest),      c(mg::Dir::kNorth),
+            c(mg::Dir::kSouth),     c(mg::Dir::kNorthEast),
+            c(mg::Dir::kNorthWest), c(mg::Dir::kSouthEast),
+            c(mg::Dir::kSouthWest), op.block_diagonal(lb).nx()};
+  }
+  const mu::MaskArray& mask(int lb) const { return op.block_mask(lb); }
+
+  void apply(const mc::FieldSetT<T>& x, const mc::FieldSetT<T>& y) const {
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::apply9_batch(stencil(lb), x.nb(), x.info(lb).nx, x.info(lb).ny,
+                       x.interior(lb), x.stride(lb), y.interior(lb),
+                       y.stride(lb));
+  }
+  void residual_norm2(const mc::FieldSetT<T>& b, const mc::FieldSetT<T>& x,
+                      const mc::FieldSetT<T>& r, double* sums) const {
+    std::fill(sums, sums + x.nb(), 0.0);
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::residual_norm2_9_batch(
+          stencil(lb), mask(lb).data(), mask(lb).nx(), x.nb(),
+          x.info(lb).nx, x.info(lb).ny, b.interior(lb), b.stride(lb),
+          x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
+  }
+  void dot(const mc::FieldSetT<T>& a, const mc::FieldSetT<T>& b,
+           double* sums) const {
+    std::fill(sums, sums + a.nb(), 0.0);
+    for (int lb = 0; lb < a.num_local_blocks(); ++lb)
+      mk::dot_batch(mask(lb).data(), mask(lb).nx(), a.nb(), a.info(lb).nx,
+                    a.info(lb).ny, a.interior(lb), a.stride(lb),
+                    b.interior(lb), b.stride(lb), sums);
+  }
+  void dot3(const mc::FieldSetT<T>& r, const mc::FieldSetT<T>& rp,
+            const mc::FieldSetT<T>& z, double* out) const {
+    std::fill(out, out + 3 * r.nb(), 0.0);
+    for (int lb = 0; lb < r.num_local_blocks(); ++lb)
+      mk::dot3_batch(mask(lb).data(), mask(lb).nx(), r.nb(), r.info(lb).nx,
+                     r.info(lb).ny, r.interior(lb), r.stride(lb),
+                     rp.interior(lb), rp.stride(lb), z.interior(lb),
+                     z.stride(lb), true, out);
+  }
+  void diagonal(const mc::FieldSetT<T>& in,
+                const mc::FieldSetT<T>& out) const {
+    for (int lb = 0; lb < in.num_local_blocks(); ++lb) {
+      const mu::Field& d = op.block_diagonal(lb);
+      std::vector<T> inv(d.size(), T(0));
+      for (int j = 0; j < d.ny(); ++j)
+        for (int i = 0; i < d.nx(); ++i)
+          if (mask(lb)(i, j)) inv[j * d.nx() + i] = T(1.0 / d(i, j));
+      mk::diag_apply_batch(inv.data(), d.nx(), in.nb(), in.info(lb).nx,
+                           in.info(lb).ny, in.interior(lb), in.stride(lb),
+                           out.interior(lb), out.stride(lb));
+    }
+  }
+  void identity(const mc::FieldSetT<T>& in,
+                const mc::FieldSetT<T>& out) const {
+    for (int lb = 0; lb < in.num_local_blocks(); ++lb)
+      mk::masked_copy_batch(mask(lb).data(), mask(lb).nx(), in.nb(),
+                            in.info(lb).nx, in.info(lb).ny, in.interior(lb),
+                            in.stride(lb), out.interior(lb), out.stride(lb));
+  }
+  void lincomb(const T* a, const mc::FieldSetT<T>& x, const T* b,
+               const mc::FieldSetT<T>& y) const {
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::lincomb_batch(x.nb(), x.info(lb).nx, x.info(lb).ny, a,
+                        x.interior(lb), x.stride(lb), b, y.interior(lb),
+                        y.stride(lb), nullptr);
+  }
+  void axpy(const T* a, const mc::FieldSetT<T>& x,
+            const mc::FieldSetT<T>& y) const {
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::axpy_batch(x.nb(), x.info(lb).nx, x.info(lb).ny, a, x.interior(lb),
+                     x.stride(lb), y.interior(lb), y.stride(lb), nullptr);
+  }
+  void lincomb_axpy(const T* a, const mc::FieldSetT<T>& x, const T* b,
+                    const mc::FieldSetT<T>& y, const T* c,
+                    const mc::FieldSetT<T>& z) const {
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::lincomb_axpy_batch(x.nb(), x.info(lb).nx, x.info(lb).ny, a,
+                             x.interior(lb), x.stride(lb), b, y.interior(lb),
+                             y.stride(lb), c, z.interior(lb), z.stride(lb),
+                             nullptr);
+  }
+  void scale(const T* a, const mc::FieldSetT<T>& x) const {
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::scale_batch(x.nb(), x.info(lb).nx, x.info(lb).ny, a,
+                      x.interior(lb), x.stride(lb), nullptr);
+  }
+  void mask_zero(const mc::FieldSetT<T>& x) const {
+    for (int lb = 0; lb < x.num_local_blocks(); ++lb)
+      mk::mask_zero_batch(mask(lb).data(), mask(lb).nx(), x.nb(),
+                          x.info(lb).nx, x.info(lb).ny, x.interior(lb),
+                          x.stride(lb));
+  }
+};
+
+/// Every span sweep on the sets `x`, `b` (a DistFieldT<T> or a
+/// DistFieldBatchT<T>) against the masked reference. The `_s` fields
+/// hold the span results, the `_m` fields the reference ones.
+template <typename T, typename Field>
+void sweep_identity(const mu::MaskArray& m, const ms::DistOperator& op,
+                    const mc::HaloExchanger& halo, mc::Communicator& comm,
+                    const Field& x, const Field& b) {
+  using Set = mc::FieldSetT<T>;
+  const MaskedReference<T> ref{op};
+  const int nb = Set(x).nb();
+
+  auto zeros = [&] {
+    Field f = x;
+    for (int mm = 0; mm < nb; ++mm) Set(f).fill_member_interior(mm, T(0));
+    return f;
+  };
+
+  // apply (pure skip: ocean cells bit-equal). The span sweep refreshes
+  // x's halo, which the reference then reads.
+  Field x_s = x, y_s = zeros(), y_m = zeros();
+  op.apply_batch(comm, halo, x_s, y_s);
+  ref.apply(x_s, y_m);
+  expect_ocean_bitwise<T>(m, y_s, y_m);
+
+  // fused residual + norm² — residual leaves land at +0.0 on both
+  // paths (land r = 0 - (+0.0) masked, untouched zero span), so the
+  // planes compare bitwise at EVERY cell, and the reduced norms too.
+  Field r_s = zeros(), r_m = zeros();
+  std::vector<double> sums_s(nb), sums_m(nb);
+  op.residual_local_norm2_batch(comm, halo, b, x_s, r_s, sums_s.data());
+  ref.residual_norm2(b, x_s, r_m, sums_m.data());
+  for (int mm = 0; mm < nb; ++mm) EXPECT_EQ(sums_s[mm], sums_m[mm]);
+  expect_full_bitwise<T>(r_s, r_m);
+
+  // reductions
+  op.local_dot_batch(comm, r_s, y_s, sums_s.data());
+  ref.dot(r_m, y_m, sums_m.data());
+  for (int mm = 0; mm < nb; ++mm) EXPECT_EQ(sums_s[mm], sums_m[mm]);
+  std::vector<double> d3_s(3 * nb), d3_m(3 * nb);
+  op.local_dot3_batch(comm, r_s, y_s, b, true, d3_s.data());
+  ref.dot3(r_m, y_m, b, d3_m.data());
+  for (int k = 0; k < 3 * nb; ++k) EXPECT_EQ(d3_s[k], d3_m[k]);
+
+  // preconditioners (gap-zero: full bitwise equality at every cell)
+  ms::DiagonalPreconditioner md(op);
+  ms::IdentityPreconditioner mi(op);
+  Field z_s = zeros(), z_m = zeros();
+  md.apply(comm, Set(r_s), Set(z_s));
+  ref.diagonal(r_m, z_m);
+  expect_full_bitwise<T>(z_s, z_m);
+  mi.apply(comm, Set(r_s), Set(z_s));
+  ref.identity(r_m, z_m);
+  expect_full_bitwise<T>(z_s, z_m);
+
+  // field ops: span vs dense
+  const ms::SpanPlan& plan = op.span_plan();
+  const std::vector<T> c125(nb, T(1.25)), cm05(nb, T(-0.5)),
+      cm075(nb, T(-0.75)), c05(nb, T(0.5)), c15(nb, T(1.5)), c2(nb, T(2)),
+      cm1125(nb, T(-1.125));
+  Field u_s = r_s, u_m = r_m;
+  ms::lincomb(comm, plan, c125.data(), y_s, cm05.data(), u_s);
+  ref.lincomb(c125.data(), y_m, cm05.data(), u_m);
+  expect_ocean_bitwise<T>(m, u_s, u_m);
+  ms::axpy(comm, plan, cm075.data(), y_s, u_s);
+  ref.axpy(cm075.data(), y_m, u_m);
+  expect_ocean_bitwise<T>(m, u_s, u_m);
+  ms::lincomb_axpy(comm, plan, c05.data(), y_s, c15.data(), u_s, c2.data(),
+                   z_s);
+  ref.lincomb_axpy(c05.data(), y_m, c15.data(), u_m, c2.data(), z_m);
+  expect_ocean_bitwise<T>(m, u_s, u_m);
+  expect_ocean_bitwise<T>(m, z_s, z_m);
+  ms::scale(comm, plan, cm1125.data(), u_s);
+  ref.scale(cm1125.data(), u_m);
+  expect_ocean_bitwise<T>(m, u_s, u_m);
+
+  // mask_interior re-establishes the land-zero invariant on both
+  // paths, after which the planes must agree everywhere.
+  op.mask_interior_batch(u_s);
+  ref.mask_zero(u_m);
+  expect_full_bitwise<T>(u_s, u_m);
 }
 
 template <typename T>
@@ -313,12 +521,7 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
   const mu::MaskArray& m = p.stencil->mask();
   mc::SerialComm comm;
   mc::HaloExchanger halo(*p.decomp);
-  ms::DistOperator op_span(*p.stencil, *p.decomp, 0);
-  ms::DistOperator op_mask(*p.stencil, *p.decomp, 0);
-  op_span.set_use_spans(true);
-  op_mask.set_use_spans(false);
-  ASSERT_NE(op_span.span_plan(), nullptr);
-  ASSERT_EQ(op_mask.span_plan(), nullptr);
+  ms::DistOperator op(*p.stencil, *p.decomp, 0);
 
   using Field = mc::DistFieldT<T>;
   Field x(*p.decomp, 0, halo_width), b(*p.decomp, 0, halo_width);
@@ -329,71 +532,9 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
       if (m(i, j)) xg(i, j) = rng.uniform(-1, 1);
   x.load_global(xg);
   b.load_global(p.b_global);
+  sweep_identity<T>(m, op, halo, comm, x, b);
 
-  // apply (pure skip: ocean cells bit-equal)
-  Field y_s(*p.decomp, 0, halo_width), y_m(*p.decomp, 0, halo_width);
-  Field xs_copy = x, xm_copy = x;
-  op_span.apply(comm, halo, xs_copy, y_s);
-  op_mask.apply(comm, halo, xm_copy, y_m);
-  expect_ocean_bitwise(m, y_s, y_m);
-
-  // fused residual + norm² — residual leaves land at +0.0 on both
-  // paths (land r = 0 - (+0.0) masked, untouched zero span), so the
-  // planes compare bitwise at EVERY cell, and the reduced norm too.
-  Field r_s(*p.decomp, 0, halo_width), r_m(*p.decomp, 0, halo_width);
-  xs_copy = x;
-  xm_copy = x;
-  const double n_s =
-      op_span.residual_local_norm2(comm, halo, b, xs_copy, r_s);
-  const double n_m =
-      op_mask.residual_local_norm2(comm, halo, b, xm_copy, r_m);
-  EXPECT_EQ(n_s, n_m);
-  expect_full_bitwise(r_s, r_m);
-
-  // reductions
-  EXPECT_EQ(op_span.local_dot(comm, r_s, y_s),
-            op_mask.local_dot(comm, r_m, y_m));
-  double d3_s[3], d3_m[3];
-  op_span.local_dot3(comm, r_s, y_s, b, true, d3_s);
-  op_mask.local_dot3(comm, r_m, y_m, b, true, d3_m);
-  for (int k = 0; k < 3; ++k) EXPECT_EQ(d3_s[k], d3_m[k]);
-
-  // preconditioners (gap-zero: full bitwise equality at every cell)
-  ms::DiagonalPreconditioner md_s(op_span), md_m(op_mask);
-  ms::IdentityPreconditioner mi_s(op_span), mi_m(op_mask);
-  Field z_s(*p.decomp, 0, halo_width), z_m(*p.decomp, 0, halo_width);
-  md_s.apply(comm, r_s, z_s);
-  md_m.apply(comm, r_m, z_m);
-  expect_full_bitwise(z_s, z_m);
-  mi_s.apply(comm, r_s, z_s);
-  mi_m.apply(comm, r_m, z_m);
-  expect_full_bitwise(z_s, z_m);
-
-  // field ops with and without the plan
-  Field u_s = r_s, u_m = r_m;
-  ms::lincomb(comm, 1.25, y_s, -0.5, u_s, op_span.span_plan());
-  ms::lincomb(comm, 1.25, y_m, -0.5, u_m, op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-  ms::axpy(comm, -0.75, y_s, u_s, op_span.span_plan());
-  ms::axpy(comm, -0.75, y_m, u_m, op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-  ms::lincomb_axpy(comm, 0.5, y_s, 1.5, u_s, 2.0, z_s,
-                   op_span.span_plan());
-  ms::lincomb_axpy(comm, 0.5, y_m, 1.5, u_m, 2.0, z_m,
-                   op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-  expect_ocean_bitwise(m, z_s, z_m);
-  ms::scale(comm, -1.125, u_s, op_span.span_plan());
-  ms::scale(comm, -1.125, u_m, op_mask.span_plan());
-  expect_ocean_bitwise(m, u_s, u_m);
-
-  // mask_interior re-establishes the land-zero invariant on both
-  // paths, after which the planes must agree everywhere.
-  op_span.mask_interior(u_s);
-  op_mask.mask_interior(u_m);
-  expect_full_bitwise(u_s, u_m);
-
-  // --- B = 4 batch sweeps -------------------------------------------
+  // --- B = 4 sets ---------------------------------------------------
   const int nb = 4;
   using Batch = mc::DistFieldBatchT<T>;
   Batch xb(*p.decomp, 0, nb, halo_width), bb(*p.decomp, 0, nb, halo_width);
@@ -411,37 +552,7 @@ void operator_identity_case(int halo_width, std::uint64_t seed) {
     tmp.load_global(gb);
     bb.load_member(mm, tmp);
   }
-  Batch yb_s(*p.decomp, 0, nb, halo_width),
-      yb_m(*p.decomp, 0, nb, halo_width);
-  Batch xb_s = xb, xb_m = xb;
-  op_span.apply_batch(comm, halo, xb_s, yb_s);
-  op_mask.apply_batch(comm, halo, xb_m, yb_m);
-  for (int lb = 0; lb < yb_s.num_local_blocks(); ++lb) {
-    const auto& info = yb_s.info(lb);
-    for (int j = 0; j < info.ny; ++j)
-      for (int i = 0; i < info.nx; ++i)
-        if (m(info.i0 + i, info.j0 + j)) {
-          for (int mm = 0; mm < nb; ++mm)
-            ASSERT_EQ(yb_s.at(lb, i, j, mm), yb_m.at(lb, i, j, mm));
-        }
-  }
-  Batch rb_s(*p.decomp, 0, nb, halo_width),
-      rb_m(*p.decomp, 0, nb, halo_width);
-  std::vector<double> sums_s(nb), sums_m(nb);
-  xb_s = xb;
-  xb_m = xb;
-  op_span.residual_local_norm2_batch(comm, halo, bb, xb_s, rb_s,
-                                     sums_s.data());
-  op_mask.residual_local_norm2_batch(comm, halo, bb, xb_m, rb_m,
-                                     sums_m.data());
-  for (int mm = 0; mm < nb; ++mm) EXPECT_EQ(sums_s[mm], sums_m[mm]);
-  op_span.local_dot_batch(comm, rb_s, yb_s, sums_s.data());
-  op_mask.local_dot_batch(comm, rb_m, yb_m, sums_m.data());
-  for (int mm = 0; mm < nb; ++mm) EXPECT_EQ(sums_s[mm], sums_m[mm]);
-  std::vector<double> d3b_s(3 * nb), d3b_m(3 * nb);
-  op_span.local_dot3_batch(comm, rb_s, yb_s, bb, true, d3b_s.data());
-  op_mask.local_dot3_batch(comm, rb_m, yb_m, bb, true, d3b_m.data());
-  for (int k = 0; k < 3 * nb; ++k) EXPECT_EQ(d3b_s[k], d3b_m[k]);
+  sweep_identity<T>(m, op, halo, comm, xb, bb);
 }
 
 }  // namespace
@@ -457,94 +568,4 @@ TEST(SpanPlan, OperatorBitwiseIdenticalFp32Halo1) {
 }
 TEST(SpanPlan, OperatorBitwiseIdenticalFp32Halo2) {
   operator_identity_case<float>(2, 44);
-}
-
-// -------------------------------------------------------------------
-// Solver-level identity: full P-CSI / ChronGear solves (including the
-// depth-2 comm-avoiding schedule, whose extension sweeps run their own
-// per-depth span plans) with span execution on vs off are bitwise
-// identical in iterates, residuals, and iteration counts — serial and
-// on 4 virtual ranks.
-// -------------------------------------------------------------------
-
-namespace {
-
-struct SolveOut {
-  mu::Field x;
-  ms::SolveStats stats;
-};
-
-SolveOut run_once(const Problem& p, int nranks, bool use_spans,
-                  const std::string& kind, int halo_depth,
-                  ms::EigenBounds bounds) {
-  SolveOut out;
-  out.x = mu::Field(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
-  std::vector<ms::SolveStats> stats(nranks);
-  mc::HaloExchanger halo(*p.decomp);
-  ms::SolverOptions opt;
-  opt.rel_tolerance = 1e-10;
-  opt.max_iterations = 2000;
-  opt.record_residuals = true;
-  opt.halo_depth = halo_depth;
-
-  auto body = [&](mc::Communicator& comm) {
-    ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
-    a.set_use_spans(use_spans);
-    ms::DiagonalPreconditioner m(a);
-    std::unique_ptr<ms::BatchedSolver> core;
-    if (kind == "pcsi")
-      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
-    else
-      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
-    auto s = std::make_unique<ms::OneMemberSolver>(std::move(core));
-    mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
-    b.load_global(p.b_global);
-    stats[comm.rank()] = s->solve(comm, halo, a, m, b, x);
-    x.store_global(out.x);  // disjoint interiors; no race
-  };
-  if (nranks == 1) {
-    mc::SerialComm comm;
-    body(comm);
-  } else {
-    mc::ThreadTeam team(nranks);
-    team.run(body);
-  }
-  out.stats = stats[0];
-  return out;
-}
-
-void solver_identity_case(int nranks, const std::string& kind,
-                          int halo_depth) {
-  Problem p = make_span_problem(30, 22, 6, nranks, 77);
-  const ms::EigenBounds bounds = lanczos_bounds_serial(p);
-  const SolveOut s = run_once(p, nranks, true, kind, halo_depth, bounds);
-  const SolveOut d = run_once(p, nranks, false, kind, halo_depth, bounds);
-  EXPECT_TRUE(s.stats.converged);
-  EXPECT_EQ(s.stats.iterations, d.stats.iterations);
-  EXPECT_EQ(s.stats.converged, d.stats.converged);
-  EXPECT_EQ(s.stats.relative_residual, d.stats.relative_residual);
-  ASSERT_EQ(s.stats.residual_history.size(),
-            d.stats.residual_history.size());
-  for (std::size_t k = 0; k < s.stats.residual_history.size(); ++k) {
-    EXPECT_EQ(s.stats.residual_history[k].first,
-              d.stats.residual_history[k].first);
-    EXPECT_EQ(s.stats.residual_history[k].second,
-              d.stats.residual_history[k].second);
-  }
-  for (int j = 0; j < p.decomp->ny_global(); ++j)
-    for (int i = 0; i < p.decomp->nx_global(); ++i)
-      ASSERT_EQ(s.x(i, j), d.x(i, j)) << "(" << i << "," << j << ")";
-}
-
-}  // namespace
-
-TEST(SpanPlan, PcsiSolveBitwiseSerial) { solver_identity_case(1, "pcsi", 1); }
-TEST(SpanPlan, PcsiSolveBitwiseFourRanks) {
-  solver_identity_case(4, "pcsi", 1);
-}
-TEST(SpanPlan, PcsiCommAvoidDepth2SolveBitwise) {
-  solver_identity_case(1, "pcsi", 2);
-}
-TEST(SpanPlan, ChronGearSolveBitwiseSerial) {
-  solver_identity_case(1, "cg", 1);
 }
