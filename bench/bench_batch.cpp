@@ -88,13 +88,12 @@ solver::SolverConfig pcsi_config() {
   return cfg;
 }
 
-/// The fully composed stack: mixed precision x resilience x overlap,
-/// all riding the same batched core (DESIGN.md §11).
+/// The fully composed stack: mixed precision x resilience, both riding
+/// the same batched core (DESIGN.md §11).
 solver::SolverConfig composed_config() {
   solver::SolverConfig cfg = pcsi_config();
   cfg.options.precision = solver::Precision::kMixed;
   cfg.resilient = true;
-  cfg.overlap = true;
   return cfg;
 }
 
@@ -359,7 +358,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     std::snprintf(
         buf, sizeof(buf),
         "    {\"nranks\": %d, \"batch\": %d, \"config\": "
-        "\"pcsi+mixed+resilient+overlap\", "
+        "\"pcsi+mixed+resilient\", "
         "\"fp64_seconds\": %.6e, \"composed_seconds\": %.6e, "
         "\"converged\": %s, \"max_residual\": %.3e, "
         "\"refine_sweeps\": %d, \"p2p_bytes_fp64\": %llu, "
@@ -418,7 +417,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Composed stack: mixed x resilient x overlap on the batched core,
+  // Composed stack: mixed x resilient on the batched core,
   // against the plain fp64 batch. fp32 halos at width B cut the p2p
   // payload roughly in half.
   const int composed_batch = smoke ? 4 : 8;

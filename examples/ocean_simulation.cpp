@@ -153,22 +153,41 @@ int main(int argc, char** argv) {
           flags, "Mini ocean model: one barotropic solve per time step."))
     return *rc;
   model::ModelConfig cfg;
-  cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12));
-  cfg.nz = cli.get_int("nz", 4);
-  // --block-size=NX or NXxNY (rectangular blocks); legacy --block=N
-  // still works when the new flag is absent.
-  const std::string bs =
-      cli.get("block-size", std::to_string(cli.get_int("block", 12)));
-  const auto xpos = bs.find('x');
-  cfg.block_size = std::stoi(bs.substr(0, xpos));
-  cfg.block_size_y =
-      xpos == std::string::npos ? 0 : std::stoi(bs.substr(xpos + 1));
-  cfg.solver.solver =
-      solver::solver_kind_from_string(cli.get("solver", "pcsi"));
-  cfg.solver.preconditioner = solver::preconditioner_kind_from_string(
-      cli.get("precond", "evp"));
-  cfg.solver.options.precision =
-      solver::precision_from_string(cli.get("precision", "fp64"));
+  double days = 0.0;
+  try {
+    // Every scale below ~0.04 gives the 16x16 minimum grid, so the
+    // 1e-3 floor only rejects zero and negative scales.
+    cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12, 1e-3, 1.0));
+    cfg.nz = cli.get_int("nz", 4, 1);
+    // --block-size=NX or NXxNY (rectangular blocks); legacy --block=N
+    // still works when the new flag is absent.
+    const auto [bx, by] = cli.get_as(
+        "block-size", std::to_string(cli.get_int("block", 12, 1)),
+        [](const std::string& s) {
+          const auto x = s.find('x');
+          return std::pair{util::parse_int(s.substr(0, x), 1),
+                           x == std::string::npos
+                               ? 0
+                               : util::parse_int(s.substr(x + 1), 1)};
+        });
+    cfg.block_size = bx;
+    cfg.block_size_y = by;
+    cfg.solver.solver =
+        cli.get_as("solver", "pcsi", solver::solver_kind_from_string);
+    cfg.solver.preconditioner = cli.get_as(
+        "precond", "evp", solver::preconditioner_kind_from_string);
+    cfg.solver.options.precision =
+        cli.get_as("precision", "fp64", solver::precision_from_string);
+    cfg.solver.options.halo_depth =
+        cli.get_as("halo-depth", "1", [](const std::string& s) {
+          return s == "auto" ? solver::kHaloDepthAuto
+                             : util::parse_int(s, 1, solver::kMaxHaloDepth);
+        });
+    cfg.nranks = cli.get_int("ranks", 1, 1);
+    days = cli.get_double("days", 90.0);
+  } catch (const util::CliValueError& e) {
+    return cli.report(e);
+  }
   // Reduced-precision sweeps can stall at the fp32 accuracy floor when
   // the tolerance is tighter than fp32 can deliver; arm the stagnation
   // guard so the stall becomes a quick typed kStagnated (cured by the
@@ -176,11 +195,6 @@ int main(int argc, char** argv) {
   // 20000-iteration budget per solve.
   if (cfg.solver.options.precision != solver::Precision::kFp64)
     cfg.solver.options.stagnation_window = 5;
-  const std::string hd = cli.get("halo-depth", "1");
-  cfg.solver.options.halo_depth =
-      hd == "auto" ? solver::kHaloDepthAuto : std::stoi(hd);
-  cfg.nranks = cli.get_int("ranks", 1);
-  const double days = cli.get_double("days", 90.0);
 
   if (cfg.nranks == 1) {
     comm::SerialComm comm;

@@ -35,11 +35,22 @@ int main(int argc, char** argv) {
           flags, "One barotropic elliptic solve, end to end."))
     return *rc;
 
+  grid::GridSpec spec = grid::pop_1deg_spec(0.25);
+  solver::SolverConfig config;
+  try {
+    spec.nx = cli.get_int("nx", spec.nx, 1);
+    spec.ny = cli.get_int("ny", spec.ny, 1);
+    config.solver =
+        cli.get_as("solver", "pcsi", solver::solver_kind_from_string);
+    config.preconditioner = cli.get_as(
+        "precond", "evp", solver::preconditioner_kind_from_string);
+    config.options.rel_tolerance = cli.get_double("tol", 1e-13);
+  } catch (const util::CliValueError& e) {
+    return cli.report(e);
+  }
+
   // 1. A curvilinear grid. pop_1deg_spec(scale) mimics POP's 1-degree
   //    dipole grid; scale 0.25 gives a workstation-sized 80x96.
-  grid::GridSpec spec = grid::pop_1deg_spec(0.25);
-  spec.nx = cli.get_int("nx", spec.nx);
-  spec.ny = cli.get_int("ny", spec.ny);
   grid::CurvilinearGrid g(spec);
   std::cout << "grid: " << spec.describe() << "\n";
 
@@ -66,12 +77,6 @@ int main(int argc, char** argv) {
 
   // 5. The solver. P-CSI runs Lanczos at construction to bound the
   //    preconditioned spectrum (paper Sec. 3).
-  solver::SolverConfig config;
-  config.solver = solver::solver_kind_from_string(
-      cli.get("solver", "pcsi"));
-  config.preconditioner = solver::preconditioner_kind_from_string(
-      cli.get("precond", "evp"));
-  config.options.rel_tolerance = cli.get_double("tol", 1e-13);
   solver::BarotropicSolver solver(comm, halo, g, depth, stencil, decomp,
                                   config);
   std::cout << "solver: " << solver.description();

@@ -31,9 +31,19 @@ int main(int argc, char** argv) {
   if (const auto rc = cli.check_flags(
           flags, "Modeled strong scaling of ChronGear+diagonal vs P-CSI+EVP."))
     return *rc;
-  const std::string machine_name = cli.get("machine", "yellowstone");
-  const std::string grid_name = cli.get("grid", "0.1deg");
-  const bool live = cli.get_bool("live", true);
+  std::string machine_name, grid_name;
+  bool live = true;
+  double scale = 0.0;
+  try {
+    machine_name =
+        cli.get_choice("machine", "yellowstone", {"yellowstone", "edison"});
+    grid_name = cli.get_choice("grid", "0.1deg", {"0.1deg", "1deg"});
+    live = cli.get_bool("live", true);
+    scale = cli.get_double("scale", grid_name == "1deg" ? 0.25 : 0.05, 1e-3,
+                           1.0);
+  } catch (const util::CliValueError& e) {
+    return cli.report(e);
+  }
 
   const perf::MachineProfile machine = machine_name == "edison"
                                            ? perf::edison_profile()
@@ -48,8 +58,6 @@ int main(int argc, char** argv) {
     // P-CSI/ChronGear ratio (conditioning transfers across scales; the
     // absolute counts are resolution-dependent, so keep the calibrated
     // cg_diag and move pcsi_diag with the live ratio).
-    const double scale = cli.get_double(
-        "scale", grid_name == "1deg" ? 0.25 : 0.05);
     std::cout << "measuring live iteration ratio on the scaled grid...\n";
     auto c = bench::make_live_case(grid_name, scale, 12);
     auto cg = bench::measure_iterations(

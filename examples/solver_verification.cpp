@@ -37,13 +37,26 @@ int main(int argc, char** argv) {
     return *rc;
 
   stats::EnsembleConfig ens;
-  ens.model.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.08));
-  ens.model.nz = cli.get_int("nz", 3);
+  solver::SolverKind cand_solver{};
+  solver::PreconditionerKind cand_precond{};
+  double cand_tol = 0.0;
+  try {
+    ens.model.grid =
+        grid::pop_1deg_spec(cli.get_double("scale", 0.08, 1e-3, 1.0));
+    ens.model.nz = cli.get_int("nz", 3, 1);
+    ens.members = cli.get_int("members", 10, 1);
+    ens.months = cli.get_int("months", 3, 1);
+    cand_solver =
+        cli.get_as("solver", "pcsi", solver::solver_kind_from_string);
+    cand_precond = cli.get_as("precond", "evp",
+                              solver::preconditioner_kind_from_string);
+    cand_tol = cli.get_double("tol", 1e-13);
+  } catch (const util::CliValueError& e) {
+    return cli.report(e);
+  }
   ens.model.block_size = 12;
   ens.model.nranks = 1;
   ens.model.solver.options.rel_tolerance = 1e-13;  // production default
-  ens.members = cli.get_int("members", 10);
-  ens.months = cli.get_int("months", 3);
 
   std::cout << "building the reference ensemble (" << ens.members
             << " members x " << ens.months << " months, O(1e-14) initial "
@@ -55,12 +68,9 @@ int main(int argc, char** argv) {
 
   // Candidate configuration.
   auto candidate_cfg = ens;
-  candidate_cfg.model.solver.solver =
-      solver::solver_kind_from_string(cli.get("solver", "pcsi"));
-  candidate_cfg.model.solver.preconditioner =
-      solver::preconditioner_kind_from_string(cli.get("precond", "evp"));
-  candidate_cfg.model.solver.options.rel_tolerance =
-      cli.get_double("tol", 1e-13);
+  candidate_cfg.model.solver.solver = cand_solver;
+  candidate_cfg.model.solver.preconditioner = cand_precond;
+  candidate_cfg.model.solver.options.rel_tolerance = cand_tol;
   std::cout << "running candidate: "
             << solver::to_string(candidate_cfg.model.solver.solver) << "+"
             << solver::to_string(candidate_cfg.model.solver.preconditioner)

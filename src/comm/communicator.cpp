@@ -4,18 +4,9 @@
 
 namespace minipop::comm {
 
-namespace {
-double seconds_between(std::chrono::steady_clock::time_point a,
-                       std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-}  // namespace
-
 Request::Request(std::unique_ptr<RequestState> state, CostTracker* costs)
-    : state_(std::move(state)),
-      costs_(costs),
-      posted_(std::chrono::steady_clock::now()) {
-  if (state_ != nullptr && costs_ != nullptr) costs_->add_request();
+    : state_(std::move(state)) {
+  if (state_ != nullptr && costs != nullptr) costs->add_request();
 }
 
 Request& Request::operator=(Request&& o) noexcept {
@@ -26,8 +17,6 @@ Request& Request::operator=(Request&& o) noexcept {
     // loudly rather than risk a lost message.
     if (!done()) std::terminate();
     state_ = std::move(o.state_);
-    costs_ = o.costs_;
-    posted_ = o.posted_;
   }
   return *this;
 }
@@ -44,27 +33,17 @@ Request::~Request() {
   state_.reset();
 }
 
-void Request::record_completion(double exposed_seconds) {
-  if (costs_ != nullptr) {
-    costs_->add_posted_seconds(
-        seconds_between(posted_, std::chrono::steady_clock::now()));
-    costs_->add_exposed_seconds(exposed_seconds);
-  }
-  state_.reset();
-}
-
 bool Request::test() {
   if (done()) return true;
   if (!state_->poll()) return false;
-  record_completion(0.0);
+  state_.reset();
   return true;
 }
 
 void Request::wait() {
   if (done()) return;
-  const auto t0 = std::chrono::steady_clock::now();
   state_->block();
-  record_completion(seconds_between(t0, std::chrono::steady_clock::now()));
+  state_.reset();
 }
 
 void Communicator::allreduce(std::span<double> values, ReduceOp op) {

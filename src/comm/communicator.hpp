@@ -10,14 +10,13 @@
 //
 // The primitives are split-phase (MPI_Isend/Irecv/Iallreduce style):
 // posting returns a Request handle that is completed with test()/wait().
-// The blocking calls are thin wrappers (post + wait). Real-machine wall
-// times are *not* modeled here (we are on a workstation); the
-// CostTracker records message/reduction/flop counts — plus posted vs
-// exposed request time for the overlap engine — and src/perf converts
-// counts to modeled times.
+// The blocking calls are thin wrappers (post + wait), and the halo
+// engine uses the split phases to keep all of a round's messages in
+// flight at once. Real-machine wall times are *not* modeled here (we
+// are on a workstation); the CostTracker records message/reduction/flop
+// counts and src/perf converts counts to modeled times.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -65,10 +64,9 @@ class RequestState {
 };
 
 /// Lightweight handle to one in-flight split-phase operation (the
-/// MPI_Request analogue). Movable, not copyable. Completing through
-/// test()/wait() records the request's in-flight time as posted
-/// communication, and the time actually blocked inside wait() as exposed
-/// communication, in the owning communicator's CostTracker.
+/// MPI_Request analogue). Movable, not copyable. Constructing one from a
+/// live state counts one request in the owning communicator's
+/// CostTracker.
 ///
 /// A Request destroyed before completion is *abandoned*: the destructor
 /// makes one non-blocking completion attempt and then drops the state.
@@ -96,11 +94,7 @@ class Request {
   void wait();
 
  private:
-  void record_completion(double exposed_seconds);
-
   std::unique_ptr<RequestState> state_;
-  CostTracker* costs_ = nullptr;
-  std::chrono::steady_clock::time_point posted_{};
 };
 
 class Communicator {

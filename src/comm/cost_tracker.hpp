@@ -45,19 +45,6 @@ struct CostCounters {
   std::uint64_t integrity_checks = 0;
   std::uint64_t integrity_failures = 0;
 
-  /// Wall time requests spent in flight (post -> observed completion).
-  /// This is the communication the split-phase engine *could* hide.
-  double posted_comm_seconds = 0.0;
-  /// Wall time actually blocked inside Request::wait(). This is the
-  /// communication that was *exposed* — not hidden behind computation.
-  /// Always <= posted_comm_seconds (the blocked interval is a suffix of
-  /// the in-flight interval of each request).
-  double exposed_comm_seconds = 0.0;
-
-  double hidden_comm_seconds() const {
-    return posted_comm_seconds - exposed_comm_seconds;
-  }
-
   CostCounters& operator+=(const CostCounters& o) {
     flops += o.flops;
     redundant_flops += o.redundant_flops;
@@ -72,8 +59,6 @@ struct CostCounters {
     swept_points += o.swept_points;
     integrity_checks += o.integrity_checks;
     integrity_failures += o.integrity_failures;
-    posted_comm_seconds += o.posted_comm_seconds;
-    exposed_comm_seconds += o.exposed_comm_seconds;
     return *this;
   }
 };
@@ -103,8 +88,6 @@ class CostTracker {
     ++c_.integrity_checks;
     if (failed) ++c_.integrity_failures;
   }
-  void add_posted_seconds(double s) { c_.posted_comm_seconds += s; }
-  void add_exposed_seconds(double s) { c_.exposed_comm_seconds += s; }
 
   const CostCounters& counters() const { return c_; }
   void reset() { c_ = CostCounters{}; }

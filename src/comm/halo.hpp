@@ -25,8 +25,8 @@
 // the same message count as a scalar exchange with nb x the payload.
 // The engine is also generic over the element type: an fp32 set packs
 // fp32 strips and moves HALF the wire bytes of an fp64 exchange through
-// the identical byte-addressed point-to-point path — the same tags, the
-// same message count, the same overlap structure. finish() counts one
+// the identical byte-addressed point-to-point path — the same tags and
+// the same message count. finish() counts one
 // exchange round refreshing nb member planes
 // (CostTracker::add_halo_exchange(nb)).
 #pragma once

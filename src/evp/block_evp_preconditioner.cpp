@@ -192,9 +192,9 @@ void tile_apply(const EvpTileSolver& s, const util::MaskArray& mask,
 }  // namespace
 
 // Contract: apply() is block-local and communication-free — it never
-// touches `comm` beyond cost accounting and reads no halo points. The
-// overlapped solvers rely on this to run it while reductions are in
-// flight (split-phase engine); keep it that way.
+// touches `comm` beyond cost accounting and reads no halo points, so
+// callers never refresh halos around it and its cost is pure compute;
+// keep it that way.
 void BlockEvpPreconditioner::apply(comm::Communicator& comm,
                                    const comm::FieldSet& in,
                                    const comm::FieldSet& out) {

@@ -108,7 +108,6 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     const comm::FieldSet& x, comm::HaloFreshness x_fresh) {
   const auto snapshot = comm.costs().counters();
   const int nb = b.nb();
-  const bool ov = opt_.overlap;
   BatchSolveStats out;
   out.members.resize(nb);
 
@@ -169,27 +168,12 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     // allreduce per sweep. The batch stays full width here — outer
     // sweeps are few, and frozen members cost nothing in the inner
     // solve (their zeroed residual freezes them at its first check).
-    if (ov)
-      a.residual_local_norm2_overlapped_batch(comm, halo, b, x, r,
-                                              sums.data(), fresh);
-    else
-      a.residual_local_norm2_batch(comm, halo, b, x, r, sums.data(), fresh);
+    a.residual_local_norm2_batch(comm, halo, b, x, r, sums.data(), fresh);
     fresh = comm::HaloFreshness::kStale;
     bad_idx.clear();
-    bool red_bad = false;
-    if (ov) {
-      // Hide the check reduction behind the (local) demotion of r; the
-      // demoted copy is only wasted on the final, converged sweep.
-      GuardedReduction req;
-      req.post(comm, opt_.integrity, std::span<double>(sums.data(), nb));
-      demote(r, r32);
-      red_bad = req.wait(&bad_idx);
-    } else {
-      red_bad = allreduce_sum_guarded(comm, opt_.integrity,
-                                      std::span<double>(sums.data(), nb),
-                                      &bad_idx);
-    }
-    if (red_bad) {
+    if (allreduce_sum_guarded(comm, opt_.integrity,
+                              std::span<double>(sums.data(), nb),
+                              &bad_idx)) {
       for (int i : bad_idx) {
         if (!active[i]) continue;
         out.members[i].failure = FailureKind::kCorruptReduction;
@@ -250,7 +234,7 @@ BatchSolveStats BatchedMixedPrecisionSolver::solve_mixed(
     // tolerance relative to each member's ||r||. Members already frozen
     // by the outer loop get their residual plane zeroed: the inner
     // solve's zero-RHS early-out freezes them instantly (d_m = 0).
-    if (!ov) demote(r, r32);
+    demote(r, r32);
     for (int mm = 0; mm < nb; ++mm)
       if (!active[mm]) comm::FieldSet32(r32).fill_member_interior(mm, 0.0f);
     d32.fill(0.0f);

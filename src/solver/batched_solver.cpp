@@ -328,7 +328,6 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     return solve_comm_avoid_t<T>(comm, halo, a, m, b, x);
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
-  const bool ov = opt_.overlap;
 
   BatchControl ctl = init_control<T>(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
@@ -367,10 +366,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
 
   // Step 2: initial step, gated so zero-RHS members' solutions stay
   // exactly at the early-out's fill(0).
-  if (ov)
-    a.residual_overlapped_batch(comm, halo, bw, xw, r, x_fresh);
-  else
-    a.residual_batch(comm, halo, bw, xw, r, x_fresh);  // r_0 = b - B x_0
+  a.residual_batch(comm, halo, bw, xw, r, x_fresh);  // r_0 = b - B x_0
   m.apply(comm, r, rp);
   copy_interior<T>(rp, dx);
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0 / gamma));
@@ -379,10 +375,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
   std::fill(ca.begin(), ca.end(), static_cast<T>(1.0));
   axpy(comm, a.span_plan(), ca.data(), dx, xw,
        ctl.active.data());  // x_1 = x_0 + dx_0
-  if (ov)
-    a.residual_overlapped_batch(comm, halo, bw, xw, r);
-  else
-    a.residual_batch(comm, halo, bw, xw, r);  // r_1 = b - B x_1
+  a.residual_batch(comm, halo, bw, xw, r);  // r_1 = b - B x_1
 
   for (int k = 1; k <= opt_.max_iterations; ++k) {
     ctl.out.iterations = k;
@@ -407,11 +400,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
     // only global reduction P-CSI does — costs zero extra field passes:
     // one CURRENT-WIDTH vector allreduce for all members.
     if (k % opt_.check_frequency == 0) {
-      if (ov)
-        a.residual_local_norm2_overlapped_batch(comm, halo, bw, xw, r,
-                                                sums.data());
-      else
-        a.residual_local_norm2_batch(comm, halo, bw, xw, r, sums.data());
+      a.residual_local_norm2_batch(comm, halo, bw, xw, r, sums.data());
       bad_idx.clear();
       if (allreduce_sum_guarded(comm, opt_.integrity,
                                 std::span<double>(sums.data(), ctl.cur_nb),
@@ -469,10 +458,7 @@ BatchSolveStats BatchedPcsiSolver::solve_t(comm::Communicator& comm,
                    {&rp}, sums, x.halo());
       }
     } else {
-      if (ov)
-        a.residual_overlapped_batch(comm, halo, bw, xw, r);
-      else
-        a.residual_batch(comm, halo, bw, xw, r);
+      a.residual_batch(comm, halo, bw, xw, r);
     }
   }
 
@@ -691,7 +677,6 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
   MINIPOP_REQUIRE(b.compatible_with(x), "chrongear: b/x mismatch");
   const auto snapshot = comm.costs().counters();
   const int nb0 = b.nb();
-  const bool ov = opt_.overlap;
 
   BatchControl ctl = init_control<T>(opt_, comm, a, b, x);
   if (ctl.n_active == 0) {
@@ -708,10 +693,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
   comm::DistFieldBatchT<T> s_dir(a.decomposition(), a.rank(), nb0, x.halo());
   comm::DistFieldBatchT<T> p_dir(a.decomposition(), a.rank(), nb0, x.halo());
 
-  if (ov)
-    a.residual_overlapped_batch(comm, halo, bw, xw, r, x_fresh);
-  else
-    a.residual_batch(comm, halo, bw, xw, r, x_fresh);
+  a.residual_batch(comm, halo, bw, xw, r, x_fresh);
 
   // Per-member recurrence scalars, indexed by ORIGINAL member id so
   // they survive retirement compactions. Double at every storage
@@ -733,10 +715,7 @@ BatchSolveStats BatchedChronGearSolver::solve_t(
       if (ctl.active[s]) ctl.out.members[ctl.member_of[s]].iterations = k;
 
     m.apply(comm, r, rp);  // step 4: r'_k = M^-1 r_{k-1}
-    if (ov)  // steps 5-6: z = B r' (+ boundary update)
-      a.apply_overlapped_batch(comm, halo, rp, z);
-    else
-      a.apply_batch(comm, halo, rp, z);
+    a.apply_batch(comm, halo, rp, z);  // steps 5-6: z = B r' (+ halo)
 
     // Steps 7-9: all members' fused {rho, delta[, ||r||²]} partial sums
     // ride ONE grouped vector allreduce. Element-wise fixed-order

@@ -31,10 +31,9 @@
 // narrower batch. Retirement never changes any member's arithmetic,
 // only the lane count. See DESIGN.md §10 for the policy discussion.
 //
-// SolverOptions::overlap is honored: the split-phase sweeps hide the
-// aggregated halo exchange behind the interior stencil update (bitwise
-// identical to the blocking path). Reductions are not speculated: each
-// convergence check is one blocking vector allreduce.
+// Communication is blocking: each stencil sweep refreshes the
+// aggregated halo before it runs, and each convergence check is one
+// blocking vector allreduce.
 #pragma once
 
 #include <vector>

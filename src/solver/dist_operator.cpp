@@ -29,54 +29,6 @@ kernels::Stencil9T<T> stencil_view(
       c[static_cast<int>(grid::Dir::kCenter)].nx()};
 }
 
-/// Sub-rectangle of a block interior: [i0, i0+ni) x [j0, j0+nj).
-struct SubRect {
-  int i0, j0, ni, nj;
-};
-
-/// Stencil view with all nine coefficient pointers advanced to (i0, j0).
-template <typename T>
-kernels::Stencil9T<T> shift(const kernels::Stencil9T<T>& s, int i0, int j0) {
-  const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(j0) * s.stride + i0;
-  return kernels::Stencil9T<T>{s.c0 + off,  s.ce + off,  s.cw + off,
-                               s.cn + off,  s.cs + off,  s.cne + off,
-                               s.cnw + off, s.cse + off, s.csw + off,
-                               s.stride};
-}
-
-/// Field pointer advanced to member 0 of cell (i0, j0) of a sub-
-/// rectangle: the member-interleaved layout widens cell columns by nb,
-/// the stencil coefficients stay width 1.
-template <typename T>
-T* at_w(T* base, std::ptrdiff_t stride, int nb, const SubRect& r) {
-  return base + static_cast<std::ptrdiff_t>(r.j0) * stride +
-         static_cast<std::ptrdiff_t>(r.i0) * nb;
-}
-
-/// Halo-independent interior of an nx x ny block: the 9-point stencil
-/// reads only the ±1 ring, so cells at least one in from every edge
-/// never touch the halo. False when the block is too thin to have one
-/// (then the whole block is rim).
-bool interior_rect(int nx, int ny, SubRect* r) {
-  if (nx <= 2 || ny <= 2) return false;
-  *r = {1, 1, nx - 2, ny - 2};
-  return true;
-}
-
-/// Complement of interior_rect: 1-wide strips along the four edges (or
-/// the whole block when there is no interior).
-int rim_rects(int nx, int ny, SubRect out[4]) {
-  if (nx <= 2 || ny <= 2) {
-    out[0] = {0, 0, nx, ny};
-    return 1;
-  }
-  out[0] = {0, 0, nx, 1};
-  out[1] = {0, ny - 1, nx, 1};
-  out[2] = {0, 1, 1, ny - 2};
-  out[3] = {nx - 1, 1, 1, ny - 2};
-  return 4;
-}
-
 #if MINIPOP_BOUNDS_CHECK
 /// Debug cross-run audit (DESIGN.md §14): after a span sweep, the
 /// masked reference kernel is re-run into scratch and the results must
@@ -106,8 +58,7 @@ void audit_span_field(const util::MaskArray& mask, int nb, int nx, int ny,
 
 /// audit_span_field over every local block of a stencil sweep's output:
 /// ref(lb, scratch, scratch_stride) writes the masked reference sweep.
-/// Runs after the sweep, when x's halo is fresh on both the blocking
-/// and the overlapped path.
+/// Runs after the sweep, when x's halo is fresh.
 template <typename T, typename Ref>
 void audit_span_sweep(const DistOperator& op, const comm::FieldSetT<T>& out,
                       Ref&& ref) {
@@ -166,24 +117,11 @@ DistOperator::DistOperator(const grid::NinePointStencil& stencil,
         mask(i, j) = stencil.mask()(b.i0 + i, b.j0 + j);
         if (mask(i, j)) ++local_ocean_cells_;
       }
-    // Span plan (DESIGN.md §14): compress the block mask once; the
-    // interior/rim clippings mirror the overlapped sweeps' sub-rects so
-    // their shifted field pointers index the re-based spans directly.
+    // Span plan (DESIGN.md §14): compress the block mask once.
     BlockSpans full(mask.data(), mask.nx(), b.nx, b.ny);
 #if MINIPOP_BOUNDS_CHECK
     full.validate(mask.data(), mask.nx());
 #endif
-    SubRect in;
-    span_interior_.push_back(interior_rect(b.nx, b.ny, &in)
-                                 ? full.clipped(in.i0, in.j0, in.ni, in.nj)
-                                 : BlockSpans());
-    SubRect rim[4];
-    const int nrim = rim_rects(b.nx, b.ny, rim);
-    std::array<BlockSpans, 4> rims;
-    for (int k = 0; k < nrim; ++k)
-      rims[k] = full.clipped(rim[k].i0, rim[k].j0, rim[k].ni, rim[k].nj);
-    span_num_rim_.push_back(nrim);
-    span_rim_.push_back(std::move(rims));
     span_full_.push_back(std::move(full));
 
     block_coeff_.push_back(std::move(coeffs));
@@ -305,29 +243,11 @@ template <typename T, typename BlockSweep>
 void DistOperator::sweep_blocks(comm::Communicator& comm,
                                 const comm::HaloExchanger& halo,
                                 const comm::FieldSetT<T>& x,
-                                comm::HaloFreshness fresh, bool overlap,
+                                comm::HaloFreshness fresh,
                                 BlockSweep&& sweep) const {
-  if (!overlap || fresh == comm::HaloFreshness::kFresh) {
-    if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
-    for (int lb = 0; lb < num_local_blocks(); ++lb) {
-      const auto& b = x.info(lb);
-      sweep(lb, SubRect{0, 0, b.nx, b.ny}, span_full_[lb]);
-    }
-    return;
-  }
-  comm::HaloHandleT<T> inflight = halo.begin_set<T>(comm, x);
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect in;
-    if (interior_rect(b.nx, b.ny, &in)) sweep(lb, in, span_interior_[lb]);
-  }
-  inflight.finish();
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& b = x.info(lb);
-    SubRect rim[4];
-    const int n = rim_rects(b.nx, b.ny, rim);
-    for (int k = 0; k < n; ++k) sweep(lb, rim[k], span_rim_[lb][k]);
-  }
+  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
+  for (int lb = 0; lb < num_local_blocks(); ++lb)
+    sweep(lb, x.info(lb).ny, span_full_[lb]);
 }
 
 template <typename T>
@@ -335,7 +255,7 @@ void DistOperator::apply_t(comm::Communicator& comm,
                            const comm::HaloExchanger& halo,
                            const comm::FieldSetT<T>& x,
                            const comm::FieldSetT<T>& y,
-                           comm::HaloFreshness fresh, bool overlap) const {
+                           comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(x.compatible_with(y), "x/y field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
                   "field does not match operator decomposition");
@@ -345,13 +265,11 @@ void DistOperator::apply_t(comm::Communicator& comm,
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
   sweep_blocks<T>(
-      comm, halo, x, fresh, overlap,
-      [&](int lb, const SubRect& r, const BlockSpans& sp) {
-        kernels::apply9_span_batch(
-            shift(stencil_view(coeff[lb]), r.i0, r.j0), sp.row_offset(),
-            sp.spans(), nb, r.nj, at_w(x.interior(lb), x.stride(lb), nb, r),
-            x.stride(lb), at_w(y.interior(lb), y.stride(lb), nb, r),
-            y.stride(lb));
+      comm, halo, x, fresh, [&](int lb, int ny, const BlockSpans& sp) {
+        kernels::apply9_span_batch(stencil_view(coeff[lb]), sp.row_offset(),
+                                   sp.spans(), nb, ny, x.interior(lb),
+                                   x.stride(lb), y.interior(lb),
+                                   y.stride(lb));
       });
 #if MINIPOP_BOUNDS_CHECK
   audit_span_sweep(*this, y, [&](int lb, T* ref, std::ptrdiff_t rs) {
@@ -371,8 +289,7 @@ void DistOperator::residual_t(comm::Communicator& comm,
                               const comm::FieldSetT<T>& b,
                               const comm::FieldSetT<T>& x,
                               const comm::FieldSetT<T>& r,
-                              comm::HaloFreshness fresh,
-                              bool overlap) const {
+                              comm::HaloFreshness fresh) const {
   MINIPOP_REQUIRE(b.compatible_with(x) && b.compatible_with(r),
                   "b/x/r field mismatch");
   MINIPOP_REQUIRE(&x.decomposition() == decomp_ && x.rank() == rank_,
@@ -383,14 +300,11 @@ void DistOperator::residual_t(comm::Communicator& comm,
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
   sweep_blocks<T>(
-      comm, halo, x, fresh, overlap,
-      [&](int lb, const SubRect& s, const BlockSpans& sp) {
+      comm, halo, x, fresh, [&](int lb, int ny, const BlockSpans& sp) {
         kernels::residual9_span_batch(
-            shift(stencil_view(coeff[lb]), s.i0, s.j0), sp.row_offset(),
-            sp.spans(), nb, s.nj, at_w(b.interior(lb), b.stride(lb), nb, s),
-            b.stride(lb), at_w(x.interior(lb), x.stride(lb), nb, s),
-            x.stride(lb), at_w(r.interior(lb), r.stride(lb), nb, s),
-            r.stride(lb));
+            stencil_view(coeff[lb]), sp.row_offset(), sp.spans(), nb, ny,
+            b.interior(lb), b.stride(lb), x.interior(lb), x.stride(lb),
+            r.interior(lb), r.stride(lb));
       });
 #if MINIPOP_BOUNDS_CHECK
   audit_span_sweep(*this, r, [&](int lb, T* ref, std::ptrdiff_t rs) {
@@ -419,33 +333,32 @@ void DistOperator::residual_local_norm2_t(comm::Communicator& comm,
                   "field does not match operator decomposition");
   MINIPOP_REQUIRE(b != r && x != r, "residual requires distinct r");
   if constexpr (std::is_same_v<T, double>) offer_coeff_fault_sites();
-  if (fresh == comm::HaloFreshness::kStale) halo.exchange_set<T>(comm, x);
 
   const auto& coeff = coeffs<T>();
   const int nb = x.nb();
   for (int m = 0; m < nb; ++m) sums[m] = 0.0;
-  for (int lb = 0; lb < num_local_blocks(); ++lb) {
-    const auto& info = r.info(lb);
+  sweep_blocks<T>(
+      comm, halo, x, fresh, [&](int lb, int ny, const BlockSpans& sp) {
 #if MINIPOP_BOUNDS_CHECK
-    std::vector<double> ref_sums(sums, sums + nb);
+        std::vector<double> ref_sums(sums, sums + nb);
 #endif
-    kernels::residual_norm2_9_span_batch(
-        stencil_view(coeff[lb]), span_full_[lb].row_offset(),
-        span_full_[lb].spans(), nb, info.ny, b.interior(lb), b.stride(lb),
-        x.interior(lb), x.stride(lb), r.interior(lb), r.stride(lb), sums);
+        kernels::residual_norm2_9_span_batch(
+            stencil_view(coeff[lb]), sp.row_offset(), sp.spans(), nb, ny,
+            b.interior(lb), b.stride(lb), x.interior(lb), x.stride(lb),
+            r.interior(lb), r.stride(lb), sums);
 #if MINIPOP_BOUNDS_CHECK
-    const std::ptrdiff_t rs = static_cast<std::ptrdiff_t>(info.nx) * nb;
-    std::vector<T> ref(static_cast<std::size_t>(rs) * info.ny);
-    kernels::residual_norm2_9_batch(
-        stencil_view(coeff[lb]), block_mask_[lb].data(),
-        block_mask_[lb].nx(), nb, info.nx, info.ny, b.interior(lb),
-        b.stride(lb), x.interior(lb), x.stride(lb), ref.data(), rs,
-        ref_sums.data());
-    audit_span_field(block_mask_[lb], nb, info.nx, info.ny, r.interior(lb),
-                     r.stride(lb), ref.data(), rs);
-    audit_span_sums(sums, ref_sums.data(), nb);
+        const int nx = r.info(lb).nx;
+        const std::ptrdiff_t rs = static_cast<std::ptrdiff_t>(nx) * nb;
+        std::vector<T> ref(static_cast<std::size_t>(rs) * ny);
+        kernels::residual_norm2_9_batch(
+            stencil_view(coeff[lb]), block_mask_[lb].data(),
+            block_mask_[lb].nx(), nb, nx, ny, b.interior(lb), b.stride(lb),
+            x.interior(lb), x.stride(lb), ref.data(), rs, ref_sums.data());
+        audit_span_field(block_mask_[lb], nb, nx, ny, r.interior(lb),
+                         r.stride(lb), ref.data(), rs);
+        audit_span_sums(sums, ref_sums.data(), nb);
 #endif
-  }
+      });
   // Residual (10 ops/point) + masked norm (2 ops/point), as when the
   // sweeps were separate.
   count(comm, 12, nb);
@@ -584,37 +497,19 @@ void DistOperator::abft_local_sums_batch(comm::Communicator& comm,
                                  const comm::HaloExchanger& halo,            \
                                  const FS& x, const FS& y,                   \
                                  comm::HaloFreshness fresh) const {          \
-    apply_t(comm, halo, x, y, fresh, /*overlap=*/false);                     \
+    apply_t(comm, halo, x, y, fresh);                                        \
   }                                                                          \
   void DistOperator::residual_batch(                                         \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& b, const FS& x, const FS& r, comm::HaloFreshness fresh)      \
       const {                                                                \
-    residual_t(comm, halo, b, x, r, fresh, /*overlap=*/false);               \
+    residual_t(comm, halo, b, x, r, fresh);                                  \
   }                                                                          \
   void DistOperator::residual_local_norm2_batch(                             \
       comm::Communicator& comm, const comm::HaloExchanger& halo,             \
       const FS& b, const FS& x, const FS& r, double* sums,                   \
       comm::HaloFreshness fresh) const {                                     \
     residual_local_norm2_t(comm, halo, b, x, r, sums, fresh);                \
-  }                                                                          \
-  void DistOperator::apply_overlapped_batch(                                 \
-      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
-      const FS& x, const FS& y, comm::HaloFreshness fresh) const {           \
-    apply_t(comm, halo, x, y, fresh, /*overlap=*/true);                      \
-  }                                                                          \
-  void DistOperator::residual_overlapped_batch(                              \
-      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
-      const FS& b, const FS& x, const FS& r, comm::HaloFreshness fresh)      \
-      const {                                                                \
-    residual_t(comm, halo, b, x, r, fresh, /*overlap=*/true);                \
-  }                                                                          \
-  void DistOperator::residual_local_norm2_overlapped_batch(                  \
-      comm::Communicator& comm, const comm::HaloExchanger& halo,             \
-      const FS& b, const FS& x, const FS& r, double* sums,                   \
-      comm::HaloFreshness fresh) const {                                     \
-    residual_t(comm, halo, b, x, r, fresh, /*overlap=*/true);                \
-    local_dot_t(comm, r, r, sums);                                           \
   }                                                                          \
   void DistOperator::local_dot_batch(comm::Communicator& comm, const FS& a,  \
                                      const FS& b, double* sums) const {      \

@@ -143,53 +143,6 @@ class DistOperator {
       const comm::FieldSet32& r, double* sums,
       comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
 
-  // Split-phase variants: halo.begin() on the set -> sweep the halo-
-  // independent interior of each block while all rims are on the wire
-  // -> finish() -> sweep the 1-wide boundary rim whose stencil reads the
-  // halo. Per-cell outputs are bitwise identical to the blocking sweeps
-  // (the 9-point stencil writes each cell independently); with kFresh
-  // they degrade to the blocking sweeps.
-
-  /// y = A x, all members, exchange hidden behind the interior sweep.
-  void apply_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSet& x, const comm::FieldSet& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  void apply_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSet32& x, const comm::FieldSet32& y,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// r = b - A x, all members, exchange hidden behind the interior
-  /// sweep.
-  void residual_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSet& b, const comm::FieldSet& x,
-      const comm::FieldSet& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  void residual_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSet32& b, const comm::FieldSet32& x,
-      const comm::FieldSet32& r,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
-  /// Overlapped r = b - A x plus local masked ||r_m||² per member. The
-  /// fused kernel threads one row-major accumulator through whole
-  /// blocks, which an interior/rim split would reorder, so this is
-  /// residual_overlapped_batch + local_dot_batch — bit-identical to
-  /// residual_local_norm2_batch by the kernels' contract. sums[0..nb) is
-  /// OVERWRITTEN.
-  void residual_local_norm2_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSet& b, const comm::FieldSet& x,
-      const comm::FieldSet& r, double* sums,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-  void residual_local_norm2_overlapped_batch(
-      comm::Communicator& comm, const comm::HaloExchanger& halo,
-      const comm::FieldSet32& b, const comm::FieldSet32& x,
-      const comm::FieldSet32& r, double* sums,
-      comm::HaloFreshness fresh = comm::HaloFreshness::kStale) const;
-
   /// Local masked per-member dots over block interiors: sums[0..nb) is
   /// OVERWRITTEN. Combine across ranks with an allreduce.
   void local_dot_batch(comm::Communicator& comm, const comm::FieldSet& a,
@@ -275,25 +228,23 @@ class DistOperator {
              int nb) const;
 
   /// Shared driver of the stencil sweeps: refresh x's halo (unless
-  /// kFresh) and run `sweep(lb, rect, spans)` over every whole block
-  /// interior — or, overlapped, over each halo-independent interior
-  /// while the exchange is in flight and over the rim strips after it.
+  /// kFresh) and run `sweep(lb, ny, spans)` over every block interior.
   template <typename T, typename BlockSweep>
   void sweep_blocks(comm::Communicator& comm,
                     const comm::HaloExchanger& halo,
                     const comm::FieldSetT<T>& x, comm::HaloFreshness fresh,
-                    bool overlap, BlockSweep&& sweep) const;
+                    BlockSweep&& sweep) const;
 
   // Sweep bodies behind the FieldSet / FieldSet32 overloads.
   template <typename T>
   void apply_t(comm::Communicator& comm, const comm::HaloExchanger& halo,
                const comm::FieldSetT<T>& x, const comm::FieldSetT<T>& y,
-               comm::HaloFreshness fresh, bool overlap) const;
+               comm::HaloFreshness fresh) const;
   template <typename T>
   void residual_t(comm::Communicator& comm, const comm::HaloExchanger& halo,
                   const comm::FieldSetT<T>& b, const comm::FieldSetT<T>& x,
-                  const comm::FieldSetT<T>& r, comm::HaloFreshness fresh,
-                  bool overlap) const;
+                  const comm::FieldSetT<T>& r,
+                  comm::HaloFreshness fresh) const;
   template <typename T>
   void residual_local_norm2_t(comm::Communicator& comm,
                               const comm::HaloExchanger& halo,
@@ -319,15 +270,8 @@ class DistOperator {
       const;
   void ensure_coeff32() const;
 
-  /// Span plans over the full block interiors plus the interior/rim
-  /// decomposition the overlapped sweeps use: span_interior_[lb] covers
-  /// interior_rect (empty when the block is too thin to have one),
-  /// span_rim_[lb][0..span_num_rim_[lb]) the rim strips, all with spans
-  /// re-based to the sub-rect origin like the shifted field pointers.
+  /// Span plan over the full block interiors.
   SpanPlan span_full_;
-  SpanPlan span_interior_;
-  std::vector<std::array<BlockSpans, 4>> span_rim_;
-  std::vector<int> span_num_rim_;
 
   const grid::Decomposition* decomp_;
   /// Kept for repair_coefficients(): the model's stencil outlives the

@@ -9,61 +9,40 @@
 
 namespace minipop::solver {
 
-void GuardedReduction::post(comm::Communicator& comm,
-                            const IntegrityOptions& integrity,
-                            std::span<double> values) {
-  MINIPOP_REQUIRE(comm_ == nullptr, "GuardedReduction reposted before wait");
-  comm_ = &comm;
-  values_ = values;
-  guarded_ = integrity.guarded_reductions;
-  if (!guarded_) {
+bool allreduce_sum_guarded(comm::Communicator& comm,
+                           const IntegrityOptions& integrity,
+                           std::span<double> values, std::vector<int>* bad) {
+  if (!integrity.guarded_reductions) {
     // The fault hook arms either way: with the guard off an injected
     // contribution corruption flows into the reduced value undetected —
     // the vulnerability the guard exists to close.
     fault::hook_reduction_corrupt(comm.rank(), values.data(),
                                   values.size());
-    req_ = comm.iallreduce(values, comm::ReduceOp::kSum);
-    return;
+    comm.allreduce(values, comm::ReduceOp::kSum);
+    return false;
   }
   const std::size_t n = values.size();
-  dup_.resize(2 * n);
-  std::copy(values.begin(), values.end(), dup_.begin());
+  std::vector<double> dup(2 * n);
+  std::copy(values.begin(), values.end(), dup.begin());
   std::copy(values.begin(), values.end(),
-            dup_.begin() + static_cast<std::ptrdiff_t>(n));
+            dup.begin() + static_cast<std::ptrdiff_t>(n));
   // Corrupt only the primary half: the duplicate is the reference the
   // cross-check compares against.
-  fault::hook_reduction_corrupt(comm.rank(), dup_.data(), n);
-  req_ = comm.iallreduce(std::span<double>(dup_), comm::ReduceOp::kSum);
-}
-
-bool GuardedReduction::wait(std::vector<int>* bad) {
-  MINIPOP_REQUIRE(comm_ != nullptr, "GuardedReduction waited without post");
-  comm::Communicator& comm = *comm_;
-  comm_ = nullptr;
-  req_.wait();
-  if (!guarded_) return false;
-  const std::size_t n = values_.size();
+  fault::hook_reduction_corrupt(comm.rank(), dup.data(), n);
+  comm.allreduce(std::span<double>(dup), comm::ReduceOp::kSum);
   bool any = false;
   for (std::size_t i = 0; i < n; ++i) {
     // Bitwise, not ==: the halves of a healthy reduction combine the
     // same addends in the same fixed rank order and are exactly equal,
     // and memcmp still trips when corruption breeds a NaN.
-    if (std::memcmp(&dup_[i], &dup_[n + i], sizeof(double)) != 0) {
+    if (std::memcmp(&dup[i], &dup[n + i], sizeof(double)) != 0) {
       any = true;
       if (bad) bad->push_back(static_cast<int>(i));
     }
-    values_[i] = dup_[i];
+    values[i] = dup[i];
   }
   comm.costs().add_integrity_check(any);
   return any;
-}
-
-bool allreduce_sum_guarded(comm::Communicator& comm,
-                           const IntegrityOptions& integrity,
-                           std::span<double> values, std::vector<int>* bad) {
-  GuardedReduction red;
-  red.post(comm, integrity, values);
-  return red.wait(bad);
 }
 
 bool abft_mismatch(const IntegrityOptions& integrity, double sum_b,

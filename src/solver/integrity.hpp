@@ -8,7 +8,6 @@
 // combination, so the primary half equals the unguarded result exactly).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -18,37 +17,18 @@
 
 namespace minipop::solver {
 
-/// Split-phase sum-allreduce with optional duplication guard, for the
-/// overlapped solvers' in-flight reductions. post() arms the
-/// reduction-corruption fault hook on the local contribution and posts
-/// either `values` directly (guard off) or a [v|v] doubled buffer
-/// (guard on; the hook corrupts only the primary half — duplicated
-/// state is what the guard exists to cross-check). wait() completes
-/// the reduction; with the guard on it compares the two reduced halves
-/// bitwise, copies the primary half back into the caller's span,
-/// counts one integrity check, and returns true on any mismatch
-/// (appending mismatched slot indices to *bad). A mismatch verdict is
-/// identical on every rank — all ranks compare the same reduced
-/// buffer — so recovery needs no resync, just a typed
+/// Blocking sum-allreduce of `values` in place with an optional
+/// duplication guard. The reduction-corruption fault hook arms on the
+/// local contribution, which is reduced either directly (guard off) or
+/// as a [v|v] doubled buffer (guard on; the hook corrupts only the
+/// primary half — duplicated state is what the guard exists to
+/// cross-check). With the guard on the two reduced halves are compared
+/// bitwise, the primary half is copied back into `values`, one
+/// integrity check is counted, and the call returns true on any
+/// mismatch (appending mismatched slot indices to *bad). A mismatch
+/// verdict is identical on every rank — all ranks compare the same
+/// reduced buffer — so recovery needs no resync, just a typed
 /// kCorruptReduction failure.
-class GuardedReduction {
- public:
-  /// `values` must stay alive until wait(); one post per wait.
-  void post(comm::Communicator& comm, const IntegrityOptions& integrity,
-            std::span<double> values);
-  bool wait(std::vector<int>* bad = nullptr);
-
- private:
-  comm::Communicator* comm_ = nullptr;
-  std::span<double> values_;
-  bool guarded_ = false;
-  // dup_ must be declared before req_: an abandoned Request's destructor
-  // makes one completion attempt that can still deliver into the buffer.
-  std::vector<double> dup_;
-  comm::Request req_;
-};
-
-/// Blocking guarded sum-allreduce of `values` in place: post + wait.
 bool allreduce_sum_guarded(comm::Communicator& comm,
                            const IntegrityOptions& integrity,
                            std::span<double> values,

@@ -43,16 +43,9 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
   const double threshold2 =
       opt_.rel_tolerance * opt_.rel_tolerance * b_norm2;
 
-  if (opt_.overlap) {
-    a.residual_overlapped_batch(comm, halo, b, x, r,
-                                x_fresh);            // r0 = b - A x0
-    m.apply(comm, r, u);                             // u0 = M^-1 r0
-    a.apply_overlapped_batch(comm, halo, u, w);      // w0 = A u0
-  } else {
-    a.residual_batch(comm, halo, b, x, r, x_fresh);
-    m.apply(comm, r, u);
-    a.apply_batch(comm, halo, u, w);
-  }
+  a.residual_batch(comm, halo, b, x, r, x_fresh);  // r0 = b - A x0
+  m.apply(comm, r, u);                             // u0 = M^-1 r0
+  a.apply_batch(comm, halo, u, w);                 // w0 = A u0
 
   double gamma_old = 0.0;
   double alpha_old = 0.0;
@@ -62,26 +55,15 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
     stats.iterations = k;
 
     // The single fused reduction of the iteration (local dots in one
-    // sweep). With SolverOptions::overlap it is a real iallreduce that
-    // flies behind the precond+matvec — the Ghysels & Vanroose point of
-    // the pipelined formulation; m_k and n_k depend only on w_k, never
-    // on the reduction result. (On the final converged check the
-    // overlap path has already computed the scratch m/n pair — one
-    // speculative precond+matvec more than blocking; x, r, iteration
-    // counts and residuals are still bitwise identical.)
+    // sweep), completed before the precond+matvec that follows it. The
+    // pipelined formulation would let it fly behind that work — m_k and
+    // n_k depend only on w_k, never on the reduction result — while
+    // completing it first lets the converging check skip that pair.
     const bool check = (k % opt_.check_frequency == 0);
     double local[3];
     a.local_dot3_batch(comm, r, u, w, check, local);
-    if (opt_.overlap) {
-      comm::Request red = comm.iallreduce(
-          std::span<double>(local, check ? 3 : 2), comm::ReduceOp::kSum);
-      m.apply(comm, w, mm);                  // m_k = M^-1 w_k
-      a.apply_overlapped_batch(comm, halo, mm, nn);  // n_k = A m_k
-      red.wait();
-    } else {
-      comm.allreduce(std::span<double>(local, check ? 3 : 2),
-                     comm::ReduceOp::kSum);
-    }
+    comm.allreduce(std::span<double>(local, check ? 3 : 2),
+                   comm::ReduceOp::kSum);
     const double gamma = local[0];
     const double delta = local[1];
     if (check) {
@@ -96,12 +78,9 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
       if (stats.failure != FailureKind::kNone) break;
     }
 
-    // Work that overlaps the reduction in the pipelined formulation
-    // (already issued above when overlap is on).
-    if (!opt_.overlap) {
-      m.apply(comm, w, mm);              // m_k = M^-1 w_k
-      a.apply_batch(comm, halo, mm, nn);  // n_k = A m_k
-    }
+    // The work the pipelined formulation hides the reduction behind.
+    m.apply(comm, w, mm);               // m_k = M^-1 w_k
+    a.apply_batch(comm, halo, mm, nn);  // n_k = A m_k
 
     if (!ConvergenceGuard::finite(gamma) ||
         !ConvergenceGuard::finite(delta)) {
@@ -150,15 +129,9 @@ SolveStats PipelinedCgSolver::solve(comm::Communicator& comm,
     // accuracy stagnates. Periodically recompute r, u, w from their
     // definitions; the search-direction recurrences continue unchanged.
     if (k % kReplacementFrequency == 0) {
-      if (opt_.overlap) {
-        a.residual_overlapped_batch(comm, halo, b, x, r);
-        m.apply(comm, r, u);
-        a.apply_overlapped_batch(comm, halo, u, w);
-      } else {
-        a.residual_batch(comm, halo, b, x, r);
-        m.apply(comm, r, u);
-        a.apply_batch(comm, halo, u, w);
-      }
+      a.residual_batch(comm, halo, b, x, r);
+      m.apply(comm, r, u);
+      a.apply_batch(comm, halo, u, w);
     }
 
     gamma_old = gamma;

@@ -2,15 +2,18 @@
 // 2014 — the paper's ref [16] and the main alternative approach its §7
 // discusses): instead of removing global reductions like P-CSI, fuse
 // both inner products into ONE reduction per iteration and restructure
-// the recurrences so that reduction can overlap the matvec and
+// the recurrences so that reduction can fly behind the matvec and
 // preconditioner application that follow it.
 //
 // Implemented here as the "other road" baseline the paper chose not to
-// take. Our virtual-MPI backend has no asynchronous progress, so the
-// overlap itself cannot hide latency on this substrate; the algorithmic
-// properties — one fused (overlappable) reduction per iteration, extra
+// take, in blocking form: each iteration completes its one fused
+// reduction before the precond+matvec that the pipelined formulation
+// would hide it behind. The virtual-MPI backend has no asynchronous
+// progress, so hiding cannot pay on this substrate (DESIGN.md §7). The
+// algorithmic properties — one fused reduction per iteration, extra
 // vector updates, identical Krylov convergence — are all real and
-// measured, and the perf model can credit the overlap at scale.
+// measured, and the perf model (bench_ablation_pipelined) credits the
+// latency hiding the method would get at scale.
 //
 // Known limitations (inherent to the method, discussed by Ghysels &
 // Vanroose and Cools et al.):

@@ -13,9 +13,7 @@ SolverKind solver_kind_from_string(const std::string& s) {
   if (s == "chrongear" || s == "cg") return SolverKind::kChronGear;
   if (s == "pcsi" || s == "csi") return SolverKind::kPcsi;
   if (s == "pipecg" || s == "pipelined") return SolverKind::kPipelinedCg;
-  MINIPOP_REQUIRE(false, "unknown solver '"
-                             << s << "' (pcg|chrongear|pcsi|pipecg)");
-  return SolverKind::kChronGear;
+  throw util::Error("unknown solver '" + s + "' (pcg|chrongear|pcsi|pipecg)");
 }
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
@@ -23,17 +21,15 @@ PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
   if (s == "diagonal" || s == "diag") return PreconditionerKind::kDiagonal;
   if (s == "evp" || s == "block-evp")
     return PreconditionerKind::kBlockEvp;
-  MINIPOP_REQUIRE(false, "unknown preconditioner '"
-                             << s << "' (identity|diagonal|evp)");
-  return PreconditionerKind::kDiagonal;
+  throw util::Error("unknown preconditioner '" + s +
+                    "' (identity|diagonal|evp)");
 }
 
 Precision precision_from_string(const std::string& s) {
   if (s == "fp64" || s == "double") return Precision::kFp64;
   if (s == "fp32" || s == "float") return Precision::kFp32;
   if (s == "mixed") return Precision::kMixed;
-  MINIPOP_REQUIRE(false, "unknown precision '" << s << "' (fp64|fp32|mixed)");
-  return Precision::kFp64;
+  throw util::Error("unknown precision '" + s + "' (fp64|fp32|mixed)");
 }
 
 std::string to_string(SolverKind k) {
@@ -65,9 +61,6 @@ BarotropicSolver::BarotropicSolver(comm::Communicator& comm,
     : config_(config),
       halo_(&halo),
       op_(stencil, decomp, comm.rank()) {
-  // The facade-level flag is a synonym for the per-solver option.
-  if (config_.overlap) config_.options.overlap = true;
-
   // Resolve the comm-avoiding ghost-zone depth (DESIGN.md §13) to a
   // concrete k in [1, min(kMaxHaloDepth, widest-supported rim)] before
   // anything reads it. Only P-CSI has the reduction-free iteration body

@@ -34,9 +34,6 @@ struct SolverConfig {
   SolverOptions options;
   evp::BlockEvpOptions evp;
   LanczosOptions lanczos;
-  /// Select the split-phase (overlapped) solver variants; equivalent to
-  /// setting options.overlap. Bitwise identical results either way.
-  bool overlap = false;
   /// Route solves through the BatchedResilientSolver decorator
   /// (checkpoint restarts, P-CSI bounds re-estimation, fallback chain
   /// down to diagonal-preconditioned PCG). Fault-free iterates are
@@ -67,8 +64,8 @@ class BarotropicSolver {
                    comm::HaloFreshness x_fresh = comm::HaloFreshness::kStale);
 
   /// Solve the B independent systems A x_i = b_i as one batch through
-  /// the same stack — the mixed-precision, resilience and overlap
-  /// settings of SolverConfig all compose with batching. P-CSI and
+  /// the same stack — the mixed-precision and resilience settings of
+  /// SolverConfig both compose with batching. P-CSI and
   /// ChronGear (at any precision) interleave the members into a
   /// DistFieldBatch and advance them in lockstep: ~B× fewer halo
   /// messages and allreduces, per-member results bit-identical to B

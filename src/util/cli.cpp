@@ -1,11 +1,24 @@
 #include "src/util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-
-#include "src/util/error.hpp"
+#include <sstream>
 
 namespace minipop::util {
+
+int parse_int(const std::string& s, int lo, int hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (s.empty() || *end != '\0') throw Error("not an integer");
+  if (errno == ERANGE || v < lo || v > hi) {
+    std::ostringstream os;
+    os << "out of range [" << lo << ", " << hi << "]";
+    throw Error(os.str());
+  }
+  return static_cast<int>(v);
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -41,23 +54,33 @@ std::string Cli::get(const std::string& name,
   return v ? *v : fallback;
 }
 
-int Cli::get_int(const std::string& name, int fallback) const {
-  auto v = raw(name);
-  if (!v || v->empty()) return fallback;
-  char* end = nullptr;
-  long out = std::strtol(v->c_str(), &end, 10);
-  MINIPOP_REQUIRE(end && *end == '\0', "--" << name << "=" << *v
-                                            << " is not an integer");
-  return static_cast<int>(out);
+CliValueError Cli::value_error(const std::string& name,
+                               const std::string& value,
+                               const std::string& reason) {
+  return CliValueError("--" + name + "=" + value + ": " + reason);
 }
 
-double Cli::get_double(const std::string& name, double fallback) const {
+int Cli::get_int(const std::string& name, int fallback, int lo,
+                 int hi) const {
+  auto v = raw(name);
+  if (!v || v->empty()) return fallback;
+  return get_as(name, *v,
+                [&](const std::string& s) { return parse_int(s, lo, hi); });
+}
+
+double Cli::get_double(const std::string& name, double fallback, double lo,
+                       double hi) const {
   auto v = raw(name);
   if (!v || v->empty()) return fallback;
   char* end = nullptr;
-  double out = std::strtod(v->c_str(), &end);
-  MINIPOP_REQUIRE(end && *end == '\0', "--" << name << "=" << *v
-                                            << " is not a number");
+  const double out = std::strtod(v->c_str(), &end);
+  if (*end != '\0') throw value_error(name, *v, "not a number");
+  // Negated so that NaN is out of range too.
+  if (!(out >= lo && out <= hi)) {
+    std::ostringstream os;
+    os << "out of range [" << lo << ", " << hi << "]";
+    throw value_error(name, *v, os.str());
+  }
   return out;
 }
 
@@ -66,8 +89,24 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   if (!v) return fallback;
   if (v->empty() || *v == "1" || *v == "true" || *v == "yes") return true;
   if (*v == "0" || *v == "false" || *v == "no") return false;
-  MINIPOP_REQUIRE(false, "--" << name << "=" << *v << " is not a boolean");
-  return fallback;
+  throw value_error(name, *v, "not a boolean");
+}
+
+std::string Cli::get_choice(const std::string& name,
+                            const std::string& fallback,
+                            std::initializer_list<const char*> choices) const {
+  const std::string v = get(name, fallback);
+  if (std::any_of(choices.begin(), choices.end(),
+                  [&](const char* c) { return v == c; }))
+    return v;
+  std::string expected = "expected one of";
+  for (const char* c : choices) expected += std::string(" ") + c;
+  throw value_error(name, v, expected);
+}
+
+int Cli::report(const CliValueError& e, std::ostream& err) const {
+  err << program_ << ": " << e.what() << "\n";
+  return 2;
 }
 
 std::optional<int> Cli::check_flags(const std::vector<CliFlag>& accepted,

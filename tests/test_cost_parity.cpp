@@ -10,8 +10,8 @@
 //   allreduces           equal      (vector reductions, not B scalar ones)
 //   allreduce_doubles    B x scalar (width-B payloads)
 //
-// The audit runs on the composed decorator stacks too (mixed precision,
-// resilience, overlap), which is what pins down that the decorators
+// The audit runs on the composed decorator stack too (mixed precision
+// × resilience), which is what pins down that the decorators
 // batch their own communication (agreement reductions, refinement
 // norms) instead of falling back to member-by-member traffic.
 #include <gtest/gtest.h>
@@ -77,7 +77,6 @@ struct ParityCase {
   ms::SolverKind solver;
   ms::Precision precision;
   bool resilient;
-  bool overlap;
 };
 
 class CostParityTest : public ::testing::TestWithParam<ParityCase> {};
@@ -95,7 +94,6 @@ TEST_P(CostParityTest, BatchedCountsAreExactlyBTimesScalar) {
   cfg.options.rel_tolerance = 1e-10;
   cfg.options.precision = pc.precision;
   cfg.resilient = pc.resilient;
-  cfg.overlap = pc.overlap;
   cfg.lanczos.rel_tolerance = 0.02;
 
   std::vector<mc::CostCounters> scalar_costs(nranks), batch_costs(nranks);
@@ -164,17 +162,17 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, CostParityTest,
     ::testing::Values(
         ParityCase{"pcsi_fp64", ms::SolverKind::kPcsi,
-                   ms::Precision::kFp64, false, false},
+                   ms::Precision::kFp64, false},
         ParityCase{"chrongear_fp64", ms::SolverKind::kChronGear,
-                   ms::Precision::kFp64, false, false},
+                   ms::Precision::kFp64, false},
         ParityCase{"pcsi_fp64_resilient", ms::SolverKind::kPcsi,
-                   ms::Precision::kFp64, true, false},
+                   ms::Precision::kFp64, true},
         ParityCase{"pcsi_mixed", ms::SolverKind::kPcsi,
-                   ms::Precision::kMixed, false, false},
+                   ms::Precision::kMixed, false},
         ParityCase{"pcsi_composed", ms::SolverKind::kPcsi,
-                   ms::Precision::kMixed, true, true},
+                   ms::Precision::kMixed, true},
         ParityCase{"chrongear_composed", ms::SolverKind::kChronGear,
-                   ms::Precision::kMixed, true, true}),
+                   ms::Precision::kMixed, true}),
     [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace

@@ -3,15 +3,15 @@
 // and resilience solver classes that solve() ran on before it became a
 // one-member batched solve; they are the reference that stack used to
 // be. Every cell of the matrix — pcsi/chrongear ×
-// diagonal/block-evp × fp64/fp32/mixed × overlap on/off × halo depth
-// 1/2 (pcsi + diagonal only) × 1/4 ranks — must reproduce the recorded
+// diagonal/block-evp × fp64/fp32/mixed × halo depth 1/2 (pcsi +
+// diagonal only) × 1/4 ranks — must reproduce the recorded
 // iteration count, refinement sweeps, the bits of the final relative
 // residual, the CRC32C of the gathered solution and of the convergence
 // history, exactly. The B>1 identity tests (test_batch, test_integrity,
 // test_comm_avoid) chain to these pins through their B=1 references.
 //
-// The pcg/pipecg rows (fp64 × diagonal/block-evp, pipecg with overlap
-// on/off), the Lanczos eigenvalue bounds, and the land-span problems
+// The pcg/pipecg rows (fp64 × diagonal/block-evp), the Lanczos
+// eigenvalue bounds, and the land-span problems
 // were recorded from the single-field sweeps with land-span execution
 // both on and off, which agreed bit for bit; the span sweeps are now
 // the only path, and these pins stand in for the masked one.
@@ -50,7 +50,6 @@ struct Pin {
   const char* solver;
   const char* precond;
   const char* precision;
-  int overlap;
   int halo_depth;
   int iterations;
   int refine_sweeps;
@@ -60,82 +59,48 @@ struct Pin {
   std::uint32_t history_crc;
 };
 
-// {ranks, solver, precond, precision, overlap, halo depth, iterations,
+// {ranks, solver, precond, precision, halo depth, iterations,
 //  refine sweeps, residual bits, solution CRC32C, history length,
 //  history CRC32C}
 constexpr Pin kPins[] = {
-    {1, "pcsi", "diagonal", "fp64", 0, 1, 220, 0, 0x3dd3bdf141a4735dull, 0x40855480u, 22, 0xbb76c02fu},
-    {1, "pcsi", "diagonal", "fp64", 0, 2, 220, 0, 0x3dd3bdf141a4735dull, 0x40855480u, 22, 0xbb76c02fu},
-    {1, "pcsi", "diagonal", "fp64", 1, 1, 220, 0, 0x3dd3bdf141a4735dull, 0x40855480u, 22, 0xbb76c02fu},
-    {1, "pcsi", "diagonal", "fp64", 1, 2, 220, 0, 0x3dd3bdf141a4735dull, 0x40855480u, 22, 0xbb76c02fu},
-    {1, "pcsi", "diagonal", "fp32", 0, 1, 100, 0, 0x3ed69ca5b8dc1e68ull, 0x4f87101fu, 10, 0x27b08f92u},
-    {1, "pcsi", "diagonal", "fp32", 0, 2, 100, 0, 0x3ed69ca5b8dc1e68ull, 0x4f87101fu, 10, 0x27b08f92u},
-    {1, "pcsi", "diagonal", "fp32", 1, 1, 100, 0, 0x3ed69ca5b8dc1e68ull, 0x4f87101fu, 10, 0x27b08f92u},
-    {1, "pcsi", "diagonal", "fp32", 1, 2, 100, 0, 0x3ed69ca5b8dc1e68ull, 0x4f87101fu, 10, 0x27b08f92u},
-    {1, "pcsi", "diagonal", "mixed", 0, 1, 310, 3, 0x3d109988a7aef8abull, 0x1123d965u, 4, 0x18622799u},
-    {1, "pcsi", "diagonal", "mixed", 0, 2, 310, 3, 0x3d109988a7aef8abull, 0x1123d965u, 4, 0x18622799u},
-    {1, "pcsi", "diagonal", "mixed", 1, 1, 310, 3, 0x3d109988a7aef8abull, 0x1123d965u, 4, 0x18622799u},
-    {1, "pcsi", "diagonal", "mixed", 1, 2, 310, 3, 0x3d109988a7aef8abull, 0x1123d965u, 4, 0x18622799u},
-    {1, "pcsi", "block-evp", "fp64", 0, 1, 70, 0, 0x3dafbe1ce11e60f9ull, 0xb024969fu, 7, 0x42c14644u},
-    {1, "pcsi", "block-evp", "fp64", 1, 1, 70, 0, 0x3dafbe1ce11e60f9ull, 0xb024969fu, 7, 0x42c14644u},
-    {1, "pcsi", "block-evp", "fp32", 0, 1, 70, 0, 0x3ecc1de88607e9f4ull, 0x92a1f6deu, 7, 0x78d2ba5eu},
-    {1, "pcsi", "block-evp", "fp32", 1, 1, 70, 0, 0x3ecc1de88607e9f4ull, 0x92a1f6deu, 7, 0x78d2ba5eu},
-    {1, "pcsi", "block-evp", "mixed", 0, 1, 200, 3, 0x3cfd7005b0b9cb97ull, 0x1298bc1du, 4, 0xcf506e4du},
-    {1, "pcsi", "block-evp", "mixed", 1, 1, 200, 3, 0x3cfd7005b0b9cb97ull, 0x1298bc1du, 4, 0xcf506e4du},
-    {1, "chrongear", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd4090cdc7ecf6eull, 0xfd7f8036u, 9, 0x8a9a0290u},
-    {1, "chrongear", "diagonal", "fp64", 1, 1, 90, 0, 0x3dd4090cdc7ecf6eull, 0xfd7f8036u, 9, 0x8a9a0290u},
-    {1, "chrongear", "diagonal", "fp32", 0, 1, 50, 0, 0x3ee232dbbaa40505ull, 0x27041587u, 5, 0x2bd3934cu},
-    {1, "chrongear", "diagonal", "fp32", 1, 1, 50, 0, 0x3ee232dbbaa40505ull, 0x27041587u, 5, 0x2bd3934cu},
-    {1, "chrongear", "diagonal", "mixed", 0, 1, 140, 3, 0x3d0067de32a45f33ull, 0x7a6d7347u, 4, 0x0ca0215eu},
-    {1, "chrongear", "diagonal", "mixed", 1, 1, 140, 3, 0x3d0067de32a45f33ull, 0x7a6d7347u, 4, 0x0ca0215eu},
-    {1, "chrongear", "block-evp", "fp64", 0, 1, 40, 0, 0x3dd03913b4f2de87ull, 0xe40d1debu, 4, 0xa79c5201u},
-    {1, "chrongear", "block-evp", "fp64", 1, 1, 40, 0, 0x3dd03913b4f2de87ull, 0xe40d1debu, 4, 0xa79c5201u},
-    {1, "chrongear", "block-evp", "fp32", 0, 1, 30, 0, 0x3ee38b0728a54115ull, 0xe6c04b67u, 3, 0x8e381fa8u},
-    {1, "chrongear", "block-evp", "fp32", 1, 1, 30, 0, 0x3ee38b0728a54115ull, 0xe6c04b67u, 3, 0x8e381fa8u},
-    {1, "chrongear", "block-evp", "mixed", 0, 1, 60, 2, 0x3dc23e92d6369bd3ull, 0xa7249f4bu, 3, 0x4556db60u},
-    {1, "chrongear", "block-evp", "mixed", 1, 1, 60, 2, 0x3dc23e92d6369bd3ull, 0xa7249f4bu, 3, 0x4556db60u},
-    {4, "pcsi", "diagonal", "fp64", 0, 1, 220, 0, 0x3dd3bdf156654e24ull, 0xf7417097u, 22, 0x8bd2f8bdu},
-    {4, "pcsi", "diagonal", "fp64", 0, 2, 220, 0, 0x3dd3bdf156654e24ull, 0xf7417097u, 22, 0x8bd2f8bdu},
-    {4, "pcsi", "diagonal", "fp64", 1, 1, 220, 0, 0x3dd3bdf156654e24ull, 0xf7417097u, 22, 0x8bd2f8bdu},
-    {4, "pcsi", "diagonal", "fp64", 1, 2, 220, 0, 0x3dd3bdf156654e24ull, 0xf7417097u, 22, 0x8bd2f8bdu},
-    {4, "pcsi", "diagonal", "fp32", 0, 1, 100, 0, 0x3ed69ca5b8dc1e65ull, 0x4f87101fu, 10, 0x7e3691cbu},
-    {4, "pcsi", "diagonal", "fp32", 0, 2, 100, 0, 0x3ed69ca5b8dc1e65ull, 0x4f87101fu, 10, 0x7e3691cbu},
-    {4, "pcsi", "diagonal", "fp32", 1, 1, 100, 0, 0x3ed69ca5b8dc1e65ull, 0x4f87101fu, 10, 0x7e3691cbu},
-    {4, "pcsi", "diagonal", "fp32", 1, 2, 100, 0, 0x3ed69ca5b8dc1e65ull, 0x4f87101fu, 10, 0x7e3691cbu},
-    {4, "pcsi", "diagonal", "mixed", 0, 1, 310, 3, 0x3d109988a7aef8acull, 0x1123d965u, 4, 0x7fa8de6bu},
-    {4, "pcsi", "diagonal", "mixed", 0, 2, 310, 3, 0x3d109988a7aef8acull, 0x1123d965u, 4, 0x7fa8de6bu},
-    {4, "pcsi", "diagonal", "mixed", 1, 1, 310, 3, 0x3d109988a7aef8acull, 0x1123d965u, 4, 0x7fa8de6bu},
-    {4, "pcsi", "diagonal", "mixed", 1, 2, 310, 3, 0x3d109988a7aef8acull, 0x1123d965u, 4, 0x7fa8de6bu},
-    {4, "pcsi", "block-evp", "fp64", 0, 1, 70, 0, 0x3dafbe1a120072afull, 0xccbdc293u, 7, 0x59992c52u},
-    {4, "pcsi", "block-evp", "fp64", 1, 1, 70, 0, 0x3dafbe1a120072afull, 0xccbdc293u, 7, 0x59992c52u},
-    {4, "pcsi", "block-evp", "fp32", 0, 1, 70, 0, 0x3ecc1de88607e9f0ull, 0x92a1f6deu, 7, 0x14f9d4dfu},
-    {4, "pcsi", "block-evp", "fp32", 1, 1, 70, 0, 0x3ecc1de88607e9f0ull, 0x92a1f6deu, 7, 0x14f9d4dfu},
-    {4, "pcsi", "block-evp", "mixed", 0, 1, 200, 3, 0x3cfd7005b0b9cb99ull, 0x1298bc1du, 4, 0x13df1c33u},
-    {4, "pcsi", "block-evp", "mixed", 1, 1, 200, 3, 0x3cfd7005b0b9cb99ull, 0x1298bc1du, 4, 0x13df1c33u},
-    {4, "chrongear", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd41042bd15c4fdull, 0x1b3b9a91u, 9, 0x7b6a023eu},
-    {4, "chrongear", "diagonal", "fp64", 1, 1, 90, 0, 0x3dd41042bd15c4fdull, 0x1b3b9a91u, 9, 0x7b6a023eu},
-    {4, "chrongear", "diagonal", "fp32", 0, 1, 50, 0, 0x3ee232dbbaa40504ull, 0x27041587u, 5, 0xe6242858u},
-    {4, "chrongear", "diagonal", "fp32", 1, 1, 50, 0, 0x3ee232dbbaa40504ull, 0x27041587u, 5, 0xe6242858u},
-    {4, "chrongear", "diagonal", "mixed", 0, 1, 140, 3, 0x3d0067de32a45f34ull, 0x7a6d7347u, 4, 0x4306468bu},
-    {4, "chrongear", "diagonal", "mixed", 1, 1, 140, 3, 0x3d0067de32a45f34ull, 0x7a6d7347u, 4, 0x4306468bu},
-    {4, "chrongear", "block-evp", "fp64", 0, 1, 40, 0, 0x3dd03913c3ff35d0ull, 0x8f895b5bu, 4, 0x371e34bdu},
-    {4, "chrongear", "block-evp", "fp64", 1, 1, 40, 0, 0x3dd03913c3ff35d0ull, 0x8f895b5bu, 4, 0x371e34bdu},
-    {4, "chrongear", "block-evp", "fp32", 0, 1, 30, 0, 0x3ee38b0728a54112ull, 0xe6c04b67u, 3, 0x7e843ddau},
-    {4, "chrongear", "block-evp", "fp32", 1, 1, 30, 0, 0x3ee38b0728a54112ull, 0xe6c04b67u, 3, 0x7e843ddau},
-    {4, "chrongear", "block-evp", "mixed", 0, 1, 60, 2, 0x3dc23e92d6369bd5ull, 0xa7249f4bu, 3, 0x633a2f9du},
-    {4, "chrongear", "block-evp", "mixed", 1, 1, 60, 2, 0x3dc23e92d6369bd5ull, 0xa7249f4bu, 3, 0x633a2f9du},
-    {1, "pcg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd3f68bbcbf4f07ull, 0xac7f7b14u, 9, 0x12b5ea5du},
-    {1, "pcg", "block-evp", "fp64", 0, 1, 40, 0, 0x3dd03913a0e78bdfull, 0xaf24dbfbu, 4, 0xe1b5b170u},
-    {1, "pipecg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd40ff977557699ull, 0x8c848633u, 9, 0xd8e0372au},
-    {1, "pipecg", "diagonal", "fp64", 1, 1, 90, 0, 0x3dd40ff977557699ull, 0x8c848633u, 9, 0xd8e0372au},
-    {1, "pipecg", "block-evp", "fp64", 0, 1, 50, 0, 0x3d6a05a4aed91f2bull, 0x8a47b9e2u, 5, 0xf195982bu},
-    {1, "pipecg", "block-evp", "fp64", 1, 1, 50, 0, 0x3d6a05a4aed91f2bull, 0x8a47b9e2u, 5, 0xf195982bu},
-    {4, "pcg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd3fb7c3e5a56e2ull, 0x74a07cb1u, 9, 0x6dc17c7au},
-    {4, "pcg", "block-evp", "fp64", 0, 1, 40, 0, 0x3dd03913c05c1450ull, 0x4778e01au, 4, 0x415a9231u},
-    {4, "pipecg", "diagonal", "fp64", 0, 1, 90, 0, 0x3dd40df788505f0dull, 0x3ab5088bu, 9, 0x469c65f4u},
-    {4, "pipecg", "diagonal", "fp64", 1, 1, 90, 0, 0x3dd40df788505f0dull, 0x3ab5088bu, 9, 0x469c65f4u},
-    {4, "pipecg", "block-evp", "fp64", 0, 1, 50, 0, 0x3d6a01a5916fd82full, 0x4c483942u, 5, 0x0f5d4ecbu},
-    {4, "pipecg", "block-evp", "fp64", 1, 1, 50, 0, 0x3d6a01a5916fd82full, 0x4c483942u, 5, 0x0f5d4ecbu},
+    {1, "pcsi", "diagonal", "fp64", 1, 220, 0, 0x3dd3bdf141a4735dull, 0x40855480u, 22, 0xbb76c02fu},
+    {1, "pcsi", "diagonal", "fp64", 2, 220, 0, 0x3dd3bdf141a4735dull, 0x40855480u, 22, 0xbb76c02fu},
+    {1, "pcsi", "diagonal", "fp32", 1, 100, 0, 0x3ed69ca5b8dc1e68ull, 0x4f87101fu, 10, 0x27b08f92u},
+    {1, "pcsi", "diagonal", "fp32", 2, 100, 0, 0x3ed69ca5b8dc1e68ull, 0x4f87101fu, 10, 0x27b08f92u},
+    {1, "pcsi", "diagonal", "mixed", 1, 310, 3, 0x3d109988a7aef8abull, 0x1123d965u, 4, 0x18622799u},
+    {1, "pcsi", "diagonal", "mixed", 2, 310, 3, 0x3d109988a7aef8abull, 0x1123d965u, 4, 0x18622799u},
+    {1, "pcsi", "block-evp", "fp64", 1, 70, 0, 0x3dafbe1ce11e60f9ull, 0xb024969fu, 7, 0x42c14644u},
+    {1, "pcsi", "block-evp", "fp32", 1, 70, 0, 0x3ecc1de88607e9f4ull, 0x92a1f6deu, 7, 0x78d2ba5eu},
+    {1, "pcsi", "block-evp", "mixed", 1, 200, 3, 0x3cfd7005b0b9cb97ull, 0x1298bc1du, 4, 0xcf506e4du},
+    {1, "chrongear", "diagonal", "fp64", 1, 90, 0, 0x3dd4090cdc7ecf6eull, 0xfd7f8036u, 9, 0x8a9a0290u},
+    {1, "chrongear", "diagonal", "fp32", 1, 50, 0, 0x3ee232dbbaa40505ull, 0x27041587u, 5, 0x2bd3934cu},
+    {1, "chrongear", "diagonal", "mixed", 1, 140, 3, 0x3d0067de32a45f33ull, 0x7a6d7347u, 4, 0x0ca0215eu},
+    {1, "chrongear", "block-evp", "fp64", 1, 40, 0, 0x3dd03913b4f2de87ull, 0xe40d1debu, 4, 0xa79c5201u},
+    {1, "chrongear", "block-evp", "fp32", 1, 30, 0, 0x3ee38b0728a54115ull, 0xe6c04b67u, 3, 0x8e381fa8u},
+    {1, "chrongear", "block-evp", "mixed", 1, 60, 2, 0x3dc23e92d6369bd3ull, 0xa7249f4bu, 3, 0x4556db60u},
+    {4, "pcsi", "diagonal", "fp64", 1, 220, 0, 0x3dd3bdf156654e24ull, 0xf7417097u, 22, 0x8bd2f8bdu},
+    {4, "pcsi", "diagonal", "fp64", 2, 220, 0, 0x3dd3bdf156654e24ull, 0xf7417097u, 22, 0x8bd2f8bdu},
+    {4, "pcsi", "diagonal", "fp32", 1, 100, 0, 0x3ed69ca5b8dc1e65ull, 0x4f87101fu, 10, 0x7e3691cbu},
+    {4, "pcsi", "diagonal", "fp32", 2, 100, 0, 0x3ed69ca5b8dc1e65ull, 0x4f87101fu, 10, 0x7e3691cbu},
+    {4, "pcsi", "diagonal", "mixed", 1, 310, 3, 0x3d109988a7aef8acull, 0x1123d965u, 4, 0x7fa8de6bu},
+    {4, "pcsi", "diagonal", "mixed", 2, 310, 3, 0x3d109988a7aef8acull, 0x1123d965u, 4, 0x7fa8de6bu},
+    {4, "pcsi", "block-evp", "fp64", 1, 70, 0, 0x3dafbe1a120072afull, 0xccbdc293u, 7, 0x59992c52u},
+    {4, "pcsi", "block-evp", "fp32", 1, 70, 0, 0x3ecc1de88607e9f0ull, 0x92a1f6deu, 7, 0x14f9d4dfu},
+    {4, "pcsi", "block-evp", "mixed", 1, 200, 3, 0x3cfd7005b0b9cb99ull, 0x1298bc1du, 4, 0x13df1c33u},
+    {4, "chrongear", "diagonal", "fp64", 1, 90, 0, 0x3dd41042bd15c4fdull, 0x1b3b9a91u, 9, 0x7b6a023eu},
+    {4, "chrongear", "diagonal", "fp32", 1, 50, 0, 0x3ee232dbbaa40504ull, 0x27041587u, 5, 0xe6242858u},
+    {4, "chrongear", "diagonal", "mixed", 1, 140, 3, 0x3d0067de32a45f34ull, 0x7a6d7347u, 4, 0x4306468bu},
+    {4, "chrongear", "block-evp", "fp64", 1, 40, 0, 0x3dd03913c3ff35d0ull, 0x8f895b5bu, 4, 0x371e34bdu},
+    {4, "chrongear", "block-evp", "fp32", 1, 30, 0, 0x3ee38b0728a54112ull, 0xe6c04b67u, 3, 0x7e843ddau},
+    {4, "chrongear", "block-evp", "mixed", 1, 60, 2, 0x3dc23e92d6369bd5ull, 0xa7249f4bu, 3, 0x633a2f9du},
+    {1, "pcg", "diagonal", "fp64", 1, 90, 0, 0x3dd3f68bbcbf4f07ull, 0xac7f7b14u, 9, 0x12b5ea5du},
+    {1, "pcg", "block-evp", "fp64", 1, 40, 0, 0x3dd03913a0e78bdfull, 0xaf24dbfbu, 4, 0xe1b5b170u},
+    {1, "pipecg", "diagonal", "fp64", 1, 90, 0, 0x3dd40ff977557699ull, 0x8c848633u, 9, 0xd8e0372au},
+    {1, "pipecg", "block-evp", "fp64", 1, 50, 0, 0x3d6a05a4aed91f2bull, 0x8a47b9e2u, 5, 0xf195982bu},
+    {4, "pcg", "diagonal", "fp64", 1, 90, 0, 0x3dd3fb7c3e5a56e2ull, 0x74a07cb1u, 9, 0x6dc17c7au},
+    {4, "pcg", "block-evp", "fp64", 1, 40, 0, 0x3dd03913c05c1450ull, 0x4778e01au, 4, 0x415a9231u},
+    {4, "pipecg", "diagonal", "fp64", 1, 90, 0, 0x3dd40df788505f0dull, 0x3ab5088bu, 9, 0x469c65f4u},
+    {4, "pipecg", "block-evp", "fp64", 1, 50, 0, 0x3d6a01a5916fd82full, 0x4c483942u, 5, 0x0f5d4ecbu},
 };
 
 /// 24x20 bowl with a three-cell island, 12x10 blocks (four blocks on one
@@ -177,7 +142,6 @@ TEST(GoldenPins, ScalarSolveReproducesRecordedBits) {
   for (const Pin& pin : kPins) {
     SCOPED_TRACE(std::to_string(pin.nranks) + " rank(s) " + pin.solver +
                  "+" + pin.precond + "+" + pin.precision +
-                 (pin.overlap ? "+overlap" : "") +
                  " k=" + std::to_string(pin.halo_depth));
     mg::Decomposition decomp(24, 20, false, p.stencil->mask(), 12, 10,
                              pin.nranks);
@@ -189,7 +153,6 @@ TEST(GoldenPins, ScalarSolveReproducesRecordedBits) {
         cfg.options.precision == ms::Precision::kFp32 ? 1e-5 : 1e-10;
     cfg.options.record_residuals = true;
     cfg.options.halo_depth = pin.halo_depth;
-    cfg.overlap = pin.overlap != 0;
 
     mu::Field out(24, 20, 0.0);
     ms::SolveStats st;

@@ -287,16 +287,12 @@ TEST(Detection, ZeroRhsReturnsConvergedZeroForEverySolver) {
   const mu::Field zero(24, 20, 0.0);
   ms::SolverOptions opt;
   for (const std::string& kind : kAllKinds) {
-    for (const bool overlap : {false, true}) {
-      SCOPED_TRACE(kind + (overlap ? "+overlap" : ""));
-      ms::SolverOptions o = opt;
-      o.overlap = overlap;
-      SolveRun r = run_with(p, 1, make_kind(kind, o), &zero);
-      EXPECT_TRUE(r.stats.converged);
-      EXPECT_EQ(r.stats.iterations, 0);
-      EXPECT_EQ(r.stats.failure, ms::FailureKind::kNone);
-      for (const double v : r.x) EXPECT_EQ(v, 0.0);
-    }
+    SCOPED_TRACE(kind);
+    SolveRun r = run_with(p, 1, make_kind(kind, opt), &zero);
+    EXPECT_TRUE(r.stats.converged);
+    EXPECT_EQ(r.stats.iterations, 0);
+    EXPECT_EQ(r.stats.failure, ms::FailureKind::kNone);
+    for (const double v : r.x) EXPECT_EQ(v, 0.0);
   }
 }
 
@@ -313,17 +309,13 @@ TEST(Detection, NanRhsDetectedWithinOneCheckWindow) {
   ASSERT_TRUE(planted);
   ms::SolverOptions opt;
   for (const std::string& kind : kAllKinds) {
-    for (const bool overlap : {false, true}) {
-      SCOPED_TRACE(kind + (overlap ? "+overlap" : ""));
-      ms::SolverOptions o = opt;
-      o.overlap = overlap;
-      SolveRun r = run_with(p, 1, make_kind(kind, o), &bad);
-      EXPECT_FALSE(r.stats.converged);
-      EXPECT_EQ(r.stats.failure, ms::FailureKind::kNanDetected);
-      // Detected no later than the first check window — never a full
-      // max_iterations run on poisoned data.
-      EXPECT_LE(r.stats.iterations, o.check_frequency);
-    }
+    SCOPED_TRACE(kind);
+    SolveRun r = run_with(p, 1, make_kind(kind, opt), &bad);
+    EXPECT_FALSE(r.stats.converged);
+    EXPECT_EQ(r.stats.failure, ms::FailureKind::kNanDetected);
+    // Detected no later than the first check window — never a full
+    // max_iterations run on poisoned data.
+    EXPECT_LE(r.stats.iterations, opt.check_frequency);
   }
 }
 

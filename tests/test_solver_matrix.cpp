@@ -1,5 +1,5 @@
 // Full SolverConfig composition matrix over the unified execution core
-// (DESIGN.md §11): every solver x precision x resilient x overlap
+// (DESIGN.md §11): every solver x precision x resilient
 // combination either composes with batching (P-CSI and ChronGear at any
 // precision run the lockstep batched stack; anything at fp64 at least
 // solves correctly through solve_batch) or is rejected loudly at
@@ -84,76 +84,72 @@ TEST(SolverMatrix, EveryConfigComposesOrRejectsLoudly) {
   for (ms::SolverKind kind : solvers) {
     for (ms::Precision prec : precisions) {
       for (int resilient = 0; resilient < 2; ++resilient) {
-        for (int overlap = 0; overlap < 2; ++overlap) {
-          const bool fp32 = prec == ms::Precision::kFp32;
-          ms::SolverConfig cfg;
-          cfg.solver = kind;
-          cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
-          // fp32 round-off floors the residual near 1e-7; ask only for
-          // what the storage format can deliver.
-          cfg.options.rel_tolerance = fp32 ? 1e-5 : 1e-10;
-          cfg.options.precision = prec;
-          cfg.resilient = resilient != 0;
-          cfg.overlap = overlap != 0;
-          cfg.lanczos.rel_tolerance = 0.02;
+        const bool fp32 = prec == ms::Precision::kFp32;
+        ms::SolverConfig cfg;
+        cfg.solver = kind;
+        cfg.preconditioner = ms::PreconditionerKind::kDiagonal;
+        // fp32 round-off floors the residual near 1e-7; ask only for
+        // what the storage format can deliver.
+        cfg.options.rel_tolerance = fp32 ? 1e-5 : 1e-10;
+        cfg.options.precision = prec;
+        cfg.resilient = resilient != 0;
+        cfg.lanczos.rel_tolerance = 0.02;
 
-          SCOPED_TRACE(ms::to_string(kind) + "/" +
-                       std::string(ms::to_string(prec)) +
-                       (resilient ? "/resilient" : "") +
-                       (overlap ? "/overlap" : ""));
+        SCOPED_TRACE(ms::to_string(kind) + "/" +
+                     std::string(ms::to_string(prec)) +
+                     (resilient ? "/resilient" : ""));
 
-          // The one non-composable corner: long-recurrence solvers have
-          // no fp32 arithmetic, so a non-fp64 precision must be a
-          // construction-time error, not a silent downgrade.
-          if (!lockstep_kind(kind) && prec != ms::Precision::kFp64) {
-            EXPECT_THROW(ms::BarotropicSolver(comm, *p.halo, *p.grid,
-                                              p.depth, *p.stencil,
-                                              *p.decomp, cfg),
-                         mu::Error);
-            continue;
-          }
+        // The one non-composable corner: long-recurrence solvers have
+        // no fp32 arithmetic, so a non-fp64 precision must be a
+        // construction-time error, not a silent downgrade.
+        if (!lockstep_kind(kind) && prec != ms::Precision::kFp64) {
+          EXPECT_THROW(ms::BarotropicSolver(comm, *p.halo, *p.grid,
+                                            p.depth, *p.stencil,
+                                            *p.decomp, cfg),
+                       mu::Error);
+          continue;
+        }
 
-          ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth,
-                                      *p.stencil, *p.decomp, cfg);
-          // Lockstep solvers keep the fused batched core at EVERY
-          // precision and decoration — composing must never cost the
-          // aggregation.
-          EXPECT_EQ(solver.has_batched_path(), lockstep_kind(kind));
-          EXPECT_FALSE(solver.batched().name().empty());
+        ms::BarotropicSolver solver(comm, *p.halo, *p.grid, p.depth,
+                                    *p.stencil, *p.decomp, cfg);
+        // Lockstep solvers keep the fused batched core at EVERY
+        // precision and decoration — composing must never cost the
+        // aggregation.
+        EXPECT_EQ(solver.has_batched_path(), lockstep_kind(kind));
+        EXPECT_FALSE(solver.batched().name().empty());
 
-          // B=1: the degenerate batch must converge like a scalar solve.
-          const double tol = fp32 ? 1e-4 : 1e-8;
-          {
-            mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
-            b.load_global(rhs[0]);
-            const mc::DistField* bs[1] = {&b};
-            mc::DistField* xs[1] = {&x};
-            const auto stats = solver.solve_batch(comm, bs, xs);
-            ASSERT_EQ(static_cast<int>(stats.members.size()), 1);
-            EXPECT_TRUE(stats.members[0].converged);
-            EXPECT_LE(stats.members[0].relative_residual, tol);
-          }
-
-          // B=4 with distinct right-hand sides: per-member convergence.
-          std::vector<mc::DistField> bb, xb;
-          std::vector<const mc::DistField*> bs;
-          std::vector<mc::DistField*> xs;
-          for (int m = 0; m < nb; ++m) {
-            bb.emplace_back(*p.decomp, 0);
-            xb.emplace_back(*p.decomp, 0);
-            bb.back().load_global(rhs[m]);
-          }
-          for (int m = 0; m < nb; ++m) {
-            bs.push_back(&bb[m]);
-            xs.push_back(&xb[m]);
-          }
+        // B=1: the degenerate batch must converge like a scalar solve.
+        const double tol = fp32 ? 1e-4 : 1e-8;
+        {
+          mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
+          b.load_global(rhs[0]);
+          const mc::DistField* bs[1] = {&b};
+          mc::DistField* xs[1] = {&x};
           const auto stats = solver.solve_batch(comm, bs, xs);
-          ASSERT_EQ(static_cast<int>(stats.members.size()), nb);
-          for (int m = 0; m < nb; ++m) {
-            EXPECT_TRUE(stats.members[m].converged) << "member " << m;
-            EXPECT_LE(stats.members[m].relative_residual, tol)
-                << "member " << m;
-          }
+          ASSERT_EQ(static_cast<int>(stats.members.size()), 1);
+          EXPECT_TRUE(stats.members[0].converged);
+          EXPECT_LE(stats.members[0].relative_residual, tol);
+        }
+
+        // B=4 with distinct right-hand sides: per-member convergence.
+        std::vector<mc::DistField> bb, xb;
+        std::vector<const mc::DistField*> bs;
+        std::vector<mc::DistField*> xs;
+        for (int m = 0; m < nb; ++m) {
+          bb.emplace_back(*p.decomp, 0);
+          xb.emplace_back(*p.decomp, 0);
+          bb.back().load_global(rhs[m]);
+        }
+        for (int m = 0; m < nb; ++m) {
+          bs.push_back(&bb[m]);
+          xs.push_back(&xb[m]);
+        }
+        const auto stats = solver.solve_batch(comm, bs, xs);
+        ASSERT_EQ(static_cast<int>(stats.members.size()), nb);
+        for (int m = 0; m < nb; ++m) {
+          EXPECT_TRUE(stats.members[m].converged) << "member " << m;
+          EXPECT_LE(stats.members[m].relative_residual, tol)
+              << "member " << m;
         }
       }
     }

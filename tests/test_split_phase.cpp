@@ -1,11 +1,10 @@
 // Split-phase communication engine tests: Request semantics, split
 // halo exchanges (including several in flight at once and tag-epoch
-// wrap-around), the MINIPOP_BOUNDS_CHECK tag-reuse audit, and the
-// engine's core contract — overlapped solvers are bitwise identical to
-// the blocking path in iterates, iteration counts and residuals.
+// wrap-around), the MINIPOP_BOUNDS_CHECK tag-reuse audit, and the halo
+// rounds the blocking solvers spend per solve.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <tuple>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,20 +12,15 @@
 
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
-#include "src/evp/block_evp_preconditioner.hpp"
 #include "src/grid/bathymetry.hpp"
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
-#include "src/perf/pop_timing_model.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/lanczos.hpp"
-#include "src/solver/pipelined_cg.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
-namespace me = minipop::evp;
 namespace mg = minipop::grid;
-namespace mp = minipop::perf;
 namespace ms = minipop::solver;
 namespace mu = minipop::util;
 
@@ -90,63 +84,40 @@ void expect_stats_bitwise(const ms::SolveStats& a, const ms::SolveStats& b) {
   }
 }
 
-ms::EigenBounds lanczos_bounds_serial(const Problem& p, bool evp) {
+ms::EigenBounds lanczos_bounds_serial(const Problem& p) {
   mg::Decomposition d1(p.stencil->nx(), p.stencil->ny(),
                        p.stencil->periodic_x(), p.stencil->mask(),
                        p.stencil->nx(), p.stencil->ny(), 1);
   mc::SerialComm comm;
   mc::HaloExchanger halo(d1);
   ms::DistOperator a(*p.stencil, d1, 0);
-  std::unique_ptr<ms::Preconditioner> m;
-  if (evp)
-    m = std::make_unique<me::BlockEvpPreconditioner>(a, *p.grid, p.depth,
-                                                     me::BlockEvpOptions{});
-  else
-    m = std::make_unique<ms::DiagonalPreconditioner>(a);
+  ms::DiagonalPreconditioner m(a);
   ms::LanczosOptions lopt;
   lopt.rel_tolerance = 0.02;
-  return ms::estimate_eigenvalue_bounds(comm, halo, a, *m, lopt).bounds;
+  return ms::estimate_eigenvalue_bounds(comm, halo, a, m, lopt).bounds;
 }
 
-/// One solver run on the problem's decomposition over `nranks` virtual
-/// ranks (1 = SerialComm). Returns the gathered solution, rank-0 stats,
-/// and per-rank iteration counts.
-struct Run {
-  mu::Field x;
-  ms::SolveStats stats;
-  std::vector<int> iters;
-};
-
-Run run_solver(const Problem& p, int nranks, const ms::SolverOptions& opt,
-               const std::string& kind, bool evp_precond,
-               ms::EigenBounds bounds = {1.0, 2.0}) {
-  Run out;
-  out.x = mu::Field(p.decomp->nx_global(), p.decomp->ny_global(), 0.0);
-  out.iters.resize(nranks);
+/// One diagonal-preconditioned ChronGear ("cg") or P-CSI solve on the
+/// problem's decomposition over `nranks` virtual ranks (1 = SerialComm).
+/// Returns rank 0's stats.
+ms::SolveStats run_solver(const Problem& p, int nranks,
+                          const ms::SolverOptions& opt,
+                          const std::string& kind, ms::EigenBounds bounds) {
   std::vector<ms::SolveStats> stats(nranks);
   mc::HaloExchanger halo(*p.decomp);
 
   auto body = [&](mc::Communicator& comm) {
     ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
-    std::unique_ptr<ms::Preconditioner> m;
-    if (evp_precond)
-      m = std::make_unique<me::BlockEvpPreconditioner>(
-          a, *p.grid, p.depth, me::BlockEvpOptions{});
-    else
-      m = std::make_unique<ms::DiagonalPreconditioner>(a);
-    std::unique_ptr<ms::IterativeSolver> s;
+    ms::DiagonalPreconditioner m(a);
+    std::unique_ptr<ms::BatchedSolver> core;
     if (kind == "cg")
-      s = std::make_unique<ms::OneMemberSolver>(
-          std::make_unique<ms::BatchedChronGearSolver>(opt));
-    else if (kind == "pcsi")
-      s = std::make_unique<ms::OneMemberSolver>(
-          std::make_unique<ms::BatchedPcsiSolver>(bounds, opt));
+      core = std::make_unique<ms::BatchedChronGearSolver>(opt);
     else
-      s = std::make_unique<ms::PipelinedCgSolver>(opt);
+      core = std::make_unique<ms::BatchedPcsiSolver>(bounds, opt);
+    ms::OneMemberSolver s(std::move(core));
     mc::DistField b(*p.decomp, comm.rank()), x(*p.decomp, comm.rank());
     b.load_global(p.b_global);
-    stats[comm.rank()] = s->solve(comm, halo, a, *m, b, x);
-    x.store_global(out.x);  // disjoint interiors; no race
+    stats[comm.rank()] = s.solve(comm, halo, a, m, b, x);
   };
 
   if (nranks == 1) {
@@ -156,9 +127,7 @@ Run run_solver(const Problem& p, int nranks, const ms::SolverOptions& opt,
     mc::ThreadTeam team(nranks);
     team.run(body);
   }
-  out.stats = stats[0];
-  for (int r = 0; r < nranks; ++r) out.iters[r] = stats[r].iterations;
-  return out;
+  return stats[0];
 }
 
 }  // namespace
@@ -224,6 +193,7 @@ TEST(Requests, MultipleOutstandingReductionsCompleteOutOfOrder) {
     maxv[r] = b[1];
   });
   for (int r = 0; r < nranks; ++r) {
+    EXPECT_EQ(team.costs(r).requests, 2u);  // one per posted reduction
     EXPECT_EQ(sum1[r], 6.0);
     EXPECT_EQ(sum2[r], 20.0);  // max of {0, 10, 20}
     EXPECT_EQ(maxv[r], 2.0);
@@ -250,25 +220,6 @@ TEST(Requests, SendRecvLifecycle) {
       EXPECT_EQ(buf[2], 3.0);
     }
   });
-}
-
-TEST(Requests, PostedTimeCoversExposedTime) {
-  const int nranks = 3;
-  mc::ThreadTeam team(nranks);
-  team.run([&](mc::Communicator& comm) {
-    for (int round = 0; round < 5; ++round) {
-      double v = comm.rank() + round;
-      comm.iallreduce(std::span<double>(&v, 1), mc::ReduceOp::kSum)
-          .wait();
-    }
-  });
-  for (int r = 0; r < nranks; ++r) {
-    const auto& c = team.costs(r);
-    EXPECT_EQ(c.requests, 5u);
-    EXPECT_GE(c.posted_comm_seconds, c.exposed_comm_seconds);
-    EXPECT_GE(c.exposed_comm_seconds, 0.0);
-    EXPECT_GE(c.hidden_comm_seconds(), 0.0);
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -401,133 +352,27 @@ TEST(TagAudit, DetectsRecvPostedOnBusyChannel) {
 #endif
 
 // ---------------------------------------------------------------------
-// Overlapped operator sweeps
+// Halo rounds per solve
 // ---------------------------------------------------------------------
 
-TEST(OverlapOperator, SweepsBitwiseIdenticalIncludingThinBlocks) {
-  // block=6: regular interior/rim split; block=2: nx,ny <= 2 forces the
-  // all-rim path (no interior).
-  for (int block : {6, 2}) {
-    const int nranks = 3;
-    auto p = make_problem(18, 16, block, nranks, /*periodic=*/true);
-    const auto global = random_global(18, 16, 31 + block);
-    mc::HaloExchanger halo(*p.decomp);
-    mc::ThreadTeam team(nranks);
-    team.run([&](mc::Communicator& comm) {
-      ms::DistOperator a(*p.stencil, *p.decomp, comm.rank());
-      mc::DistField x(*p.decomp, comm.rank()), b(*p.decomp, comm.rank());
-      mc::DistField y1(*p.decomp, comm.rank()), y2(*p.decomp, comm.rank());
-      mc::DistField r1(*p.decomp, comm.rank()), r2(*p.decomp, comm.rank());
-      x.load_global(global);
-      b.load_global(p.b_global);
-
-      a.apply_batch(comm, halo, x, y1);
-      a.apply_overlapped_batch(comm, halo, x, y2);
-      a.residual_batch(comm, halo, b, x, r1);
-      a.residual_overlapped_batch(comm, halo, b, x, r2);
-      double n1 = 0.0, n2 = 0.0;
-      a.residual_local_norm2_batch(comm, halo, b, x, r1, &n1);
-      a.residual_local_norm2_overlapped_batch(comm, halo, b, x, r2, &n2);
-
-      EXPECT_EQ(n1, n2);
-      for (int lb = 0; lb < x.num_local_blocks(); ++lb) {
-        expect_fields_bitwise(y1.data(lb), y2.data(lb));
-        expect_fields_bitwise(r1.data(lb), r2.data(lb));
-      }
-    });
-  }
-}
-
-// ---------------------------------------------------------------------
-// Overlapped solvers: the bitwise-identity contract
-// ---------------------------------------------------------------------
-
-TEST(OverlapSolvers, ChronGearBitwiseIdenticalSerialAndMultiRank) {
-  for (int nranks : {1, 4}) {
-    for (bool evp : {false, true}) {
-      auto p = make_problem(24, 16, 6, nranks);
-      ms::SolverOptions opt;
-      opt.rel_tolerance = 1e-11;
-      opt.record_residuals = true;
-      auto blocking = run_solver(p, nranks, opt, "cg", evp);
-      opt.overlap = true;
-      auto overlapped = run_solver(p, nranks, opt, "cg", evp);
-      ASSERT_TRUE(blocking.stats.converged);
-      expect_stats_bitwise(blocking.stats, overlapped.stats);
-      expect_fields_bitwise(blocking.x, overlapped.x);
-      for (int r = 0; r < nranks; ++r)
-        EXPECT_EQ(blocking.iters[r], overlapped.iters[r]);
-    }
-  }
-}
-
-TEST(OverlapSolvers, PcsiBitwiseIdenticalSerialAndMultiRank) {
-  for (int nranks : {1, 3}) {
-    for (bool evp : {false, true}) {
-      auto p = make_problem(18, 18, 6, nranks, /*periodic=*/true);
-      const auto bounds = lanczos_bounds_serial(p, evp);
-      ms::SolverOptions opt;
-      opt.rel_tolerance = 1e-10;
-      opt.record_residuals = true;
-      auto blocking = run_solver(p, nranks, opt, "pcsi", evp, bounds);
-      opt.overlap = true;
-      auto overlapped = run_solver(p, nranks, opt, "pcsi", evp, bounds);
-      ASSERT_TRUE(blocking.stats.converged);
-      expect_stats_bitwise(blocking.stats, overlapped.stats);
-      expect_fields_bitwise(blocking.x, overlapped.x);
-      for (int r = 0; r < nranks; ++r)
-        EXPECT_EQ(blocking.iters[r], overlapped.iters[r]);
-    }
-  }
-}
-
-TEST(OverlapSolvers, PipelinedCgBitwiseIdentical) {
+TEST(HaloRounds, OnePerOperatorSweep) {
+  // Every operator sweep refreshes its input halo exactly once and
+  // nothing else exchanges (the diagonal preconditioner is pointwise):
+  // ChronGear spends one round on r_0 and one matvec per iteration,
+  // P-CSI two on r_0 and r_1 and one residual per iteration.
   for (int nranks : {1, 4}) {
     auto p = make_problem(24, 16, 6, nranks);
-    ms::SolverOptions opt;
-    opt.rel_tolerance = 1e-11;
-    opt.record_residuals = true;
-    auto blocking = run_solver(p, nranks, opt, "pipecg", false);
-    opt.overlap = true;
-    auto overlapped = run_solver(p, nranks, opt, "pipecg", false);
-    ASSERT_TRUE(blocking.stats.converged);
-    expect_stats_bitwise(blocking.stats, overlapped.stats);
-    expect_fields_bitwise(blocking.x, overlapped.x);
-  }
-}
-
-TEST(OverlapSolvers, ChronGearCheckFrequencyOne) {
-  // check_frequency == 1 exercises the pre-loop norm posting in the
-  // overlapped ChronGear (the first check's reduction has no previous
-  // iteration to hide behind).
-  auto p = make_problem(18, 14, 6, 2);
-  ms::SolverOptions opt;
-  opt.rel_tolerance = 1e-10;
-  opt.check_frequency = 1;
-  opt.record_residuals = true;
-  auto blocking = run_solver(p, 2, opt, "cg", false);
-  opt.overlap = true;
-  auto overlapped = run_solver(p, 2, opt, "cg", false);
-  ASSERT_TRUE(blocking.stats.converged);
-  expect_stats_bitwise(blocking.stats, overlapped.stats);
-  expect_fields_bitwise(blocking.x, overlapped.x);
-}
-
-TEST(OverlapSolvers, NoRedundantHaloExchanges) {
-  // The split-phase engine must change WHEN halo updates happen, never
-  // HOW MANY: one per operator sweep in both modes, for both solvers.
-  auto p = make_problem(24, 16, 6, 1);
-  const auto bounds = lanczos_bounds_serial(p, false);
-  for (const std::string kind : {"cg", "pcsi"}) {
-    ms::SolverOptions opt;
-    opt.rel_tolerance = 1e-10;
-    auto blocking = run_solver(p, 1, opt, kind, false, bounds);
-    opt.overlap = true;
-    auto overlapped = run_solver(p, 1, opt, kind, false, bounds);
-    ASSERT_TRUE(blocking.stats.converged) << kind;
-    EXPECT_EQ(blocking.stats.costs.halo_exchanges,
-              overlapped.stats.costs.halo_exchanges)
-        << kind;
+    const auto bounds = lanczos_bounds_serial(p);
+    for (const std::string kind : {"cg", "pcsi"}) {
+      ms::SolverOptions opt;
+      opt.rel_tolerance = 1e-10;
+      const auto stats = run_solver(p, nranks, opt, kind, bounds);
+      ASSERT_TRUE(stats.converged) << kind;
+      const int setup_rounds = kind == "cg" ? 1 : 2;
+      EXPECT_EQ(stats.costs.halo_exchanges,
+                static_cast<std::uint64_t>(stats.iterations + setup_rounds))
+          << kind << " on " << nranks << " ranks";
+    }
   }
 }
 
@@ -538,75 +383,37 @@ TEST(OverlapSolvers, NoRedundantHaloExchanges) {
 TEST(HaloFreshness, FreshInputSkipsExactlyOneExchange) {
   auto p = make_problem(24, 16, 6, 1);
   const auto x0_global = random_global(24, 16, 55);
-  for (bool overlap : {false, true}) {
-    ms::SolverOptions opt;
-    opt.rel_tolerance = 1e-10;
-    opt.overlap = overlap;
-    ms::OneMemberSolver solver(
-        std::make_unique<ms::BatchedChronGearSolver>(opt));
-
-    auto solve_with = [&](mc::HaloFreshness fresh, bool pre_exchange) {
-      mc::SerialComm comm;
-      mc::HaloExchanger halo(*p.decomp);
-      ms::DistOperator a(*p.stencil, *p.decomp, 0);
-      ms::DiagonalPreconditioner m(a);
-      mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
-      b.load_global(p.b_global);
-      x.load_global(x0_global);
-      if (pre_exchange) halo.exchange(comm, x);
-      const auto snapshot = comm.costs().counters();
-      auto stats = solver.solve(comm, halo, a, m, b, x, fresh);
-      mu::Field out(24, 16, 0.0);
-      x.store_global(out);
-      return std::make_tuple(std::move(out), stats,
-                             comm.costs().since(snapshot).halo_exchanges);
-    };
-
-    // Stale path exchanges x itself; fresh path trusts the caller's
-    // pre-exchange. Same values either way -> bitwise-identical solve,
-    // exactly one halo exchange fewer inside it.
-    auto [x_stale, s_stale, h_stale] =
-        solve_with(mc::HaloFreshness::kStale, true);
-    auto [x_fresh, s_fresh, h_fresh] =
-        solve_with(mc::HaloFreshness::kFresh, true);
-    ASSERT_TRUE(s_stale.converged);
-    expect_stats_bitwise(s_stale, s_fresh);
-    expect_fields_bitwise(x_stale, x_fresh);
-    EXPECT_EQ(h_stale, h_fresh + 1);
-  }
-}
-
-// ---------------------------------------------------------------------
-// Posted/exposed accounting
-// ---------------------------------------------------------------------
-
-TEST(OverlapAccounting, DerivedQuantities) {
-  mc::CostCounters c;
-  c.posted_comm_seconds = 2.0;
-  c.exposed_comm_seconds = 0.5;
-  c.requests = 7;
-  const auto a = mp::overlap_accounting(c);
-  EXPECT_EQ(a.posted_seconds, 2.0);
-  EXPECT_EQ(a.exposed_seconds, 0.5);
-  EXPECT_EQ(a.requests, 7u);
-  EXPECT_EQ(a.hidden_seconds(), 1.5);
-  EXPECT_EQ(a.hidden_fraction(), 0.75);
-
-  const auto zero = mp::overlap_accounting(mc::CostCounters{});
-  EXPECT_EQ(zero.hidden_fraction(), 0.0);
-}
-
-TEST(OverlapAccounting, SolveRecordsPostedAndExposed) {
-  const int nranks = 4;
-  auto p = make_problem(24, 16, 6, nranks);
   ms::SolverOptions opt;
   opt.rel_tolerance = 1e-10;
-  opt.overlap = true;
-  auto run = run_solver(p, nranks, opt, "cg", false);
-  ASSERT_TRUE(run.stats.converged);
-  const auto a = mp::overlap_accounting(run.stats.costs);
-  EXPECT_GT(a.requests, 0u);
-  EXPECT_GT(a.posted_seconds, 0.0);
-  EXPECT_GE(a.posted_seconds, a.exposed_seconds);
-  EXPECT_GE(a.exposed_seconds, 0.0);
+  ms::OneMemberSolver solver(
+      std::make_unique<ms::BatchedChronGearSolver>(opt));
+
+  auto solve_with = [&](mc::HaloFreshness fresh, bool pre_exchange) {
+    mc::SerialComm comm;
+    mc::HaloExchanger halo(*p.decomp);
+    ms::DistOperator a(*p.stencil, *p.decomp, 0);
+    ms::DiagonalPreconditioner m(a);
+    mc::DistField b(*p.decomp, 0), x(*p.decomp, 0);
+    b.load_global(p.b_global);
+    x.load_global(x0_global);
+    if (pre_exchange) halo.exchange(comm, x);
+    const auto snapshot = comm.costs().counters();
+    auto stats = solver.solve(comm, halo, a, m, b, x, fresh);
+    mu::Field out(24, 16, 0.0);
+    x.store_global(out);
+    return std::make_tuple(std::move(out), stats,
+                           comm.costs().since(snapshot).halo_exchanges);
+  };
+
+  // Stale path exchanges x itself; fresh path trusts the caller's
+  // pre-exchange. Same values either way -> bitwise-identical solve,
+  // exactly one halo exchange fewer inside it.
+  auto [x_stale, s_stale, h_stale] =
+      solve_with(mc::HaloFreshness::kStale, true);
+  auto [x_fresh, s_fresh, h_fresh] =
+      solve_with(mc::HaloFreshness::kFresh, true);
+  ASSERT_TRUE(s_stale.converged);
+  expect_stats_bitwise(s_stale, s_fresh);
+  expect_fields_bitwise(x_stale, x_fresh);
+  EXPECT_EQ(h_stale, h_fresh + 1);
 }

@@ -108,9 +108,29 @@ TEST(Cli, ParsesAllForms) {
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
-  const char* argv[] = {"prog", "--nx=12abc"};
-  mu::Cli cli(2, argv);
+  const char* argv[] = {"prog",         "--nx=12abc",  "--nz=4294967297",
+                        "--ranks=0",    "--tol=1e-6x", "--scale=0",
+                        "--mode=fast"};
+  mu::Cli cli(7, argv);
   EXPECT_THROW(cli.get_int("nx", 0), mu::Error);
+  // Outside the int range: rejected, not narrowed (4294967297 -> 1).
+  EXPECT_THROW(cli.get_int("nz", 0), mu::CliValueError);
+  EXPECT_THROW(cli.get_int("ranks", 1, 1), mu::CliValueError);
+  EXPECT_EQ(cli.get_int("ranks", 1, 0), 0);
+  EXPECT_THROW(cli.get_double("tol", 0.0), mu::CliValueError);
+  EXPECT_THROW(cli.get_double("scale", 0.1, 1e-3, 1.0), mu::CliValueError);
+  EXPECT_THROW(cli.get_choice("mode", "slow", {"slow", "exact"}),
+               mu::CliValueError);
+  EXPECT_EQ(cli.get_choice("other", "slow", {"slow", "exact"}), "slow");
+  // The message is one line naming the flag, whatever the parser said.
+  try {
+    cli.get_as("nx", "", [](const std::string& v) {
+      return mu::parse_int(v, 1, 4);
+    });
+    FAIL() << "should have thrown";
+  } catch (const mu::CliValueError& e) {
+    EXPECT_STREQ(e.what(), "--nx=12abc: not an integer");
+  }
 }
 
 TEST(Cli, CheckFlagsStopsOnHelpAndUnknownFlags) {
