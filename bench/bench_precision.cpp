@@ -195,10 +195,11 @@ int main(int argc, char** argv) {
     const int tn = 12;
     evp::EvpTileSolver tile(coeff, 160, 190, tn, tn);
     tile.enable_fp32(/*validate_accuracy=*/0.0);
-    util::Field ty(tn, tn), tx(tn, tn, 0.0);
+    // x is the padded solve buffer: tile at (1, 1), zero ring.
+    util::Field ty(tn, tn), tx(tn + 2, tn + 2, 0.0);
     for (int j = 0; j < tn; ++j)
       for (int i = 0; i < tn; ++i) ty(i, j) = ((i * 5 + j * 3) % 7) - 3.0;
-    util::Array2D<float> ty32(tn, tn), tx32(tn, tn, 0.0f);
+    util::Array2D<float> ty32(tn, tn), tx32(tn + 2, tn + 2, 0.0f);
     for (int j = 0; j < tn; ++j)
       for (int i = 0; i < tn; ++i)
         ty32(i, j) = static_cast<float>(ty(i, j));

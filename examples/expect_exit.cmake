@@ -1,5 +1,6 @@
 # ctest helper: run EXE with ARG and require exit status EXPECT plus a
-# single stderr line mentioning FLAG. A crash or abort fails: CMake then
+# single stderr line mentioning FLAG (a flag name, or any fragment of
+# the expected message). A crash or abort fails: CMake then
 # reports a signal description instead of a number.
 #
 #   cmake -DEXE=<binary> -DARG=<argument> -DEXPECT=2 -DFLAG=<--flag>

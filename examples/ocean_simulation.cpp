@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "src/comm/dist_field.hpp"
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
 #include "src/model/ocean_model.hpp"
@@ -135,7 +136,7 @@ void run(comm::Communicator& comm, const model::ModelConfig& cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const std::vector<util::CliFlag> flags = {
       {"scale", "=S  scale of the 1-degree POP grid (default 0.12)"},
@@ -160,29 +161,38 @@ int main(int argc, char** argv) {
     cfg.grid = grid::pop_1deg_spec(cli.get_double("scale", 0.12, 1e-3, 1.0));
     cfg.nz = cli.get_int("nz", 4, 1);
     // --block-size=NX or NXxNY (rectangular blocks); legacy --block=N
-    // still works when the new flag is absent.
+    // still works when the new flag is absent. Every model field carries
+    // a halo of DistField::kDefaultHalo cells, and a block side below it
+    // makes the halo rims overlap. (A deeper --halo-depth, or a narrow
+    // remainder block at the grid edge, is rejected when the model is
+    // built: exit status 1.)
+    constexpr int halo = comm::DistField::kDefaultHalo;
     const auto [bx, by] = cli.get_as(
         "block-size", std::to_string(cli.get_int("block", 12, 1)),
         [](const std::string& s) {
           const auto x = s.find('x');
-          return std::pair{util::parse_int(s.substr(0, x), 1),
-                           x == std::string::npos
-                               ? 0
-                               : util::parse_int(s.substr(x + 1), 1)};
+          const std::pair<int, int> b{
+              util::parse_int(s.substr(0, x), 1),
+              x == std::string::npos ? 0
+                                     : util::parse_int(s.substr(x + 1), 1)};
+          if (b.first < halo || (b.second != 0 && b.second < halo))
+            throw util::Error("a block side below the halo width " +
+                              std::to_string(halo) + " the run needs");
+          return b;
         });
     cfg.block_size = bx;
     cfg.block_size_y = by;
+    cfg.solver.options.halo_depth =
+        cli.get_as("halo-depth", "1", [](const std::string& s) {
+          return s == "auto" ? solver::kHaloDepthAuto
+                             : util::parse_int(s, 1, solver::kMaxHaloDepth);
+        });
     cfg.solver.solver =
         cli.get_as("solver", "pcsi", solver::solver_kind_from_string);
     cfg.solver.preconditioner = cli.get_as(
         "precond", "evp", solver::preconditioner_kind_from_string);
     cfg.solver.options.precision =
         cli.get_as("precision", "fp64", solver::precision_from_string);
-    cfg.solver.options.halo_depth =
-        cli.get_as("halo-depth", "1", [](const std::string& s) {
-          return s == "auto" ? solver::kHaloDepthAuto
-                             : util::parse_int(s, 1, solver::kMaxHaloDepth);
-        });
     cfg.nranks = cli.get_int("ranks", 1, 1);
     days = cli.get_double("days", 90.0);
   } catch (const util::CliValueError& e) {
@@ -204,4 +214,8 @@ int main(int argc, char** argv) {
     team.run([&](comm::Communicator& comm) { run(comm, cfg, days); });
   }
   return 0;
+} catch (const util::Error& e) {
+  // A configuration the library rejects after the flags parsed, or a
+  // failed run: one stderr line and exit 1, not an abort.
+  return util::report_error(argc > 0 ? argv[0] : "ocean_simulation", e);
 }

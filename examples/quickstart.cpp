@@ -22,7 +22,7 @@
 
 using namespace minipop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const std::vector<util::CliFlag> flags = {
       {"nx", "=N  grid columns"},
@@ -123,4 +123,8 @@ int main(int argc, char** argv) {
             << "% fewer global reductions — the property that makes it "
                "scale (paper Sec. 3).\n";
   return stats.converged ? 0 : 1;
+} catch (const util::Error& e) {
+  // A configuration the library rejects after the flags parsed, or a
+  // failed run: one stderr line and exit 1, not an abort.
+  return util::report_error(argc > 0 ? argv[0] : "quickstart", e);
 }

@@ -20,7 +20,7 @@
 
 using namespace minipop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const std::vector<util::CliFlag> flags = {
       {"machine", "=yellowstone|edison  machine profile (default yellowstone)"},
@@ -98,4 +98,8 @@ int main(int argc, char** argv) {
     std::cout << "\nP-CSI+EVP wins from ~" << crossover
               << " cores upward on this machine/grid.\n";
   return 0;
+} catch (const util::Error& e) {
+  // A configuration the library rejects after the flags parsed, or a
+  // failed run: one stderr line and exit 1, not an abort.
+  return util::report_error(argc > 0 ? argv[0] : "scaling_study", e);
 }

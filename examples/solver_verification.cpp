@@ -21,7 +21,7 @@
 
 using namespace minipop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const std::vector<util::CliFlag> flags = {
       {"scale", "=S  scale of the 1-degree POP grid (default 0.08)"},
@@ -111,4 +111,8 @@ int main(int argc, char** argv) {
                        "do not ship it.")
             << "\n";
   return pass ? 0 : 1;
+} catch (const util::Error& e) {
+  // A configuration the library rejects after the flags parsed, or a
+  // failed run: one stderr line and exit 1, not an abort.
+  return util::report_error(argc > 0 ? argv[0] : "solver_verification", e);
 }

@@ -21,11 +21,19 @@
 // a strictly finer block-diagonal preconditioner with the same parallel
 // structure. Set max_tile = 0 to force whole-block tiles (the paper's
 // configuration at high core counts).
+//
+// Lane groups: after construction the tiles are packed into groups of up
+// to kEvpLanes tiles of one shape, stored lane-interleaved, and each
+// apply marches a group's tiles in lockstep (evp_lanes.hpp; DESIGN.md
+// §15). The groups are the only copy of the tile coefficients and LU
+// factors; per tile the arithmetic is exactly a lone EvpTileSolver's.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/evp/evp_lanes.hpp"
 #include "src/evp/evp_solver.hpp"
 #include "src/solver/preconditioner.hpp"
 
@@ -71,8 +79,11 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
                          const util::Field& depth,
                          const BlockEvpOptions& options = {});
 
-  /// Every member of the sets marches in place through the same tiles
-  /// (no per-member scratch copies).
+  /// Each lane group gathers its tiles' windows of one member, solves
+  /// them in lockstep and scatters them re-masked; members run one after
+  /// another through the same kernel. A MINIPOP_BOUNDS_CHECK build then
+  /// re-solves every tile alone (EvpTileSolver) and requires the same
+  /// bits.
   void apply(comm::Communicator& comm, const comm::FieldSet& in,
              const comm::FieldSet& out) override;
 
@@ -87,9 +98,9 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
   }
 
   const BlockEvpOptions& options() const { return options_; }
-  int num_tiles() const { return static_cast<int>(tiles_.size()); }
+  int num_tiles() const { return count_tiles(groups_); }
   /// fp32 mirror tiles (0 until the first fp32 apply builds them).
-  int num_tiles32() const { return static_cast<int>(tiles32_.size()); }
+  int num_tiles32() const { return count_tiles(groups32_); }
   /// Tiles that failed the marching accuracy self-check and were split
   /// (strong local anisotropy); purely informational.
   int subdivided_tiles() const { return subdivided_tiles_; }
@@ -101,24 +112,82 @@ class BlockEvpPreconditioner final : public solver::Preconditioner {
   /// discusses the low setup cost; bench_fig06 reports it).
   std::uint64_t setup_flops() const { return setup_flops_; }
 
+  /// Where a tile sits: block-interior window of local block
+  /// `local_block`, and whether it marches the simplified operator.
+  struct TilePlacement {
+    int local_block, i0, j0, nx, ny;
+    bool simplified;
+  };
+  /// The tiles of each fp64 / fp32 lane group, in apply order.
+  std::vector<std::vector<TilePlacement>> tile_groups() const {
+    return placements(groups_);
+  }
+  std::vector<std::vector<TilePlacement>> tile_groups32() const {
+    return placements(groups32_);
+  }
+
  private:
-  struct Tile {
-    int local_block;
+  /// A self-checked tile before packing.
+  struct BuiltTile {
+    TilePlacement place;
     std::unique_ptr<EvpTileSolver> solver;
   };
+  template <typename T>
+  struct Group {
+    EvpTileGroup<T> tiles;
+    std::vector<TilePlacement> place;  ///< one per lane
+    std::uint64_t flops = 0;           ///< one solve of every lane
+    /// One-lane twins of the lanes, kept by MINIPOP_BOUNDS_CHECK builds
+    /// only, for the post-apply cross-run.
+    std::vector<std::unique_ptr<EvpTileSolver>> audit;
+  };
 
+  /// Self-checked tiles of local block lb, split until each passes
+  /// (with enable_fp32 at tile_accuracy32 when fp32).
+  void build_tiles(int lb, int max_tile, bool fp32,
+                   std::vector<BuiltTile>& out, int& subdivided);
+  /// The lazy fp32 tile set: build, pack, size the fp32 scratch.
   void build_tiles32();
+  template <typename T>
+  static std::vector<Group<T>> pack(std::vector<BuiltTile> tiles);
+  /// Grow the shared solve scratch to fit every group of `groups`.
+  template <typename T>
+  void fit_scratch(const std::vector<Group<T>>& groups, std::vector<T>& y,
+                   std::vector<T>& xp);
+  template <typename T>
+  void apply_groups(comm::Communicator& comm,
+                    const std::vector<Group<T>>& groups,
+                    const comm::FieldSetT<T>& in,
+                    const comm::FieldSetT<T>& out);
+  template <typename T>
+  static int count_tiles(const std::vector<Group<T>>& groups) {
+    int n = 0;
+    for (const auto& g : groups) n += g.tiles.lanes();
+    return n;
+  }
+  template <typename T>
+  static std::vector<std::vector<TilePlacement>> placements(
+      const std::vector<Group<T>>& groups) {
+    std::vector<std::vector<TilePlacement>> p;
+    for (const auto& g : groups) p.push_back(g.place);
+    return p;
+  }
 
   const solver::DistOperator* op_;
   BlockEvpOptions options_;
-  std::vector<Tile> tiles_;
+  std::vector<Group<double>> groups_;
   std::uint64_t setup_flops_ = 0;
   int subdivided_tiles_ = 0;
   /// Regularized per-block coefficients, kept for the lazy fp32 tile
   /// build (the fp64 tiles consumed them at construction).
   std::vector<std::array<util::Field, grid::kNumDirs>> reg_coeff_;
-  std::vector<Tile> tiles32_;
+  std::vector<Group<float>> groups32_;
   int subdivided_tiles32_ = 0;
+  /// Solve scratch shared by all groups, sized for the largest: lane-
+  /// interleaved right-hand side and padded x per precision, and the
+  /// guess correction's residuals and correction.
+  std::vector<double> y_, xp_, f_, g_;
+  std::vector<float> y32_, xp32_;
 };
 
 }  // namespace minipop::evp

@@ -67,18 +67,19 @@ EvpTileSolver::EvpTileSolver(
 
   // Preprocessing: influence matrix W by marching unit guesses with zero
   // right-hand side, then its LU factorization (Algorithm 3, steps 1-8).
+  xp_ = util::Field(nx + 2, ny + 2, 0.0);
   const util::Field zero_y(nx, ny, 0.0);
+  const EvpLaneView<double> v = lanes();
   linalg::DenseMatrix w(k_, k_);
-  util::Field x(nx, ny);
   std::vector<double> f(k_);
   for (int m = 0; m < k_; ++m) {
-    x.fill(0.0);
+    xp_.fill(0.0);
     if (m < nx)
-      x(m, 0) = 1.0;
+      xp_(m + 1, 1) = 1.0;
     else
-      x(0, m - nx + 1) = 1.0;
-    march(zero_y, x);
-    residual_at_f(x, zero_y, f);
+      xp_(1, m - nx + 2) = 1.0;
+    evp_lanes_march(v, zero_y.data(), xp_.data());
+    evp_lanes_residual(v, zero_y.data(), xp_.data(), f.data());
     for (int r = 0; r < k_; ++r) w(r, m) = f[r];
   }
   w_lu_ = std::make_unique<linalg::LuFactorization>(std::move(w));
@@ -116,129 +117,80 @@ EvpTileSolver::EvpTileSolver(
   }
 }
 
-void EvpTileSolver::march(const util::Field& y, util::Field& x) const {
-  // The guess cells (south row, west column) of x are inputs; everything
-  // else is overwritten by the Eq. 4 recurrence.
-  const auto& cc = coeff_[D(Dir::kCenter)];
-  const auto& ce = coeff_[D(Dir::kEast)];
-  const auto& cw = coeff_[D(Dir::kWest)];
-  const auto& cn = coeff_[D(Dir::kNorth)];
-  const auto& cs = coeff_[D(Dir::kSouth)];
-  const auto& cne = coeff_[D(Dir::kNorthEast)];
-  const auto& cnw = coeff_[D(Dir::kNorthWest)];
-  const auto& cse = coeff_[D(Dir::kSouthEast)];
-  const auto& csw = coeff_[D(Dir::kSouthWest)];
-
-  // X(a, b): tile value with zero Dirichlet outside.
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? x(a, b) : 0.0;
-  };
-  // Checked form of the recurrence, for cells whose 3x3 read window can
-  // leave the tile (the first marching row and column).
-  auto step_checked = [&](int a, int b) {
-    const int ea = a - 1;
-    const int eb = b - 1;
-    const int I = ea + 1;  // padded coefficient coordinates
-    const int J = eb + 1;
-    const double sum =
-        cc(I, J) * X(ea, eb) + ce(I, J) * X(ea + 1, eb) +
-        cw(I, J) * X(ea - 1, eb) + cn(I, J) * X(ea, eb + 1) +
-        cs(I, J) * X(ea, eb - 1) + cnw(I, J) * X(ea - 1, eb + 1) +
-        cse(I, J) * X(ea + 1, eb - 1) + csw(I, J) * X(ea - 1, eb - 1);
-    x(a, b) = (y(ea, eb) - sum) / cne(I, J);
-  };
-
-  // The recurrence at (a, b) reads x(a-2..a, b-2..b): once a, b >= 2
-  // every access is in-bounds, so the zero-Dirichlet checks and the
-  // per-access index arithmetic are dead weight on the (serial)
-  // dependent chain. Peel the checked boundary and hoist row pointers;
-  // the expression and FP order are identical to the checked form, so
-  // results are bit-for-bit unchanged.
-  const std::ptrdiff_t cp = cc.nx();  // padded coefficient pitch
-  for (int b = 1; b < ny_; ++b) {
-    if (b == 1 || nx_ == 1) {  // 1-wide tiles have no interior column
-      for (int a = 1; a < nx_; ++a) step_checked(a, b);
-      continue;
-    }
-    step_checked(1, b);
-    const std::ptrdiff_t J = b;  // = eb + 1
-    const double* ccJ = cc.data() + J * cp;
-    const double* ceJ = ce.data() + J * cp;
-    const double* cwJ = cw.data() + J * cp;
-    const double* cnJ = cn.data() + J * cp;
-    const double* csJ = cs.data() + J * cp;
-    const double* cneJ = cne.data() + J * cp;
-    const double* cnwJ = cnw.data() + J * cp;
-    const double* cseJ = cse.data() + J * cp;
-    const double* cswJ = csw.data() + J * cp;
-    const double* yb = y.data() + static_cast<std::ptrdiff_t>(b - 1) * nx_;
-    double* xb = x.data() + static_cast<std::ptrdiff_t>(b) * nx_;
-    const double* xb1 = xb - nx_;      // e-row eb (= tile row b - 1)
-    const double* xb2 = xb - 2 * nx_;  // tile row b - 2
-    for (int a = 2; a < nx_; ++a) {
-      const int ea = a - 1;
-      const double sum =
-          ccJ[a] * xb1[ea] + ceJ[a] * xb1[ea + 1] + cwJ[a] * xb1[ea - 1] +
-          cnJ[a] * xb[ea] + csJ[a] * xb2[ea] + cnwJ[a] * xb[ea - 1] +
-          cseJ[a] * xb2[ea + 1] + cswJ[a] * xb2[ea - 1];
-      xb[a] = (yb[ea] - sum) / cneJ[a];
-    }
+EvpLaneView<double> EvpTileSolver::lanes() const {
+  EvpLaneView<double> v;
+  v.nx = nx_;
+  v.ny = ny_;
+  for (int d = 0; d < grid::kNumDirs; ++d) v.coeff[d] = coeff_[d].data();
+  if (w_lu_) {
+    v.lu = w_lu_->factors().data();
+    v.perm = w_lu_->permutation().data();
   }
+  return v;
+}
+
+EvpLaneView<float> EvpTileSolver::lanes32() const {
+  MINIPOP_REQUIRE(fp32_, "fp32 tile data before enable_fp32");
+  EvpLaneView<float> v;
+  v.nx = nx_;
+  v.ny = ny_;
+  for (int d = 0; d < grid::kNumDirs; ++d) v.coeff[d] = coeff32_[d].data();
+  v.recip_ne = recip_ne32_.data();
+  v.lu = w_lu_->factors().data();
+  v.perm = w_lu_->permutation().data();
+  return v;
 }
 
 void EvpTileSolver::apply_operator(const util::Field& in,
                                    util::Field& out) const {
   MINIPOP_REQUIRE(in.nx() == nx_ && in.ny() == ny_, "tile shape mismatch");
   if (out.nx() != nx_ || out.ny() != ny_) out = util::Field(nx_, ny_);
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? in(a, b) : 0.0;
-  };
+  util::Field inp(nx_ + 2, ny_ + 2, 0.0);  // zero Dirichlet ring
+  for (int b = 0; b < ny_; ++b)
+    for (int a = 0; a < nx_; ++a) inp(a + 1, b + 1) = in(a, b);
   for (int b = 0; b < ny_; ++b)
     for (int a = 0; a < nx_; ++a) {
       double acc = 0.0;
       for (int d = 0; d < grid::kNumDirs; ++d) {
         const auto [di, dj] = grid::kDirOffset[d];
-        acc += coeff_[d](a + 1, b + 1) * X(a + di, b + dj);
+        acc += coeff_[d](a + 1, b + 1) * inp(a + 1 + di, b + 1 + dj);
       }
       out(a, b) = acc;
     }
 }
 
-void EvpTileSolver::residual_at_f(const util::Field& x, const util::Field& y,
-                                  std::vector<double>& f) const {
-  f.resize(k_);
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? x(a, b) : 0.0;
-  };
-  auto row_residual = [&](int a, int b) -> double {
-    double acc = -y(a, b);
-    for (int d = 0; d < grid::kNumDirs; ++d) {
-      const auto [di, dj] = grid::kDirOffset[d];
-      acc += coeff_[d](a + 1, b + 1) * X(a + di, b + dj);
-    }
-    return acc;
-  };
-  for (int a = 0; a < nx_; ++a) f[a] = row_residual(a, ny_ - 1);
-  for (int b = 0; b + 1 < ny_; ++b) f[nx_ + b] = row_residual(nx_ - 1, b);
+template <typename T>
+void EvpTileSolver::solve_lane(const EvpLaneView<T>& v,
+                               const util::Array2D<T>& y,
+                               util::Array2D<T>& xp,
+                               util::Array2D<T>& x) const {
+  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_, "tile rhs shape mismatch");
+  if (x.nx() != nx_ || x.ny() != ny_) x = util::Array2D<T>(nx_, ny_);
+  if (xp.nx() != nx_ + 2) xp = util::Array2D<T>(nx_ + 2, ny_ + 2, T(0));
+  evp_lanes_solve(v, y.data(), xp.data(), f_.data(), g_.data());
+  for (int j = 0; j < ny_; ++j)
+    for (int i = 0; i < nx_; ++i) x(i, j) = xp(i + 1, j + 1);
 }
 
 void EvpTileSolver::solve(const util::Field& y, util::Field& x) const {
-  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_, "tile rhs shape mismatch");
-  if (x.nx() != nx_ || x.ny() != ny_) x = util::Field(nx_, ny_);
-
   // Algorithm 3, solving phase: march with zero guess, correct the guess
   // by -W^{-1} F, march again.
-  x.fill(0.0);
-  march(y, x);
-  residual_at_f(x, y, f_);
-  w_lu_->solve_into(f_.data(), g_.data());
-  for (int m = 0; m < k_; ++m) {
-    if (m < nx_)
-      x(m, 0) = -g_[m];
-    else
-      x(0, m - nx_ + 1) = -g_[m];
-  }
-  march(y, x);
+  solve_lane(lanes(), y, xp_, x);
+}
+
+void EvpTileSolver::march_sweep(const util::Field& y, util::Field& xp) const {
+  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_ && xp.nx() == nx_ + 2 &&
+                      xp.ny() == ny_ + 2,
+                  "march_sweep shape mismatch");
+  evp_lanes_march(lanes(), y.data(), xp.data());
+}
+
+void EvpTileSolver::march_sweep32(const util::Array2D<float>& y,
+                                  util::Array2D<float>& xp) const {
+  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_ && xp.nx() == nx_ + 2 &&
+                      xp.ny() == ny_ + 2,
+                  "march_sweep32 shape mismatch");
+  evp_lanes_march(lanes32(), y.data(), xp.data());
 }
 
 void EvpTileSolver::enable_fp32(double validate_accuracy) {
@@ -288,114 +240,9 @@ void EvpTileSolver::enable_fp32(double validate_accuracy) {
   }
 }
 
-void EvpTileSolver::march32(const util::Array2D<float>& y,
-                            util::Array2D<float>& x) const {
-  MINIPOP_REQUIRE(fp32_, "march32 before enable_fp32");
-  const auto& cc = coeff32_[D(Dir::kCenter)];
-  const auto& ce = coeff32_[D(Dir::kEast)];
-  const auto& cw = coeff32_[D(Dir::kWest)];
-  const auto& cn = coeff32_[D(Dir::kNorth)];
-  const auto& cs = coeff32_[D(Dir::kSouth)];
-  const auto& cnw = coeff32_[D(Dir::kNorthWest)];
-  const auto& cse = coeff32_[D(Dir::kSouthEast)];
-  const auto& csw = coeff32_[D(Dir::kSouthWest)];
-  const auto& rne = recip_ne32_;
-
-  auto X = [&](int a, int b) -> float {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_) ? x(a, b) : 0.0f;
-  };
-  // The fp32 march has no bit-reproducibility contract (its accuracy is
-  // gated by the enable_fp32 self-check), so unlike march() it is free
-  // to re-associate the sum: the terms reading the row being marched —
-  // cnw * x(a-2, b) and cn * x(a-1, b) — go LAST, so the serial
-  // recurrence chain is mul + add + sub + mul instead of threading
-  // through half the addition tree. march() cannot do this: reordering
-  // would change fp64 results bit-wise.
-  auto step_checked = [&](int a, int b) {
-    const int ea = a - 1;
-    const int eb = b - 1;
-    const int I = ea + 1;
-    const int J = eb + 1;
-    const float sum =
-        cc(I, J) * X(ea, eb) + ce(I, J) * X(ea + 1, eb) +
-        cw(I, J) * X(ea - 1, eb) + cs(I, J) * X(ea, eb - 1) +
-        cse(I, J) * X(ea + 1, eb - 1) + csw(I, J) * X(ea - 1, eb - 1) +
-        cnw(I, J) * X(ea - 1, eb + 1) + cn(I, J) * X(ea, eb + 1);
-    x(a, b) = (y(ea, eb) - sum) * rne(I, J);
-  };
-
-  // Same boundary peel + row-pointer hoist as march().
-  const std::ptrdiff_t cp = cc.nx();
-  for (int b = 1; b < ny_; ++b) {
-    if (b == 1 || nx_ == 1) {  // 1-wide tiles have no interior column
-      for (int a = 1; a < nx_; ++a) step_checked(a, b);
-      continue;
-    }
-    step_checked(1, b);
-    const std::ptrdiff_t J = b;
-    const float* ccJ = cc.data() + J * cp;
-    const float* ceJ = ce.data() + J * cp;
-    const float* cwJ = cw.data() + J * cp;
-    const float* cnJ = cn.data() + J * cp;
-    const float* csJ = cs.data() + J * cp;
-    const float* rneJ = rne.data() + J * cp;
-    const float* cnwJ = cnw.data() + J * cp;
-    const float* cseJ = cse.data() + J * cp;
-    const float* cswJ = csw.data() + J * cp;
-    const float* yb = y.data() + static_cast<std::ptrdiff_t>(b - 1) * nx_;
-    float* xb = x.data() + static_cast<std::ptrdiff_t>(b) * nx_;
-    const float* xb1 = xb - nx_;
-    const float* xb2 = xb - 2 * nx_;
-    for (int a = 2; a < nx_; ++a) {
-      const int ea = a - 1;
-      const float sum =
-          ccJ[a] * xb1[ea] + ceJ[a] * xb1[ea + 1] + cwJ[a] * xb1[ea - 1] +
-          csJ[a] * xb2[ea] + cseJ[a] * xb2[ea + 1] + cswJ[a] * xb2[ea - 1] +
-          cnwJ[a] * xb[ea - 1] + cnJ[a] * xb[ea];
-      xb[a] = (yb[ea] - sum) * rneJ[a];
-    }
-  }
-}
-
-void EvpTileSolver::residual_at_f32(const util::Array2D<float>& x,
-                                    const util::Array2D<float>& y,
-                                    std::vector<double>& f) const {
-  f.resize(k_);
-  auto X = [&](int a, int b) -> double {
-    return (a >= 0 && a < nx_ && b >= 0 && b < ny_)
-               ? static_cast<double>(x(a, b))
-               : 0.0;
-  };
-  // O(nx + ny) cells only; accumulate in double for the LU correction.
-  auto row_residual = [&](int a, int b) -> double {
-    double acc = -static_cast<double>(y(a, b));
-    for (int d = 0; d < grid::kNumDirs; ++d) {
-      const auto [di, dj] = grid::kDirOffset[d];
-      acc += static_cast<double>(coeff32_[d](a + 1, b + 1)) * X(a + di, b + dj);
-    }
-    return acc;
-  };
-  for (int a = 0; a < nx_; ++a) f[a] = row_residual(a, ny_ - 1);
-  for (int b = 0; b + 1 < ny_; ++b) f[nx_ + b] = row_residual(nx_ - 1, b);
-}
-
 void EvpTileSolver::solve32(const util::Array2D<float>& y,
                             util::Array2D<float>& x) const {
-  MINIPOP_REQUIRE(fp32_, "solve32 before enable_fp32");
-  MINIPOP_REQUIRE(y.nx() == nx_ && y.ny() == ny_, "tile rhs shape mismatch");
-  if (x.nx() != nx_ || x.ny() != ny_) x = util::Array2D<float>(nx_, ny_);
-
-  x.fill(0.0f);
-  march32(y, x);
-  residual_at_f32(x, y, f_);
-  w_lu_->solve_into(f_.data(), g_.data());
-  for (int m = 0; m < k_; ++m) {
-    if (m < nx_)
-      x(m, 0) = static_cast<float>(-g_[m]);
-    else
-      x(0, m - nx_ + 1) = static_cast<float>(-g_[m]);
-  }
-  march32(y, x);
+  solve_lane(lanes32(), y, xp32_, x);
 }
 
 std::uint64_t EvpTileSolver::solve_flops() const {

@@ -23,7 +23,15 @@
 //
 // The simplified variant drops the E/W/N/S coefficients, which for POP's
 // B-grid operator are an order of magnitude below the corner ones
-// (§4.3); this halves the marching cost with little convergence impact.
+// (§4.3). Here it changes only the operator, not the cost: the march
+// still multiplies the zeroed edge terms (one kernel serves both
+// variants), and the anisotropy guard below keeps it on few tiles of
+// the production grid (1 of 19 at 38x46, 12x12 blocks). solve_flops()
+// reports the paper's counting.
+//
+// The march, residual and LU correction run through the lane kernels of
+// evp_lanes.hpp with one lane; the block-EVP preconditioner runs the
+// same kernels over groups of equal-shape tiles.
 #pragma once
 
 #include <array>
@@ -31,6 +39,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/evp/evp_lanes.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
 #include "src/util/array2d.hpp"
@@ -79,21 +88,24 @@ class EvpTileSolver {
   void apply_operator(const util::Field& in, util::Field& out) const;
 
   /// One marching sweep (the Eq. 4 recurrence) with the current guess
-  /// cells of x as input — the hot kernel inside solve(), exposed for
-  /// kernel benchmarks (bench_precision) and stability studies. x must
-  /// be nx x ny with the south row / west column holding the guess.
-  void march_sweep(const util::Field& y, util::Field& x) const {
-    march(y, x);
-  }
-  /// fp32 marching sweep (requires enable_fp32; checked in march32).
+  /// cells of xp as input — the hot kernel inside solve(), exposed for
+  /// kernel benchmarks (bench_precision). xp is the padded solve buffer:
+  /// (nx + 2) x (ny + 2) with the tile at (1, 1), a zero ring, and the
+  /// guess in the tile's south row / west column.
+  void march_sweep(const util::Field& y, util::Field& xp) const;
+  /// fp32 marching sweep (requires enable_fp32).
   void march_sweep32(const util::Array2D<float>& y,
-                     util::Array2D<float>& x) const {
-    march32(y, x);
-  }
+                     util::Array2D<float>& xp) const;
 
   /// Flops of one solve in the paper's counting (22 per point full,
   /// 14 per point simplified).
   std::uint64_t solve_flops() const;
+
+  /// This tile's data as a one-lane view (for lane-group packing): the
+  /// fp64 coefficients, or with fp32 the float coefficients and
+  /// reciprocal pivots (requires enable_fp32); both with the double LU.
+  EvpLaneView<double> lanes() const;
+  EvpLaneView<float> lanes32() const;
 
   /// Flops spent in set-up (preprocessing; paper: O(26 n^3)).
   std::uint64_t setup_flops() const { return setup_flops_; }
@@ -130,13 +142,11 @@ class EvpTileSolver {
   void solve32(const util::Array2D<float>& y, util::Array2D<float>& x) const;
 
  private:
-  void march(const util::Field& y, util::Field& x) const;
-  void residual_at_f(const util::Field& x, const util::Field& y,
-                     std::vector<double>& f) const;
-  void march32(const util::Array2D<float>& y, util::Array2D<float>& x) const;
-  void residual_at_f32(const util::Array2D<float>& x,
-                       const util::Array2D<float>& y,
-                       std::vector<double>& f) const;
+  /// Check a one-lane solve's input shape and run it into the padded
+  /// scratch, then copy the tile interior to x.
+  template <typename T>
+  void solve_lane(const EvpLaneView<T>& v, const util::Array2D<T>& y,
+                  util::Array2D<T>& xp, util::Array2D<T>& x) const;
 
   int i0_, j0_, nx_, ny_, k_;
   bool simplified_;
@@ -144,9 +154,9 @@ class EvpTileSolver {
   /// shape (nx+2) x (ny+2) with the tile at offset (1, 1).
   std::array<util::Field, grid::kNumDirs> coeff_;
   std::unique_ptr<linalg::LuFactorization> w_lu_;
-  /// Scratch for the guess correction (residuals F and correction g) —
-  /// solve()/solve32() run thousands of times per preconditioner sweep
-  /// and must not allocate.
+  /// Scratch: the padded x buffer and the guess correction (residuals F
+  /// and correction g) — solve() must not allocate.
+  mutable util::Field xp_;
   mutable std::vector<double> f_, g_;
   std::uint64_t setup_flops_ = 0;
   double measured_accuracy_ = 0.0;
@@ -155,6 +165,7 @@ class EvpTileSolver {
   /// NE pivot the march multiplies by instead of dividing.
   std::array<util::Array2D<float>, grid::kNumDirs> coeff32_;
   util::Array2D<float> recip_ne32_;
+  mutable util::Array2D<float> xp32_;
   double measured_accuracy32_ = 0.0;
 };
 

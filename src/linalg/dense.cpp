@@ -114,19 +114,7 @@ std::vector<double> LuFactorization::solve(const std::vector<double>& b) const {
 }
 
 void LuFactorization::solve_into(const double* b, double* x) const {
-  // Apply permutation, then forward substitution with unit lower factor.
-  for (int r = 0; r < n_; ++r) x[r] = b[perm_[r]];
-  for (int r = 1; r < n_; ++r) {
-    double acc = x[r];
-    for (int c = 0; c < r; ++c) acc -= lu_(r, c) * x[c];
-    x[r] = acc;
-  }
-  // Back substitution.
-  for (int r = n_ - 1; r >= 0; --r) {
-    double acc = x[r];
-    for (int c = r + 1; c < n_; ++c) acc -= lu_(r, c) * x[c];
-    x[r] = acc / lu_(r, r);
-  }
+  lu_solve_lanes<1>(n_, lu_.data(), perm_.data(), b, x);
 }
 
 DenseMatrix LuFactorization::inverse() const {

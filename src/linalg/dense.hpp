@@ -2,8 +2,8 @@
 // LU factorization with partial pivoting, solve and explicit inverse.
 //
 // Used by the EVP preconditioner for the influence-coefficient matrix W
-// (size 2n-5 for an n×n block, so ≲ 50×50 in practice) and by tests as a
-// reference solver for the assembled stencil operator on small grids.
+// (size nx+ny-1 for an nx×ny tile, so ≲ 50×50 in practice) and by tests
+// as a reference solver for the assembled stencil operator on small grids.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +24,9 @@ class DenseMatrix {
 
   double& operator()(int r, int c) { return data_[idx(r, c)]; }
   const double& operator()(int r, int c) const { return data_[idx(r, c)]; }
+
+  /// Row-major elements, rows() * cols() of them.
+  const double* data() const { return data_.data(); }
 
   DenseMatrix transposed() const;
 
@@ -60,9 +63,14 @@ class LuFactorization {
   std::vector<double> solve(const std::vector<double>& b) const;
 
   /// Allocation-free solve: x = A^-1 b, both length size(). b and x may
-  /// not alias. For hot callers (EVP tile corrections) that solve the
-  /// same small system thousands of times per sweep.
+  /// not alias. The one-lane instance of lu_solve_lanes.
   void solve_into(const double* b, double* x) const;
+
+  /// The packed factors (unit lower triangle below the diagonal, upper
+  /// on and above it) and the row permutation, as lu_solve_lanes reads
+  /// them.
+  const DenseMatrix& factors() const { return lu_; }
+  const std::vector<int>& permutation() const { return perm_; }
 
   /// Explicit inverse (n solves against unit vectors).
   DenseMatrix inverse() const;
@@ -77,6 +85,39 @@ class LuFactorization {
   std::vector<int> perm_;
   int sign_ = 1;
 };
+
+/// Solve L independent n x n systems A_l x_l = b_l from their LU
+/// factorizations, stored lane-interleaved: factor (r, c) of lane l at
+/// lu[(r * n + c) * L + l], permutation entry r at perm[r * L + l], and
+/// b, x at [r * L + l]. The lane loop is innermost, so the L substitution
+/// chains run side by side; per lane the operation order is exactly one
+/// LuFactorization solve's, so every lane's bits equal a solve_into of
+/// that system alone. b and x may not alias. For hot callers (EVP tile
+/// corrections) that solve the same small systems thousands of times.
+template <int L>
+void lu_solve_lanes(int n, const double* lu, const int* perm,
+                    const double* b, double* x) {
+  for (int r = 0; r < n; ++r)
+    for (int l = 0; l < L; ++l) x[r * L + l] = b[perm[r * L + l] * L + l];
+  // Forward substitution with the unit lower factor.
+  for (int r = 1; r < n; ++r) {
+    const double* row = lu + static_cast<std::ptrdiff_t>(r) * n * L;
+    double acc[L];
+    for (int l = 0; l < L; ++l) acc[l] = x[r * L + l];
+    for (int c = 0; c < r; ++c)
+      for (int l = 0; l < L; ++l) acc[l] -= row[c * L + l] * x[c * L + l];
+    for (int l = 0; l < L; ++l) x[r * L + l] = acc[l];
+  }
+  // Back substitution.
+  for (int r = n - 1; r >= 0; --r) {
+    const double* row = lu + static_cast<std::ptrdiff_t>(r) * n * L;
+    double acc[L];
+    for (int l = 0; l < L; ++l) acc[l] = x[r * L + l];
+    for (int c = r + 1; c < n; ++c)
+      for (int l = 0; l < L; ++l) acc[l] -= row[c * L + l] * x[c * L + l];
+    for (int l = 0; l < L; ++l) x[r * L + l] = acc[l] / row[r * L + l];
+  }
+}
 
 /// Solve the symmetric positive definite system via Cholesky; reference
 /// path used by tests. Throws util::Error if the matrix is not SPD.

@@ -104,6 +104,14 @@ std::string Cli::get_choice(const std::string& name,
   throw value_error(name, v, expected);
 }
 
+int report_error(const std::string& program, const Error& e,
+                 std::ostream& err) {
+  std::string what = e.what();
+  std::replace(what.begin(), what.end(), '\n', ' ');
+  err << program << ": error: " << what << "\n";
+  return 1;
+}
+
 int Cli::report(const CliValueError& e, std::ostream& err) const {
   err << program_ << ": " << e.what() << "\n";
   return 2;

@@ -32,6 +32,13 @@ class CliValueError : public Error {
 /// reason unless it is an integer in [lo, hi].
 int parse_int(const std::string& s, int lo = INT_MIN, int hi = INT_MAX);
 
+/// Report an Error that stopped a program after its flags parsed (a
+/// configuration the library rejects, a failed run) as one
+/// "program: error: what()" line on `err`, and return exit status 1.
+/// The examples' main() ends in this handler instead of aborting.
+int report_error(const std::string& program, const Error& e,
+                 std::ostream& err = std::cerr);
+
 /// One accepted flag of a program with a fixed flag set.
 struct CliFlag {
   std::string name;  ///< without the leading "--"

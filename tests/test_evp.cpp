@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
 
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
@@ -11,9 +12,11 @@
 #include "src/grid/decomposition.hpp"
 #include "src/grid/stencil.hpp"
 #include "src/linalg/dense.hpp"
+#include "src/model/config.hpp"
 #include "src/solver/batched_decorators.hpp"
 #include "src/solver/field_ops.hpp"
 #include "src/solver/solver_factory.hpp"
+#include "src/util/crc32c.hpp"
 #include "src/util/rng.hpp"
 
 namespace mc = minipop::comm;
@@ -367,6 +370,227 @@ TEST(BlockEvp, ReducesChronGearIterationsVsDiagonal) {
   x2.store_global(xb);
   for (int j = 0; j < 36; ++j)
     for (int i = 0; i < 40; ++i) EXPECT_NEAR(xa(i, j), xb(i, j), 1e-5);
+}
+
+// --- Lane groups ----------------------------------------------------------
+
+namespace {
+
+/// The production block-EVP configuration: the default 1-degree grid at
+/// scale 0.12 (38x46), the model's bathymetry and phi, 12x12 blocks, one
+/// rank, default BlockEvpOptions.
+struct ProductionEvp {
+  mg::CurvilinearGrid grid{mg::pop_1deg_spec(0.12)};
+  mu::Field depth = mg::synthetic_earth_bathymetry(grid, {});
+  double dt = minipop::model::recommended_barotropic_dt(grid);
+  double phi = 1.0 / (9.806 * 0.6 * 0.6 * dt * dt);  // as BarotropicMode
+  mg::NinePointStencil stencil{grid, depth, phi};
+  mg::Decomposition decomp{grid.nx(),       grid.ny(), grid.periodic_x(),
+                           stencil.mask(), 12,        12,
+                           1};
+  ms::DistOperator op{stencil, decomp, 0};
+  me::BlockEvpPreconditioner evp{op, grid, depth};
+};
+
+ProductionEvp& production_evp() {
+  static ProductionEvp p;
+  return p;
+}
+
+/// The reference the lane groups must reproduce bit for bit: every tile
+/// of `groups` built alone from the regularized block coefficients,
+/// solved alone (EvpTileSolver::solve / solve32) member by member, and
+/// scattered re-masked.
+template <typename T>
+void one_tile_apply(
+    const ProductionEvp& p,
+    const std::vector<std::vector<me::BlockEvpPreconditioner::TilePlacement>>&
+        groups,
+    const mc::DistFieldBatchT<T>& in, mc::DistFieldBatchT<T>& out) {
+  const auto& opt = p.evp.options();
+  const mu::Field reg_depth =
+      me::regularize_land_depth(p.depth, opt.land_epsilon);
+  const mg::NinePointStencil reg(p.grid, reg_depth, p.phi);
+  me::EvpOptions eopt;
+  eopt.simplified = opt.simplified;
+  eopt.validate_accuracy = opt.tile_accuracy;
+  for (const auto& group : groups)
+    for (const auto& t : group) {
+      const auto& b = p.decomp.block(p.decomp.blocks_of_rank(0)[t.local_block]);
+      std::array<mu::Field, mg::kNumDirs> coeff;
+      for (int d = 0; d < mg::kNumDirs; ++d) {
+        coeff[d] = mu::Field(b.nx, b.ny);
+        for (int j = 0; j < b.ny; ++j)
+          for (int i = 0; i < b.nx; ++i)
+            coeff[d](i, j) =
+                reg.coeff(static_cast<mg::Dir>(d))(b.i0 + i, b.j0 + j);
+      }
+      me::EvpTileSolver s(coeff, t.i0, t.j0, t.nx, t.ny, eopt);
+      ASSERT_EQ(s.simplified(), t.simplified);
+      mu::Array2D<T> y(t.nx, t.ny), x;
+      for (int m = 0; m < in.nb(); ++m) {
+        for (int j = 0; j < t.ny; ++j)
+          for (int i = 0; i < t.nx; ++i)
+            y(i, j) = in.at(t.local_block, t.i0 + i, t.j0 + j, m);
+        if constexpr (std::is_same_v<T, double>) {
+          s.solve(y, x);
+        } else {
+          s.enable_fp32(opt.tile_accuracy32);
+          s.solve32(y, x);
+        }
+        const auto& mask = p.op.block_mask(t.local_block);
+        for (int j = 0; j < t.ny; ++j)
+          for (int i = 0; i < t.nx; ++i)
+            out.at(t.local_block, t.i0 + i, t.j0 + j, m) =
+                mask(t.i0 + i, t.j0 + j) ? x(i, j) : T(0);
+      }
+    }
+}
+
+/// CRC32C of the bits of every interior value of every member.
+template <typename T>
+std::uint32_t interior_crc(const mc::DistFieldBatchT<T>& f) {
+  std::uint32_t crc = mu::kCrc32cInit;
+  for (int lb = 0; lb < f.num_local_blocks(); ++lb)
+    for (int j = 0; j < f.info(lb).ny; ++j)
+      for (int i = 0; i < f.info(lb).nx; ++i)
+        for (int m = 0; m < f.nb(); ++m) {
+          const T v = f.at(lb, i, j, m);
+          crc = mu::crc32c_update(crc, &v, sizeof v);
+        }
+  return mu::crc32c_final(crc);
+}
+
+template <typename T>
+void expect_lane_apply_matches_one_tile_solves(int nb) {
+  auto& p = production_evp();
+  mc::DistFieldBatchT<T> in(p.decomp, 0, nb), got(p.decomp, 0, nb),
+      want(p.decomp, 0, nb);
+  mu::Xoshiro256 rng(2015 + nb);
+  for (int lb = 0; lb < in.num_local_blocks(); ++lb)
+    for (int j = 0; j < in.info(lb).ny; ++j)
+      for (int i = 0; i < in.info(lb).nx; ++i)
+        for (int m = 0; m < nb; ++m)
+          in.at(lb, i, j, m) = static_cast<T>(rng.uniform(-1, 1));
+  mc::SerialComm comm;
+  p.evp.apply(comm, mc::FieldSetT<T>(in), mc::FieldSetT<T>(got));
+  const auto groups = std::is_same_v<T, double> ? p.evp.tile_groups()
+                                                : p.evp.tile_groups32();
+  one_tile_apply(p, groups, in, want);
+  EXPECT_EQ(interior_crc(got), interior_crc(want));
+  for (int lb = 0; lb < in.num_local_blocks(); ++lb)
+    for (int j = 0; j < in.info(lb).ny; ++j)
+      for (int i = 0; i < in.info(lb).nx; ++i)
+        for (int m = 0; m < nb; ++m)
+          ASSERT_EQ(got.at(lb, i, j, m), want.at(lb, i, j, m))
+              << "block " << lb << " (" << i << "," << j << ") member " << m;
+}
+
+/// Lane counts, mixed simplified/full groups and land-touching tiles of
+/// a set of lane groups.
+struct GroupCoverage {
+  std::set<int> lanes;
+  bool mixed_simplified = false;
+  bool land_tile = false;
+};
+
+GroupCoverage coverage(
+    const ProductionEvp& p,
+    const std::vector<std::vector<me::BlockEvpPreconditioner::TilePlacement>>&
+        groups) {
+  GroupCoverage c;
+  for (const auto& g : groups) {
+    c.lanes.insert(static_cast<int>(g.size()));
+    bool simp = false, full = false;
+    for (const auto& t : g) {
+      (t.simplified ? simp : full) = true;
+      EXPECT_EQ(t.nx, g[0].nx);
+      EXPECT_EQ(t.ny, g[0].ny);
+      const auto& mask = p.op.block_mask(t.local_block);
+      for (int j = 0; j < t.ny; ++j)
+        for (int i = 0; i < t.nx; ++i)
+          if (!mask(t.i0 + i, t.j0 + j)) c.land_tile = true;
+    }
+    c.mixed_simplified = c.mixed_simplified || (simp && full);
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(EvpLaneGroups, ProductionTilesPackIntoEqualShapeGroups) {
+  auto& p = production_evp();
+  // 38x46 in 12x12 blocks: six 12x12 tiles, six 6x12, three 12x10,
+  // three 2x12 and one 2x10, in groups of 4+2, 4+2, 3, 3 and 1.
+  EXPECT_EQ(p.evp.num_tiles(), 19);
+  const auto groups = p.evp.tile_groups();
+  EXPECT_EQ(groups.size(), 7u);
+  const GroupCoverage c = coverage(p, groups);
+  EXPECT_EQ(c.lanes, (std::set<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(c.mixed_simplified);
+  EXPECT_TRUE(c.land_tile);
+  // The anisotropy guard keeps the simplified operator on one tile.
+  EXPECT_EQ(p.evp.simplified_tiles(), 1);
+
+  // The fp32 tile set (6x6 cap) is packed the same way.
+  mc::DistField32 v(p.decomp, 0), mv(p.decomp, 0);
+  mc::SerialComm comm;
+  p.evp.apply(comm, v, mv);
+  int n32 = 0;
+  for (const auto& g : p.evp.tile_groups32()) {
+    EXPECT_GE(g.size(), 1u);
+    EXPECT_LE(static_cast<int>(g.size()), me::kEvpLanes);
+    n32 += static_cast<int>(g.size());
+  }
+  EXPECT_EQ(n32, p.evp.num_tiles32());
+  EXPECT_TRUE(coverage(p, p.evp.tile_groups32()).land_tile);
+}
+
+TEST(EvpLaneGroups, Fp64ApplyBitwiseEqualsOneTileSolvesOneMember) {
+  expect_lane_apply_matches_one_tile_solves<double>(1);
+}
+
+TEST(EvpLaneGroups, Fp64ApplyBitwiseEqualsOneTileSolvesThreeMembers) {
+  expect_lane_apply_matches_one_tile_solves<double>(3);
+}
+
+TEST(EvpLaneGroups, Fp32ApplyBitwiseEqualsOneTileSolvesOneMember) {
+  expect_lane_apply_matches_one_tile_solves<float>(1);
+}
+
+TEST(EvpLaneGroups, Fp32ApplyBitwiseEqualsOneTileSolvesThreeMembers) {
+  expect_lane_apply_matches_one_tile_solves<float>(3);
+}
+
+TEST(EvpLaneGroups, LaneLuSolveMatchesSolveIntoPerLane) {
+  // Three systems interleaved as lanes: each lane's solution bits equal
+  // that system's solve_into alone.
+  constexpr int L = 3;
+  const int n = 7;
+  std::vector<ml::LuFactorization> lus;
+  for (int l = 0; l < L; ++l) {
+    ml::DenseMatrix a(n, n);
+    mu::Xoshiro256 rng(40 + l);
+    for (int r = 0; r < n; ++r)
+      for (int c = 0; c < n; ++c) a(r, c) = rng.uniform(-1, 1);
+    lus.emplace_back(std::move(a));
+  }
+  std::vector<double> lu(n * n * L), b(n * L), x(n * L);
+  std::vector<int> perm(n * L);
+  for (int l = 0; l < L; ++l) {
+    for (int e = 0; e < n * n; ++e) lu[e * L + l] = lus[l].factors().data()[e];
+    for (int r = 0; r < n; ++r) {
+      perm[r * L + l] = lus[l].permutation()[r];
+      b[r * L + l] = 0.5 * r - l;
+    }
+  }
+  ml::lu_solve_lanes<L>(n, lu.data(), perm.data(), b.data(), x.data());
+  for (int l = 0; l < L; ++l) {
+    std::vector<double> bl(n), xl(n);
+    for (int r = 0; r < n; ++r) bl[r] = b[r * L + l];
+    lus[l].solve_into(bl.data(), xl.data());
+    for (int r = 0; r < n; ++r) EXPECT_EQ(x[r * L + l], xl[r]);
+  }
 }
 
 TEST(BarotropicSolver, AllConfigurationsConverge) {
