@@ -1,5 +1,7 @@
 #include "src/comm/dist_field.hpp"
 
+#include <algorithm>
+
 #include "src/util/error.hpp"
 
 namespace minipop::comm {
@@ -18,7 +20,6 @@ DistFieldT<T>::DistFieldT(const grid::Decomposition& decomp, int rank,
   for (std::size_t lb = 0; lb < block_ids_.size(); ++lb) {
     const auto& b = decomp.block(block_ids_[lb]);
     data_.emplace_back(b.nx + 2 * halo, b.ny + 2 * halo, T(0));
-    local_of_global_[block_ids_[lb]] = static_cast<int>(lb);
   }
 }
 
@@ -29,8 +30,10 @@ const grid::BlockInfo& DistFieldT<T>::info(int lb) const {
 
 template <typename T>
 int DistFieldT<T>::local_index(int global_block_id) const {
-  auto it = local_of_global_.find(global_block_id);
-  return it == local_of_global_.end() ? -1 : it->second;
+  const auto it =
+      std::find(block_ids_.begin(), block_ids_.end(), global_block_id);
+  return it == block_ids_.end() ? -1
+                                : static_cast<int>(it - block_ids_.begin());
 }
 
 template <typename T>

@@ -12,7 +12,6 @@
 // boundary.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/grid/decomposition.hpp"
@@ -57,7 +56,8 @@ class DistFieldT {
   /// Padded row pitch of local block lb, in elements.
   std::ptrdiff_t stride(int lb) const { return data_[lb].nx(); }
 
-  /// Local index of a globally-identified block, or -1 if not owned.
+  /// Local index of a globally-identified block, or -1 if not owned
+  /// (a linear scan; the halo exchanger keeps its own table).
   int local_index(int global_block_id) const;
 
   void fill(T v);
@@ -88,7 +88,6 @@ class DistFieldT {
   int halo_;
   std::vector<int> block_ids_;  ///< global id of each local block
   std::vector<util::Array2D<T>> data_;
-  std::unordered_map<int, int> local_of_global_;
 };
 
 extern template class DistFieldT<double>;

@@ -22,19 +22,12 @@ DistFieldBatchT<T>::DistFieldBatchT(const grid::Decomposition& decomp,
   for (std::size_t lb = 0; lb < block_ids_.size(); ++lb) {
     const auto& b = decomp.block(block_ids_[lb]);
     data_.emplace_back((b.nx + 2 * halo) * nb, b.ny + 2 * halo, T(0));
-    local_of_global_[block_ids_[lb]] = static_cast<int>(lb);
   }
 }
 
 template <typename T>
 const grid::BlockInfo& DistFieldBatchT<T>::info(int lb) const {
   return decomp_->block(block_ids_.at(lb));
-}
-
-template <typename T>
-int DistFieldBatchT<T>::local_index(int global_block_id) const {
-  auto it = local_of_global_.find(global_block_id);
-  return it == local_of_global_.end() ? -1 : it->second;
 }
 
 template <typename T>

@@ -17,7 +17,6 @@
 // their fp64 counterparts in the same message count.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/grid/decomposition.hpp"
@@ -75,9 +74,6 @@ class DistFieldBatchT {
   /// the nb-fold widening).
   std::ptrdiff_t stride(int lb) const { return data_[lb].nx(); }
 
-  /// Local index of a globally-identified block, or -1 if not owned.
-  int local_index(int global_block_id) const;
-
   void fill(T v);
 
   /// True when `f` describes the same block set with the same halo, so
@@ -110,7 +106,6 @@ class DistFieldBatchT {
   int nb_;
   std::vector<int> block_ids_;  ///< global id of each local block
   std::vector<util::Array2D<T>> data_;
-  std::unordered_map<int, int> local_of_global_;
 };
 
 using DistFieldBatch = DistFieldBatchT<double>;

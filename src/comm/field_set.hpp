@@ -60,10 +60,6 @@ class FieldSetT {
   util::Array2D<T>& data(int lb) const {
     return scalar_ ? scalar_->data(lb) : batch_->data(lb);
   }
-  int local_index(int global_block_id) const {
-    return scalar_ ? scalar_->local_index(global_block_id)
-                   : batch_->local_index(global_block_id);
-  }
 
   /// Raw pointer to member 0 of interior cell (0, 0) of local block lb
   /// — the kernel entry point. Rows are stride(lb) elements apart, cell

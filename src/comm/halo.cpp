@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/fault/fault_injector.hpp"
@@ -73,46 +74,64 @@ HaloRegion halo_region(Dir d, int bnx, int bny, int h) {
 /// Per-exchange message tag: the epoch selects a disjoint tag sub-space
 /// so concurrently outstanding exchanges cannot match each other's
 /// messages; within an epoch the (source block, direction) pair is
-/// unique per exchange.
+/// unique per exchange (the constructor checks that every block id
+/// fits the stride).
 int message_tag(int epoch, int src_block_id, Dir d) {
-  const int local = src_block_id * 9 + static_cast<int>(d);
-  MINIPOP_REQUIRE(local < Communicator::kTagEpochStride,
-                  "tag overflow for block " << src_block_id);
-  return epoch * Communicator::kTagEpochStride + local;
+  return epoch * Communicator::kTagEpochStride + src_block_id * 9 +
+         static_cast<int>(d);
 }
 
-// Pack/unpack move whole region rows at once: region coordinates have i
-// fast, so row j of a width-w region is `ni * w` contiguous elements in
-// the padded array (cell column i of a w-member plane starts at element
-// i * w; w == 1 is the classic scalar plane, where these helpers
-// degenerate to the original scalar byte-for-byte path). Full-width N/S
-// strips (the big messages) move as `nj` memcpys of `ni * w` elements
-// each; E/W strips degenerate to short rows, same code path.
+// Pack/unpack/copy move whole region rows at once: region coordinates
+// have i fast, so row j of a width-w region is `ni * w` contiguous
+// elements in the padded array (cell column i of a w-member plane
+// starts at element i * w; w == 1 is the classic scalar plane). Full-
+// width N/S strips (the big messages) move as `nj` memcpys of `ni * w`
+// elements each; E/W strips and corners degenerate to short rows.
 
-/// First element of region row j inside the padded array.
+/// First element of region `r` inside the padded array; its rows are
+/// padded.nx() elements apart.
 template <typename T>
-T* region_row_w(util::Array2D<T>& padded, int h, int w,
-                const HaloRegion& r, int j) {
+T* region_start(util::Array2D<T>& padded, int h, int w,
+                const HaloRegion& r) {
   return padded.data() +
-         static_cast<std::ptrdiff_t>(r.j0 + j + h) * padded.nx() +
-         static_cast<std::ptrdiff_t>(r.i0 + h) * w;
-}
-template <typename T>
-const T* region_row_w(const util::Array2D<T>& padded, int h, int w,
-                      const HaloRegion& r, int j) {
-  return padded.data() +
-         static_cast<std::ptrdiff_t>(r.j0 + j + h) * padded.nx() +
+         static_cast<std::ptrdiff_t>(r.j0 + h) * padded.nx() +
          static_cast<std::ptrdiff_t>(r.i0 + h) * w;
 }
 
+template <std::size_t N, typename T>
+void copy_rows_n(T* d, std::ptrdiff_t ds, const T* s, std::ptrdiff_t ss,
+                 int nj) {
+  for (int j = 0; j < nj; ++j, d += ds, s += ss)
+    for (std::size_t e = 0; e < N; ++e) d[e] = s[e];
+}
+
+/// Copy `nj` rows of `n` elements from `s` to `d`, whose rows start `ss`
+/// and `ds` elements apart (a packed message segment has stride n).
+/// Scalar E/W strips and corners are rows of only h elements, where a
+/// memcpy call per row costs more than the copy, so rows of one or two
+/// elements are copied inline.
 template <typename T>
-void pack_w(const util::Array2D<T>& padded, int h, int w,
-            const HaloRegion& r, std::vector<T>& out) {
+void copy_rows(T* d, std::ptrdiff_t ds, const T* s, std::ptrdiff_t ss,
+               std::size_t n, int nj) {
+  switch (n) {
+    case 1: copy_rows_n<1>(d, ds, s, ss, nj); return;
+    case 2: copy_rows_n<2>(d, ds, s, ss, nj); return;
+    default:
+      for (int j = 0; j < nj; ++j, d += ds, s += ss)
+        std::memcpy(d, s, n * sizeof(T));
+  }
+}
+
+/// Append region `r` of `padded` to `out` — a group message concatenates
+/// every set's rim back to back.
+template <typename T>
+void pack_append_w(util::Array2D<T>& padded, int h, int w,
+                   const HaloRegion& r, std::vector<T>& out) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
-  out.resize(row * r.nj);
-  for (int j = 0; j < r.nj; ++j)
-    std::memcpy(out.data() + static_cast<std::size_t>(j) * row,
-                region_row_w(padded, h, w, r, j), row * sizeof(T));
+  const std::size_t base = out.size();
+  out.resize(base + row * r.nj);
+  copy_rows(out.data() + base, static_cast<std::ptrdiff_t>(row),
+            region_start(padded, h, w, r), padded.nx(), row, r.nj);
 }
 
 template <typename T>
@@ -120,33 +139,31 @@ void unpack_w(util::Array2D<T>& padded, int h, int w, const HaloRegion& r,
               std::span<const T> in) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
   MINIPOP_REQUIRE(in.size() == row * r.nj, "halo unpack size mismatch");
-  for (int j = 0; j < r.nj; ++j)
-    std::memcpy(region_row_w(padded, h, w, r, j),
-                in.data() + static_cast<std::size_t>(j) * row,
-                row * sizeof(T));
+  copy_rows(region_start(padded, h, w, r), padded.nx(), in.data(),
+            static_cast<std::ptrdiff_t>(row), row, r.nj);
 }
 
-/// pack_w that appends to `out` instead of replacing it — the group
-/// exchange concatenates several sets' rims into one message.
+/// Local neighbour: copy its interior region `sr` straight into halo
+/// region `dr` of `dst`, with no staging buffer. The two regions never
+/// overlap (interior vs halo), also when a periodic block wraps onto
+/// itself.
 template <typename T>
-void pack_append_w(const util::Array2D<T>& padded, int h, int w,
-                   const HaloRegion& r, std::vector<T>& out) {
-  const std::size_t row = static_cast<std::size_t>(r.ni) * w;
-  const std::size_t base = out.size();
-  out.resize(base + row * r.nj);
-  for (int j = 0; j < r.nj; ++j)
-    std::memcpy(out.data() + base + static_cast<std::size_t>(j) * row,
-                region_row_w(padded, h, w, r, j), row * sizeof(T));
+void copy_region_w(util::Array2D<T>& src, const HaloRegion& sr,
+                   util::Array2D<T>& dst, const HaloRegion& dr, int h,
+                   int w) {
+  MINIPOP_ASSERT(sr.ni == dr.ni && sr.nj == dr.nj);
+  copy_rows(region_start(dst, h, w, dr), dst.nx(),
+            region_start(src, h, w, sr), src.nx(),
+            static_cast<std::size_t>(dr.ni) * w, dr.nj);
 }
 
 template <typename T>
 void zero_region_w(util::Array2D<T>& padded, int h, int w,
                    const HaloRegion& r) {
   const std::size_t row = static_cast<std::size_t>(r.ni) * w;
-  for (int j = 0; j < r.nj; ++j) {
-    T* p = region_row_w(padded, h, w, r, j);
+  T* p = region_start(padded, h, w, r);
+  for (int j = 0; j < r.nj; ++j, p += padded.nx())
     std::fill(p, p + row, T(0));
-  }
 }
 
 // CRC trailer: one extra element of T per remote message, carrying the
@@ -186,10 +203,17 @@ HaloHandleT<T>::~HaloHandleT() {
 template <typename T>
 void HaloHandleT<T>::finish() {
   if (!active()) return;
-  const int w = fs_.nb();
+  // Take the in-flight state out of the handle first: if a wait or a CRC
+  // check throws, the destructor does not retry, and the unfinished
+  // requests below are abandoned as they unwind.
+  Communicator& comm = *std::exchange(comm_, nullptr);
+  const std::vector<FieldSetT<T>> sets = std::move(sets_);
+  std::vector<PendingRecv> recvs = std::move(recvs_);
+  const int h = sets.front().halo();
+  const int w = sets.front().nb();
   // Complete in post order — the same receive order as the blocking
   // exchange, so the unpacked halos are bitwise identical to it.
-  for (PendingRecv& p : recvs_) {
+  for (PendingRecv& p : recvs) {
     p.request.wait();
     std::span<const T> payload(p.buf);
     if (crc_) {
@@ -199,60 +223,104 @@ void HaloHandleT<T>::finish() {
       const std::uint32_t want = decode_crc<T>(p.buf.back());
       const std::uint32_t got =
           util::crc32c(payload.data(), payload.size_bytes());
-      comm_->costs().add_integrity_check(got != want);
+      comm.costs().add_integrity_check(got != want);
       if (got != want) {
         // Wake peers blocked on this rank before unwinding, then let
         // the recovery layer resync the team and restart the solve.
-        comm_->declare_desync();
+        comm.declare_desync();
         throw CorruptPayloadError(
             "halo payload failed CRC32C verification (silent wire "
             "corruption detected)");
       }
     }
-    unpack_w<T>(fs_.data(p.lb), fs_.halo(), w, p.dst, payload);
+    const std::size_t seg =
+        static_cast<std::size_t>(p.dst.ni) * w * p.dst.nj;
+    for (std::size_t s = 0; s < sets.size(); ++s)
+      unpack_w<T>(sets[s].data(p.lb), h, w, p.dst,
+                  payload.subspan(s * seg, seg));
   }
-  comm_->costs().add_halo_exchange(w);
-  recvs_.clear();
-  fs_ = FieldSetT<T>();
-  comm_ = nullptr;
+  // One round, refreshing every set's planes: halo latency is paid once
+  // for the whole group — the counter the comm-avoiding audits watch.
+  comm.costs().add_halo_exchange(w * static_cast<int>(sets.size()));
 }
 
 HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
-    : decomp_(&decomp) {}
-
-template <typename T>
-void HaloExchanger::exchange_set(Communicator& comm,
-                                 const FieldSetT<T>& fs) const {
-  begin_set<T>(comm, fs).finish();
+    : decomp_(&decomp) {
+  MINIPOP_REQUIRE(decomp.num_active_blocks() * 9 <=
+                      Communicator::kTagEpochStride,
+                  "tag overflow for " << decomp.num_active_blocks()
+                                      << " blocks");
+  // Owner-local index of every active block: one table, no search.
+  std::vector<int> local_of(decomp.num_active_blocks(), -1);
+  for (int r = 0; r < decomp.nranks(); ++r) {
+    const std::vector<int>& ids = decomp.blocks_of_rank(r);
+    for (std::size_t lb = 0; lb < ids.size(); ++lb)
+      local_of[ids[lb]] = static_cast<int>(lb);
+  }
+  rank_first_link_.reserve(decomp.nranks());
+  links_.reserve(8 * static_cast<std::size_t>(decomp.num_active_blocks()));
+  for (int r = 0; r < decomp.nranks(); ++r) {
+    rank_first_link_.push_back(links_.size());
+    for (int id : decomp.blocks_of_rank(r)) {
+      for (Dir d : kExchangeDirs) {
+        Link l;
+        const int nid = decomp.neighbor(id, d);
+        if (nid >= 0) {
+          const int owner = decomp.block(nid).owner;
+          if (owner == r) {
+            l.kind = Link::Kind::kLocal;
+            l.peer = local_of[nid];
+          } else {
+            l.kind = Link::Kind::kRemote;
+            l.peer = owner;
+            l.nid = nid;
+          }
+        }
+        links_.push_back(l);
+      }
+    }
+  }
 }
 
 template <typename T>
-HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
-                                        const FieldSetT<T>& fs) const {
-  MINIPOP_REQUIRE(fs.valid(), "halo exchange of an empty FieldSet");
-  MINIPOP_REQUIRE(&fs.decomposition() == decomp_,
-                  "field belongs to a different decomposition");
-  const int h = fs.halo();
-  const int w = fs.nb();
-  const int my_rank = fs.rank();
+HaloHandleT<T> HaloExchanger::begin_group(
+    Communicator& comm, std::span<const FieldSetT<T>> sets) const {
+  MINIPOP_REQUIRE(!sets.empty(), "halo exchange of an empty group");
+  const FieldSetT<T>& fs0 = sets.front();
+  for (const FieldSetT<T>& fs : sets) {
+    MINIPOP_REQUIRE(fs.valid(), "halo exchange of an empty FieldSet");
+    MINIPOP_REQUIRE(&fs.decomposition() == decomp_,
+                    "field belongs to a different decomposition");
+    MINIPOP_REQUIRE(fs.rank() == fs0.rank() && fs.halo() == fs0.halo() &&
+                        fs.nb() == fs0.nb(),
+                    "group members must share decomposition, rank, halo "
+                    "width and batch width");
+  }
+  const int h = fs0.halo();
+  const int w = fs0.nb();
+  const int my_rank = fs0.rank();
+  const int nblocks = fs0.num_local_blocks();
   const int epoch = comm.next_tag_epoch();
-  std::vector<T> buf;
 
   HaloHandleT<T> handle;
   handle.comm_ = &comm;
-  handle.fs_ = fs;
+  handle.sets_.assign(sets.begin(), sets.end());
   handle.crc_ = crc_enabled_;
 
   // Phase 1: post all remote sends (eager, complete at post time) —
-  // ONE message per (block, direction) carrying all w members.
-  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
-    const auto& b = fs.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const int owner = decomp_->block(nid).owner;
-      if (owner == my_rank) continue;
-      pack_w<T>(fs.data(lb), h, w, send_region(d, b.nx, b.ny, h), buf);
+  // ONE message per (block, direction) carrying every set's rim back
+  // to back (set order = caller order).
+  std::vector<T> buf;
+  for (int lb = 0; lb < nblocks; ++lb) {
+    const grid::BlockInfo& b = fs0.info(lb);
+    const Link* link = links(my_rank, lb);
+    for (int k = 0; k < 8; ++k) {
+      if (link[k].kind != Link::Kind::kRemote) continue;
+      const Dir d = kExchangeDirs[k];
+      const HaloRegion src = send_region(d, b.nx, b.ny, h);
+      buf.clear();
+      for (const FieldSetT<T>& fs : sets)
+        pack_append_w<T>(fs.data(lb), h, w, src, buf);
       // The fault site arms on one-member fp64 sets — every scalar
       // solve, whatever its backing (DESIGN.md §8): the fp32 mirror path
       // is exercised under the fp64 refinement guard, and wider batches
@@ -273,225 +341,71 @@ HaloHandleT<T> HaloExchanger::begin_set(Communicator& comm,
             my_rank, reinterpret_cast<unsigned char*>(buf.data()),
             payload * sizeof(T));
       }
-      comm.isend(owner, message_tag(epoch, b.id, d),
+      comm.isend(link[k].peer, message_tag(epoch, b.id, d),
                  std::span<const T>(buf));
     }
   }
 
-  // Phase 2: post all remote receives (same traversal order as the
-  // blocking receive loop, so finish() unpacks in that order).
-  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
-    const auto& b = fs.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner == my_rank) continue;
+  // Phase 2: post all remote receives, sized for every set; finish()
+  // completes and unpacks them in this order.
+  for (int lb = 0; lb < nblocks; ++lb) {
+    const grid::BlockInfo& b = fs0.info(lb);
+    const Link* link = links(my_rank, lb);
+    for (int k = 0; k < 8; ++k) {
+      if (link[k].kind != Link::Kind::kRemote) continue;
+      const Dir d = kExchangeDirs[k];
       const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      typename HaloHandleT<T>::PendingRecv p;
-      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj +
+      typename HaloHandleT<T>::PendingRecv& p = handle.recvs_.emplace_back();
+      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj *
+                       sets.size() +
                    (crc_enabled_ ? 1 : 0));
       p.lb = lb;
       p.dst = dst;
-      handle.recvs_.push_back(std::move(p));
-      typename HaloHandleT<T>::PendingRecv& posted = handle.recvs_.back();
-      posted.request =
-          comm.irecv(nbk.owner, message_tag(epoch, nid, opposite(d)),
-                     std::span<T>(posted.buf));
+      p.request = comm.irecv(link[k].peer,
+                             message_tag(epoch, link[k].nid, opposite(d)),
+                             std::span<T>(p.buf));
     }
   }
 
   // Phase 3: local copies and zero fills (no communication).
-  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
-    const auto& b = fs.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
+  for (int lb = 0; lb < nblocks; ++lb) {
+    const grid::BlockInfo& b = fs0.info(lb);
+    const Link* link = links(my_rank, lb);
+    for (int k = 0; k < 8; ++k) {
+      if (link[k].kind == Link::Kind::kRemote) continue;
+      const Dir d = kExchangeDirs[k];
       const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      if (nid < 0) {
-        zero_region_w<T>(fs.data(lb), h, w, dst);
+      if (link[k].kind == Link::Kind::kZero) {
+        for (const FieldSetT<T>& fs : sets)
+          zero_region_w<T>(fs.data(lb), h, w, dst);
         continue;
       }
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner != my_rank) continue;  // remote: posted in phase 2
-      const int nlb = fs.local_index(nid);
-      MINIPOP_ASSERT(nlb >= 0);
-      pack_w<T>(fs.data(nlb), h, w,
-                send_region(opposite(d), nbk.nx, nbk.ny, h), buf);
-      unpack_w<T>(fs.data(lb), h, w, dst, buf);
+      const int nlb = link[k].peer;
+      const grid::BlockInfo& nbk = fs0.info(nlb);
+      const HaloRegion src = send_region(opposite(d), nbk.nx, nbk.ny, h);
+      for (const FieldSetT<T>& fs : sets)
+        copy_region_w<T>(fs.data(nlb), src, fs.data(lb), dst, h, w);
     }
   }
 
   return handle;
 }
 
-template <typename T>
-void HaloExchanger::exchange_group(Communicator& comm,
-                                   std::span<const FieldSetT<T>> sets) const {
-  MINIPOP_REQUIRE(!sets.empty(), "halo exchange of an empty group");
-  const FieldSetT<T>& fs0 = sets.front();
-  MINIPOP_REQUIRE(fs0.valid(), "halo exchange of an empty FieldSet");
-  MINIPOP_REQUIRE(&fs0.decomposition() == decomp_,
+std::uint64_t HaloExchanger::bytes_sent(const grid::Decomposition& decomp,
+                                        int rank, int halo, int nb,
+                                        std::size_t elem_bytes) const {
+  MINIPOP_REQUIRE(&decomp == decomp_,
                   "field belongs to a different decomposition");
-  for (const FieldSetT<T>& fs : sets) {
-    MINIPOP_REQUIRE(fs.valid() && &fs.decomposition() == decomp_ &&
-                        fs.rank() == fs0.rank() && fs.halo() == fs0.halo() &&
-                        fs.nb() == fs0.nb(),
-                    "group members must share decomposition, rank, halo "
-                    "width and batch width");
-  }
-  const int h = fs0.halo();
-  const int w = fs0.nb();
-  const int my_rank = fs0.rank();
-  const int epoch = comm.next_tag_epoch();
-  std::vector<T> buf;
-
-  struct GroupRecv {
-    std::vector<T> buf;  // before request: see PendingRecv's ordering note
-    int lb = 0;
-    HaloRegion dst{};
-    Request request;
-  };
-  std::vector<GroupRecv> recvs;
-
-  // Phase 1: one eager send per (block, direction) concatenating every
-  // set's rim back to back (set order = caller order).
-  for (int lb = 0; lb < fs0.num_local_blocks(); ++lb) {
-    const auto& b = fs0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const int owner = decomp_->block(nid).owner;
-      if (owner == my_rank) continue;
-      const HaloRegion src = send_region(d, b.nx, b.ny, h);
-      buf.clear();
-      for (const FieldSetT<T>& fs : sets)
-        pack_append_w<T>(fs.data(lb), h, w, src, buf);
-      if constexpr (std::is_same_v<T, double>) {
-        if (w == 1) fault::hook_halo_payload(my_rank, buf.data(), buf.size());
-      }
-      if (crc_enabled_) {
-        const std::size_t payload = buf.size();
-        buf.push_back(encode_crc<T>(
-            util::crc32c(buf.data(), payload * sizeof(T))));
-        fault::hook_halo_bitflip(
-            my_rank, reinterpret_cast<unsigned char*>(buf.data()),
-            payload * sizeof(T));
-      }
-      comm.isend(owner, message_tag(epoch, b.id, d),
-                 std::span<const T>(buf));
-    }
-  }
-
-  // Phase 2: one receive per (block, direction), sized for all sets.
-  for (int lb = 0; lb < fs0.num_local_blocks(); ++lb) {
-    const auto& b = fs0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner == my_rank) continue;
-      const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      GroupRecv p;
-      p.buf.resize(static_cast<std::size_t>(dst.ni) * w * dst.nj *
-                       sets.size() +
-                   (crc_enabled_ ? 1 : 0));
-      p.lb = lb;
-      p.dst = dst;
-      recvs.push_back(std::move(p));
-      GroupRecv& posted = recvs.back();
-      posted.request =
-          comm.irecv(nbk.owner, message_tag(epoch, nid, opposite(d)),
-                     std::span<T>(posted.buf));
-    }
-  }
-
-  // Phase 3: local copies and zero fills, per set.
-  for (int lb = 0; lb < fs0.num_local_blocks(); ++lb) {
-    const auto& b = fs0.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      const HaloRegion dst = halo_region(d, b.nx, b.ny, h);
-      if (nid < 0) {
-        for (const FieldSetT<T>& fs : sets)
-          zero_region_w<T>(fs.data(lb), h, w, dst);
-        continue;
-      }
-      const auto& nbk = decomp_->block(nid);
-      if (nbk.owner != my_rank) continue;
-      const int nlb = fs0.local_index(nid);
-      MINIPOP_ASSERT(nlb >= 0);
-      const HaloRegion src = send_region(opposite(d), nbk.nx, nbk.ny, h);
-      for (const FieldSetT<T>& fs : sets) {
-        pack_w<T>(fs.data(nlb), h, w, src, buf);
-        unpack_w<T>(fs.data(lb), h, w, dst, buf);
-      }
-    }
-  }
-
-  // Wait in post order and unpack each set's segment.
-  for (GroupRecv& p : recvs) {
-    p.request.wait();
-    std::span<const T> payload(p.buf);
-    if (crc_enabled_) {
-      payload = payload.first(payload.size() - 1);
-      const std::uint32_t want = decode_crc<T>(p.buf.back());
-      const std::uint32_t got =
-          util::crc32c(payload.data(), payload.size_bytes());
-      comm.costs().add_integrity_check(got != want);
-      if (got != want) {
-        comm.declare_desync();
-        throw CorruptPayloadError(
-            "halo payload failed CRC32C verification (silent wire "
-            "corruption detected)");
-      }
-    }
-    const std::size_t seg =
-        static_cast<std::size_t>(p.dst.ni) * w * p.dst.nj;
-    for (std::size_t s = 0; s < sets.size(); ++s)
-      unpack_w<T>(sets[s].data(p.lb), h, w, p.dst,
-                  payload.subspan(s * seg, seg));
-  }
-  // One round, refreshing all sets' planes: halo latency is paid once
-  // for the whole group — the counter the comm-avoiding audits watch.
-  comm.costs().add_halo_exchange(w * static_cast<int>(sets.size()));
-}
-
-template <typename T>
-std::uint64_t HaloExchanger::bytes_sent_per_exchange(
-    const DistFieldT<T>& field) const {
-  const int h = field.halo();
-  const int my_rank = field.rank();
   std::uint64_t bytes = 0;
-  for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
-    const auto& b = field.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      if (decomp_->block(nid).owner == my_rank) continue;
-      const HaloRegion r = send_region(d, b.nx, b.ny, h);
-      bytes += static_cast<std::uint64_t>(r.ni) * r.nj * sizeof(T);
-      if (crc_enabled_) bytes += sizeof(T);  // CRC trailer element
-    }
-  }
-  return bytes;
-}
-
-template <typename T>
-std::uint64_t HaloExchanger::bytes_sent_per_exchange(
-    const DistFieldBatchT<T>& field) const {
-  const int h = field.halo();
-  const int my_rank = field.rank();
-  std::uint64_t bytes = 0;
-  for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
-    const auto& b = field.info(lb);
-    for (Dir d : kExchangeDirs) {
-      const int nid = decomp_->neighbor(b.id, d);
-      if (nid < 0) continue;
-      if (decomp_->block(nid).owner == my_rank) continue;
-      const HaloRegion r = send_region(d, b.nx, b.ny, h);
-      bytes += static_cast<std::uint64_t>(r.ni) * field.nb() * r.nj *
-               sizeof(T);
-      if (crc_enabled_) bytes += sizeof(T);  // CRC trailer element
+  const std::vector<int>& ids = decomp_->blocks_of_rank(rank);
+  for (std::size_t lb = 0; lb < ids.size(); ++lb) {
+    const grid::BlockInfo& b = decomp_->block(ids[lb]);
+    const Link* link = links(rank, static_cast<int>(lb));
+    for (int k = 0; k < 8; ++k) {
+      if (link[k].kind != Link::Kind::kRemote) continue;
+      const HaloRegion r = send_region(kExchangeDirs[k], b.nx, b.ny, halo);
+      bytes += static_cast<std::uint64_t>(r.ni) * nb * r.nj * elem_bytes;
+      if (crc_enabled_) bytes += elem_bytes;  // CRC trailer element
     }
   }
   return bytes;
@@ -500,19 +414,9 @@ std::uint64_t HaloExchanger::bytes_sent_per_exchange(
 template class HaloHandleT<double>;
 template class HaloHandleT<float>;
 
-#define MINIPOP_HALO_INSTANTIATE(T)                                        \
-  template void HaloExchanger::exchange_set<T>(Communicator&,              \
-                                               const FieldSetT<T>&) const; \
-  template void HaloExchanger::exchange_group<T>(                          \
-      Communicator&, std::span<const FieldSetT<T>>) const;                 \
-  template HaloHandleT<T> HaloExchanger::begin_set<T>(                     \
-      Communicator&, const FieldSetT<T>&) const;                           \
-  template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
-      const DistFieldT<T>&) const;                                         \
-  template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>(        \
-      const DistFieldBatchT<T>&) const;
-MINIPOP_HALO_INSTANTIATE(double)
-MINIPOP_HALO_INSTANTIATE(float)
-#undef MINIPOP_HALO_INSTANTIATE
+template HaloHandleT<double> HaloExchanger::begin_group<double>(
+    Communicator&, std::span<const FieldSetT<double>>) const;
+template HaloHandleT<float> HaloExchanger::begin_group<float>(
+    Communicator&, std::span<const FieldSetT<float>>) const;
 
 }  // namespace minipop::comm

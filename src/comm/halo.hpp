@@ -9,6 +9,16 @@
 // because the stencil carries identically zero coefficients across
 // coastlines.
 //
+// Persistent plan: the constructor resolves, once, every rank's eight
+// links per local block — zero fill, local copy (with the neighbour's
+// owner-local index) or remote message (with the owner rank and the
+// neighbour's id for the receive tag) — the analogue of MPI_Send_init.
+// A round only walks that table: no neighbour search, no block-id
+// lookup, and a local neighbour's interior rows are copied straight
+// into this block's halo rows without a staging buffer. The plan is
+// immutable after construction, so one exchanger can be shared by the
+// rank threads of a ThreadTeam.
+//
 // The exchange is split-phase: begin() packs the strips, posts all sends
 // and receives, and performs the local copies/zero fills, returning a
 // HaloHandle that owns the in-flight state; finish() waits for the
@@ -18,19 +28,20 @@
 // from the communicator, so up to Communicator::kTagEpochWindow
 // exchanges can be outstanding at once without their messages colliding.
 //
-// There is ONE exchange engine, written against the FieldSet view: a
-// scalar field is a width-1 set, an nb-member batch a width-nb set
-// whose member-interleaved layout makes a region row ni * nb contiguous
-// elements — so one message per (block, neighbor) carries ALL members,
-// the same message count as a scalar exchange with nb x the payload.
+// There is ONE exchange engine, written against a group of FieldSet
+// views: a single exchange is the one-set group. A scalar field is a
+// width-1 set, an nb-member batch a width-nb set whose member-
+// interleaved layout makes a region row ni * nb contiguous elements —
+// so one message per (block, neighbor) carries ALL members of ALL sets,
+// the same message count as a scalar exchange with a larger payload.
 // The engine is also generic over the element type: an fp32 set packs
 // fp32 strips and moves HALF the wire bytes of an fp64 exchange through
 // the identical byte-addressed point-to-point path — the same tags and
-// the same message count. finish() counts one
-// exchange round refreshing nb member planes
-// (CostTracker::add_halo_exchange(nb)).
+// the same message count. finish() counts one exchange round refreshing
+// nb x sets member planes (CostTracker::add_halo_exchange).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -61,14 +72,14 @@ struct HaloRegion {
 };
 }  // namespace detail
 
-/// One in-flight split-phase halo exchange of a FieldSet (scalar field
-/// or batch). Owns the posted receive requests and their landing
-/// buffers; finish() completes them in post order (matching the
-/// blocking exchange) and unpacks into the set's halo. The backing
-/// container and communicator must outlive the handle. finish() must be
-/// called exactly once per begin(); the destructor finishes a
-/// still-active handle as a safety net (swallowing errors, since it may
-/// run while unwinding a poisoned team).
+/// One in-flight split-phase halo exchange of a group of FieldSets
+/// (one set for begin_set). Owns the posted receive requests and their
+/// landing buffers; finish() completes them in post order (matching the
+/// blocking exchange) and unpacks each set's segment into its halo. The
+/// backing containers and communicator must outlive the handle.
+/// finish() must be called exactly once per begin(); the destructor
+/// finishes a still-active handle as a safety net (swallowing errors,
+/// since it may run while unwinding a poisoned team).
 template <typename T>
 class HaloHandleT {
  public:
@@ -79,11 +90,13 @@ class HaloHandleT {
   HaloHandleT& operator=(const HaloHandleT&) = delete;
   ~HaloHandleT();
 
-  bool active() const { return fs_.valid(); }
+  bool active() const { return !sets_.empty(); }
 
-  /// Wait for all receives, unpack the halo, and count the exchange
-  /// (one round refreshing nb member planes). No-op on an inactive
-  /// handle.
+  /// Wait for all receives, unpack the halos, and count the exchange
+  /// (one round refreshing nb x sets member planes). The handle is
+  /// inactive from entry, so a failed finish() is not retried by the
+  /// destructor: the remaining receives are abandoned. No-op on an
+  /// inactive handle.
   void finish();
 
  private:
@@ -103,7 +116,7 @@ class HaloHandleT {
   };
 
   Communicator* comm_ = nullptr;
-  FieldSetT<T> fs_;
+  std::vector<FieldSetT<T>> sets_;
   std::vector<PendingRecv> recvs_;
   /// Copied from the exchanger at begin(): each pending buffer carries a
   /// one-element CRC32C trailer to verify before unpacking.
@@ -122,16 +135,20 @@ using BatchHaloHandle32 = HaloHandleT<float>;
 
 class HaloExchanger {
  public:
+  /// Builds the persistent plan for every rank of `decomp`.
   explicit HaloExchanger(const grid::Decomposition& decomp);
 
   /// Update all halos of `fs` (owned by the calling rank). Collective:
   /// every rank of the communicator must call with its own set.
   /// Equivalent to begin_set() immediately followed by finish().
   template <typename T>
-  void exchange_set(Communicator& comm, const FieldSetT<T>& fs) const;
+  void exchange_set(Communicator& comm, const FieldSetT<T>& fs) const {
+    begin_set<T>(comm, fs).finish();
+  }
 
-  /// Split-phase over a FieldSet: pack and post all sends/receives, do
-  /// the local copies and zero fills, and return the in-flight handle.
+  /// Split-phase over a FieldSet (the one-set group): pack and post all
+  /// sends/receives, do the local copies and zero fills, and return the
+  /// in-flight handle.
   /// The halo cells of the set are in an unspecified state until
   /// finish(); the owned interior may be read freely (but not written)
   /// in between. One message per (block, neighbor) carries all nb()
@@ -140,7 +157,9 @@ class HaloExchanger {
   /// batches recover through per-member sub-batches (DESIGN.md §8).
   template <typename T>
   HaloHandleT<T> begin_set(Communicator& comm,
-                           const FieldSetT<T>& fs) const;
+                           const FieldSetT<T>& fs) const {
+    return begin_group<T>(comm, std::span<const FieldSetT<T>>(&fs, 1));
+  }
 
   /// Aggregated deep-halo exchange of several same-shape sets (the
   /// communication-avoiding solvers' once-per-group refresh of
@@ -154,7 +173,9 @@ class HaloExchanger {
   /// fp64 groups exactly like the single-set path. Blocking.
   template <typename T>
   void exchange_group(Communicator& comm,
-                      std::span<const FieldSetT<T>> sets) const;
+                      std::span<const FieldSetT<T>> sets) const {
+    begin_group<T>(comm, sets).finish();
+  }
 
   /// Convenience wrappers forwarding to the FieldSet engine.
   template <typename T>
@@ -180,10 +201,16 @@ class HaloExchanger {
   /// field reports half the fp64 bytes; a batch reports nb x the
   /// scalar bytes, carried in the same messages.
   template <typename T>
-  std::uint64_t bytes_sent_per_exchange(const DistFieldT<T>& field) const;
+  std::uint64_t bytes_sent_per_exchange(const DistFieldT<T>& field) const {
+    return bytes_sent(field.decomposition(), field.rank(), field.halo(), 1,
+                      sizeof(T));
+  }
   template <typename T>
   std::uint64_t bytes_sent_per_exchange(
-      const DistFieldBatchT<T>& field) const;
+      const DistFieldBatchT<T>& field) const {
+    return bytes_sent(field.decomposition(), field.rank(), field.halo(),
+                      field.nb(), sizeof(T));
+  }
 
   /// Enable CRC32C protection of every remote halo message: the sender
   /// appends a one-element trailer carrying the CRC of the payload
@@ -200,23 +227,40 @@ class HaloExchanger {
   bool crc() const { return crc_enabled_; }
 
  private:
+  /// One of a block's eight halo links, fixed at construction.
+  struct Link {
+    enum class Kind : std::uint8_t { kZero, kLocal, kRemote };
+    Kind kind = Kind::kZero;
+    /// kLocal: the neighbour's owner-local block index; kRemote: its
+    /// owner rank.
+    int peer = -1;
+    /// kRemote: the neighbour's global block id, which tags its message.
+    int nid = -1;
+  };
+
+  /// The engine: one round over `sets` (one message per (block,
+  /// neighbour) for the whole group).
+  template <typename T>
+  HaloHandleT<T> begin_group(Communicator& comm,
+                             std::span<const FieldSetT<T>> sets) const;
+
+  /// The eight links (kExchangeDirs order) of rank's local block lb.
+  const Link* links(int rank, int lb) const {
+    return links_.data() + rank_first_link_[rank] + 8 * lb;
+  }
+
+  std::uint64_t bytes_sent(const grid::Decomposition& decomp, int rank,
+                           int halo, int nb, std::size_t elem_bytes) const;
+
   const grid::Decomposition* decomp_;
+  std::vector<Link> links_;  ///< [rank][local block][direction]
+  std::vector<std::size_t> rank_first_link_;  ///< per rank, into links_
   bool crc_enabled_ = false;
 };
 
-#define MINIPOP_HALO_EXTERN(T)                                             \
-  extern template void HaloExchanger::exchange_set<T>(                     \
-      Communicator&, const FieldSetT<T>&) const;                           \
-  extern template void HaloExchanger::exchange_group<T>(                   \
-      Communicator&, std::span<const FieldSetT<T>>) const;                 \
-  extern template HaloHandleT<T> HaloExchanger::begin_set<T>(              \
-      Communicator&, const FieldSetT<T>&) const;                           \
-  extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
-      const DistFieldT<T>&) const;                                         \
-  extern template std::uint64_t HaloExchanger::bytes_sent_per_exchange<T>( \
-      const DistFieldBatchT<T>&) const;
-MINIPOP_HALO_EXTERN(double)
-MINIPOP_HALO_EXTERN(float)
-#undef MINIPOP_HALO_EXTERN
+extern template HaloHandleT<double> HaloExchanger::begin_group<double>(
+    Communicator&, std::span<const FieldSetT<double>>) const;
+extern template HaloHandleT<float> HaloExchanger::begin_group<float>(
+    Communicator&, std::span<const FieldSetT<float>>) const;
 
 }  // namespace minipop::comm

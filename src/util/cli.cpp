@@ -106,9 +106,9 @@ std::string Cli::get_choice(const std::string& name,
 
 int report_error(const std::string& program, const Error& e,
                  std::ostream& err) {
-  std::string what = e.what();
-  std::replace(what.begin(), what.end(), '\n', ' ');
-  err << program << ": error: " << what << "\n";
+  std::string reason = e.reason();
+  std::replace(reason.begin(), reason.end(), '\n', ' ');
+  err << program << ": error: " << reason << "\n";
   return 1;
 }
 

@@ -34,7 +34,8 @@ int parse_int(const std::string& s, int lo = INT_MIN, int hi = INT_MAX);
 
 /// Report an Error that stopped a program after its flags parsed (a
 /// configuration the library rejects, a failed run) as one
-/// "program: error: what()" line on `err`, and return exit status 1.
+/// "program: error: reason()" line on `err` — no source location — and
+/// return exit status 1.
 /// The examples' main() ends in this handler instead of aborting.
 int report_error(const std::string& program, const Error& e,
                  std::ostream& err = std::cerr);

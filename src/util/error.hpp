@@ -1,7 +1,10 @@
 // Error-handling primitives for minipop.
 //
 // The library reports contract violations and runtime failures by throwing
-// minipop::util::Error (a std::runtime_error). Hot loops use
+// minipop::util::Error (a std::runtime_error). what() carries the full
+// debugging text — for a failed requirement the "file:line: requirement
+// failed: expr" location too — while reason() is the user-facing part
+// alone, which the programs print. Hot loops use
 // MINIPOP_ASSERT, which compiles out in NDEBUG builds; API boundaries use
 // MINIPOP_REQUIRE, which is always active.
 #pragma once
@@ -9,13 +12,26 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace minipop::util {
 
 /// Exception type thrown by all minipop components.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  /// An error whose whole text is meant for the user.
+  explicit Error(const std::string& what)
+      : std::runtime_error(what), reason_(what) {}
+  /// An error whose what() adds debugging context (a source location)
+  /// to the user-facing `reason`.
+  Error(const std::string& what, std::string reason)
+      : std::runtime_error(what), reason_(std::move(reason)) {}
+
+  /// The user-facing reason: what() without the debugging location.
+  const std::string& reason() const { return reason_; }
+
+ private:
+  std::string reason_;
 };
 
 namespace detail {
@@ -24,7 +40,9 @@ namespace detail {
   std::ostringstream os;
   os << file << ":" << line << ": requirement failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
-  throw Error(os.str());
+  throw Error(os.str(), msg.empty() ? std::string("requirement failed: ") +
+                                          expr
+                                    : msg);
 }
 }  // namespace detail
 

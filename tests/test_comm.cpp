@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "src/comm/dist_field.hpp"
+#include "src/comm/dist_field_batch.hpp"
+#include "src/comm/field_set.hpp"
 #include "src/comm/halo.hpp"
 #include "src/comm/serial_comm.hpp"
 #include "src/comm/thread_comm.hpp"
@@ -209,16 +214,22 @@ TEST(ThreadTeam, CostCountersPerRank) {
 
 namespace {
 
-/// Global test pattern with unique values.
+/// Global test pattern with unique values (exact in fp32 too).
 double pattern(int i, int j) { return 1 + i + 1000.0 * j; }
 
-/// Validate every halo cell of every local block of `field` against the
-/// global pattern (0 where the halo leaves the domain or enters an
-/// eliminated block).
-void check_halos(const mg::Decomposition& d, const mc::DistField& field) {
-  const int h = field.halo();
-  for (int lb = 0; lb < field.num_local_blocks(); ++lb) {
-    const auto& b = field.info(lb);
+/// Member m's pattern: distinct per member, still exact in fp32.
+double member_pattern(int i, int j, int m) {
+  return pattern(i, j) + 100000.0 * m;
+}
+
+/// Validate every halo cell of every member of every local block of
+/// `fs` against the global pattern (0 where the halo leaves the domain
+/// or enters an eliminated block).
+template <typename T>
+void check_halos(const mg::Decomposition& d, const mc::FieldSetT<T>& fs) {
+  const int h = fs.halo();
+  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
+    const auto& b = fs.info(lb);
     for (int j = -h; j < b.ny + h; ++j) {
       for (int i = -h; i < b.nx + h; ++i) {
         const bool interior =
@@ -226,48 +237,78 @@ void check_halos(const mg::Decomposition& d, const mc::DistField& field) {
         if (interior) continue;
         int gi = b.i0 + i;
         const int gj = b.j0 + j;
-        double expected = 0.0;
+        bool ocean = false;
         if (gj >= 0 && gj < d.ny_global()) {
           if (d.periodic_x())
             gi = (gi % d.nx_global() + d.nx_global()) % d.nx_global();
           if (gi >= 0 && gi < d.nx_global()) {
             const int nbi = gi / d.block_nx();
             const int nbj = gj / d.block_ny();
-            if (d.block_id_at(nbi, nbj) >= 0) expected = pattern(gi, gj);
+            ocean = d.block_id_at(nbi, nbj) >= 0;
           }
         }
-        ASSERT_DOUBLE_EQ(field.at(lb, i, j), expected)
-            << "block (" << b.bi << "," << b.bj << ") halo cell (" << i
-            << "," << j << ")";
+        for (int m = 0; m < fs.nb(); ++m) {
+          const T expected =
+              ocean ? static_cast<T>(member_pattern(gi, gj, m)) : T(0);
+          ASSERT_EQ(fs.at(lb, i, j, m), expected)
+              << "block (" << b.bi << "," << b.bj << ") halo cell (" << i
+              << "," << j << ") member " << m << " of " << fs.nb();
+        }
       }
     }
   }
 }
 
+/// Exchange one rank's field of element type T and width nb (nb == 0:
+/// a scalar DistFieldT; else a DistFieldBatchT of nb members) loaded
+/// from the member patterns, with halos poisoned first, and check them.
+template <typename T>
+void exchange_and_check(const mg::Decomposition& d,
+                        const mc::HaloExchanger& hx, mc::Communicator& comm,
+                        int halo, int nb) {
+  const int nm = std::max(nb, 1);
+  std::vector<mc::DistFieldT<T>> members;
+  for (int m = 0; m < nm; ++m) {
+    mu::Field global(d.nx_global(), d.ny_global());
+    for (int j = 0; j < d.ny_global(); ++j)
+      for (int i = 0; i < d.nx_global(); ++i)
+        global(i, j) = member_pattern(i, j, m);
+    members.emplace_back(d, comm.rank(), halo);
+    members.back().fill(T(-7));
+    members.back().load_global(global);
+  }
+  if (nb == 0) {
+    hx.exchange(comm, members[0]);
+    check_halos<T>(d, members[0]);
+    return;
+  }
+  mc::DistFieldBatchT<T> batch(d, comm.rank(), nb, halo);
+  for (int m = 0; m < nb; ++m) batch.load_member(m, members[m]);
+  hx.exchange(comm, batch);
+  check_halos<T>(d, batch);
+}
+
+/// The halo cases run for fp64 and fp32, on a scalar field and on
+/// batches of width 1 and 3.
 void run_halo_case(int nx, int ny, bool periodic, int bnx, int bny,
                    int nranks, int halo,
                    const mu::MaskArray* mask_in = nullptr) {
   mu::MaskArray mask = mask_in ? *mask_in : mu::MaskArray(nx, ny, 1);
   mg::Decomposition d(nx, ny, periodic, mask, bnx, bny, nranks);
-  mu::Field global(nx, ny);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i) global(i, j) = pattern(i, j);
-
   mc::HaloExchanger hx(d);
+  auto body = [&](mc::Communicator& comm) {
+    for (int nb : {0, 1, 3}) {
+      SCOPED_TRACE(testing::Message() << "nb " << nb);
+      exchange_and_check<double>(d, hx, comm, halo, nb);
+      exchange_and_check<float>(d, hx, comm, halo, nb);
+    }
+  };
   if (nranks == 1) {
     mc::SerialComm comm;
-    mc::DistField f(d, 0, halo);
-    f.load_global(global);
-    hx.exchange(comm, f);
-    check_halos(d, f);
+    body(comm);
   } else {
     mc::ThreadTeam team(nranks);
-    team.run([&](mc::Communicator& comm) {
-      mc::DistField f(d, comm.rank(), halo);
-      f.load_global(global);
-      hx.exchange(comm, f);
-      check_halos(d, f);
-    });
+    team.run(body);
   }
 }
 
@@ -375,4 +416,121 @@ TEST(Halo, BytesSentAccounting) {
   EXPECT_EQ(team.costs(1).p2p_bytes, predicted[1]);
   EXPECT_GT(predicted[0], 0u);
   EXPECT_EQ(team.costs(0).halo_exchanges, 1u);
+}
+
+namespace {
+
+/// Fill every padded cell (interior and halo) of every member of `fs`
+/// with a value unique to (set, block, cell, member), so a halo cell
+/// left untouched or filled from the wrong place shows up bitwise.
+template <typename T>
+void fill_distinct(const mc::FieldSetT<T>& fs, int set) {
+  for (int lb = 0; lb < fs.num_local_blocks(); ++lb) {
+    mu::Array2D<T>& a = fs.data(lb);
+    for (int j = 0; j < a.ny(); ++j)
+      for (int i = 0; i < a.nx(); ++i)
+        a(i, j) = static_cast<T>(0.5 + i + 64.0 * j + 4096.0 * lb +
+                                 0.125 * set);
+  }
+}
+
+template <typename T>
+void expect_same_bits(const mc::FieldSetT<T>& a, const mc::FieldSetT<T>& b) {
+  for (int lb = 0; lb < a.num_local_blocks(); ++lb) {
+    const mu::Array2D<T>& x = a.data(lb);
+    const mu::Array2D<T>& y = b.data(lb);
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(T)), 0)
+        << "local block " << lb;
+  }
+}
+
+/// exchange_group over three sets against one exchange_set per set, on
+/// the same starting bits.
+template <typename T>
+void group_matches_sets(const mg::Decomposition& d,
+                        const mc::HaloExchanger& hx, mc::Communicator& comm,
+                        int nb) {
+  constexpr int kSets = 3;
+  std::vector<mc::DistFieldBatchT<T>> grouped, single;
+  for (int s = 0; s < kSets; ++s) {
+    grouped.emplace_back(d, comm.rank(), nb, 2);
+    single.emplace_back(d, comm.rank(), nb, 2);
+    fill_distinct<T>(grouped.back(), s);
+    fill_distinct<T>(single.back(), s);
+  }
+  const std::vector<mc::FieldSetT<T>> sets(grouped.begin(), grouped.end());
+  hx.exchange_group<T>(comm, sets);
+  for (auto& f : single) hx.exchange(comm, f);
+  for (int s = 0; s < kSets; ++s) expect_same_bits<T>(grouped[s], single[s]);
+}
+
+}  // namespace
+
+TEST(Halo, GroupExchangeMatchesPerSetExchanges) {
+  mu::MaskArray mask(20, 12, 1);
+  for (int j = 4; j < 8; ++j)
+    for (int i = 8; i < 12; ++i) mask(i, j) = 0;  // one eliminated block
+  for (int nranks : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << nranks << " ranks");
+    mg::Decomposition d(20, 12, true, mask, 4, 4, nranks);
+    mc::HaloExchanger hx(d);
+    auto body = [&](mc::Communicator& comm) {
+      for (int nb : {1, 3}) {
+        group_matches_sets<double>(d, hx, comm, nb);
+        group_matches_sets<float>(d, hx, comm, nb);
+      }
+    };
+    if (nranks == 1) {
+      mc::SerialComm comm;
+      body(comm);
+    } else {
+      mc::ThreadTeam team(nranks);
+      team.run(body);
+    }
+  }
+}
+
+// The end-to-end benchmark cross-checks its outside-in halo-round count
+// (one tag epoch per round) against CostCounters::halo_exchanges. Both
+// depend on every exchange drawing exactly one tag epoch and counting
+// exactly one round of nb x sets member planes, on one rank as on many.
+TEST(Halo, OneTagEpochAndOneCountedRoundPerExchange) {
+  mu::MaskArray mask(12, 8, 1);
+  mg::Decomposition d(12, 8, true, mask, 4, 4, 1);
+  mc::HaloExchanger hx(d);
+  mc::SerialComm comm;
+  mc::DistField f(d, 0);
+  mc::DistField32 f32(d, 0);
+  mc::DistFieldBatch b(d, 0, 3), b2(d, 0, 3);
+  const std::vector<mc::FieldSet> group = {b, b2};
+  const std::vector<mc::FieldSet> mixed = {b, b2, f};
+
+  struct Case {
+    const char* name;
+    std::function<void()> exchange;
+    std::uint64_t members;
+  };
+  const std::vector<Case> cases = {
+      {"scalar", [&] { hx.exchange(comm, f); }, 1},
+      {"fp32 scalar", [&] { hx.exchange(comm, f32); }, 1},
+      {"batch", [&] { hx.exchange(comm, b); }, 3},
+      {"split phase", [&] { hx.begin(comm, b).finish(); }, 3},
+      {"group", [&] { hx.exchange_group<double>(comm, group); }, 6},
+  };
+  const int window = mc::Communicator::kTagEpochWindow;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto before = comm.costs().counters();
+    const int e0 = comm.next_tag_epoch();
+    c.exchange();
+    const int e1 = comm.next_tag_epoch();
+    EXPECT_EQ(e1, (e0 + 2) % window) << "one epoch drawn per exchange";
+    const auto after = comm.costs().counters();
+    EXPECT_EQ(after.halo_exchanges - before.halo_exchanges, 1u);
+    EXPECT_EQ(after.halo_member_updates - before.halo_member_updates,
+              c.members);
+  }
+  // A group must be one shape: the scalar field cannot join the batches.
+  EXPECT_THROW(hx.exchange_group<double>(comm, mixed), mu::Error);
 }

@@ -197,3 +197,31 @@ TEST(Error, RequireThrowsWithMessage) {
     EXPECT_NE(w.find("context 42"), std::string::npos);
   }
 }
+
+TEST(Error, ReasonOmitsTheSourceLocation) {
+  try {
+    MINIPOP_REQUIRE(1 == 2, "halo " << 2 << " wider than block 1");
+    FAIL() << "should have thrown";
+  } catch (const mu::Error& e) {
+    EXPECT_EQ(e.reason(), "halo 2 wider than block 1");
+    EXPECT_NE(std::string(e.what()).find("requirement failed: 1 == 2"),
+              std::string::npos);
+  }
+  try {
+    MINIPOP_REQUIRE(1 == 2, "");
+    FAIL() << "should have thrown";
+  } catch (const mu::Error& e) {
+    EXPECT_EQ(e.reason(), "requirement failed: 1 == 2");
+  }
+  EXPECT_EQ(mu::Error("plain").reason(), "plain");
+}
+
+TEST(Error, ReportErrorPrintsOneLineWithTheReasonOnly) {
+  try {
+    MINIPOP_REQUIRE(false, "bad\nconfig");
+  } catch (const mu::Error& e) {
+    std::ostringstream err;
+    EXPECT_EQ(mu::report_error("prog", e, err), 1);
+    EXPECT_EQ(err.str(), "prog: error: bad config\n");
+  }
+}
