@@ -98,28 +98,13 @@ T* region_start(util::Array2D<T>& padded, int h, int w,
          static_cast<std::ptrdiff_t>(r.i0 + h) * w;
 }
 
-template <std::size_t N, typename T>
-void copy_rows_n(T* d, std::ptrdiff_t ds, const T* s, std::ptrdiff_t ss,
-                 int nj) {
-  for (int j = 0; j < nj; ++j, d += ds, s += ss)
-    for (std::size_t e = 0; e < N; ++e) d[e] = s[e];
-}
-
 /// Copy `nj` rows of `n` elements from `s` to `d`, whose rows start `ss`
 /// and `ds` elements apart (a packed message segment has stride n).
-/// Scalar E/W strips and corners are rows of only h elements, where a
-/// memcpy call per row costs more than the copy, so rows of one or two
-/// elements are copied inline.
 template <typename T>
 void copy_rows(T* d, std::ptrdiff_t ds, const T* s, std::ptrdiff_t ss,
                std::size_t n, int nj) {
-  switch (n) {
-    case 1: copy_rows_n<1>(d, ds, s, ss, nj); return;
-    case 2: copy_rows_n<2>(d, ds, s, ss, nj); return;
-    default:
-      for (int j = 0; j < nj; ++j, d += ds, s += ss)
-        std::memcpy(d, s, n * sizeof(T));
-  }
+  for (int j = 0; j < nj; ++j, d += ds, s += ss)
+    std::memcpy(d, s, n * sizeof(T));
 }
 
 /// Append region `r` of `padded` to `out` — a group message concatenates
@@ -257,26 +242,21 @@ HaloExchanger::HaloExchanger(const grid::Decomposition& decomp)
     for (std::size_t lb = 0; lb < ids.size(); ++lb)
       local_of[ids[lb]] = static_cast<int>(lb);
   }
-  rank_first_link_.reserve(decomp.nranks());
-  links_.reserve(8 * static_cast<std::size_t>(decomp.num_active_blocks()));
-  for (int r = 0; r < decomp.nranks(); ++r) {
-    rank_first_link_.push_back(links_.size());
-    for (int id : decomp.blocks_of_rank(r)) {
-      for (Dir d : kExchangeDirs) {
-        Link l;
-        const int nid = decomp.neighbor(id, d);
-        if (nid >= 0) {
-          const int owner = decomp.block(nid).owner;
-          if (owner == r) {
-            l.kind = Link::Kind::kLocal;
-            l.peer = local_of[nid];
-          } else {
-            l.kind = Link::Kind::kRemote;
-            l.peer = owner;
-            l.nid = nid;
-          }
-        }
-        links_.push_back(l);
+  links_.resize(8 * static_cast<std::size_t>(decomp.num_active_blocks()));
+  for (int id = 0; id < decomp.num_active_blocks(); ++id) {
+    const int owner = decomp.block(id).owner;
+    Link* link = links_.data() + 8 * static_cast<std::size_t>(id);
+    for (int k = 0; k < 8; ++k) {
+      const int nid = decomp.neighbor(id, kExchangeDirs[k]);
+      if (nid < 0) continue;  // zero fill
+      const int nowner = decomp.block(nid).owner;
+      link[k].nid = nid;
+      if (nowner == owner) {
+        link[k].kind = Link::Kind::kLocal;
+        link[k].peer = local_of[nid];
+      } else {
+        link[k].kind = Link::Kind::kRemote;
+        link[k].peer = nowner;
       }
     }
   }
@@ -313,7 +293,7 @@ HaloHandleT<T> HaloExchanger::begin_group(
   std::vector<T> buf;
   for (int lb = 0; lb < nblocks; ++lb) {
     const grid::BlockInfo& b = fs0.info(lb);
-    const Link* link = links(my_rank, lb);
+    const Link* link = links(b.id);
     for (int k = 0; k < 8; ++k) {
       if (link[k].kind != Link::Kind::kRemote) continue;
       const Dir d = kExchangeDirs[k];
@@ -350,7 +330,7 @@ HaloHandleT<T> HaloExchanger::begin_group(
   // completes and unpacks them in this order.
   for (int lb = 0; lb < nblocks; ++lb) {
     const grid::BlockInfo& b = fs0.info(lb);
-    const Link* link = links(my_rank, lb);
+    const Link* link = links(b.id);
     for (int k = 0; k < 8; ++k) {
       if (link[k].kind != Link::Kind::kRemote) continue;
       const Dir d = kExchangeDirs[k];
@@ -370,7 +350,7 @@ HaloHandleT<T> HaloExchanger::begin_group(
   // Phase 3: local copies and zero fills (no communication).
   for (int lb = 0; lb < nblocks; ++lb) {
     const grid::BlockInfo& b = fs0.info(lb);
-    const Link* link = links(my_rank, lb);
+    const Link* link = links(b.id);
     for (int k = 0; k < 8; ++k) {
       if (link[k].kind == Link::Kind::kRemote) continue;
       const Dir d = kExchangeDirs[k];
@@ -382,6 +362,7 @@ HaloHandleT<T> HaloExchanger::begin_group(
       }
       const int nlb = link[k].peer;
       const grid::BlockInfo& nbk = fs0.info(nlb);
+      MINIPOP_ASSERT(nbk.id == link[k].nid);
       const HaloRegion src = send_region(opposite(d), nbk.nx, nbk.ny, h);
       for (const FieldSetT<T>& fs : sets)
         copy_region_w<T>(fs.data(nlb), src, fs.data(lb), dst, h, w);
@@ -397,10 +378,9 @@ std::uint64_t HaloExchanger::bytes_sent(const grid::Decomposition& decomp,
   MINIPOP_REQUIRE(&decomp == decomp_,
                   "field belongs to a different decomposition");
   std::uint64_t bytes = 0;
-  const std::vector<int>& ids = decomp_->blocks_of_rank(rank);
-  for (std::size_t lb = 0; lb < ids.size(); ++lb) {
-    const grid::BlockInfo& b = decomp_->block(ids[lb]);
-    const Link* link = links(rank, static_cast<int>(lb));
+  for (int id : decomp_->blocks_of_rank(rank)) {
+    const grid::BlockInfo& b = decomp_->block(id);
+    const Link* link = links(id);
     for (int k = 0; k < 8; ++k) {
       if (link[k].kind != Link::Kind::kRemote) continue;
       const HaloRegion r = send_region(kExchangeDirs[k], b.nx, b.ny, halo);

@@ -9,10 +9,11 @@
 // because the stencil carries identically zero coefficients across
 // coastlines.
 //
-// Persistent plan: the constructor resolves, once, every rank's eight
-// links per local block — zero fill, local copy (with the neighbour's
-// owner-local index) or remote message (with the owner rank and the
-// neighbour's id for the receive tag) — the analogue of MPI_Send_init.
+// Persistent plan: the constructor resolves, once, the eight links of
+// every active block, indexed by global block id — zero fill, local
+// copy (with the neighbour's owner-local index) or remote message (with
+// the owner rank and the neighbour's id for the receive tag) — the
+// analogue of MPI_Send_init.
 // A round only walks that table: no neighbour search, no block-id
 // lookup, and a local neighbour's interior rows are copied straight
 // into this block's halo rows without a staging buffer. The plan is
@@ -234,7 +235,7 @@ class HaloExchanger {
     /// kLocal: the neighbour's owner-local block index; kRemote: its
     /// owner rank.
     int peer = -1;
-    /// kRemote: the neighbour's global block id, which tags its message.
+    /// The neighbour's global block id (kRemote: it tags the message).
     int nid = -1;
   };
 
@@ -244,17 +245,17 @@ class HaloExchanger {
   HaloHandleT<T> begin_group(Communicator& comm,
                              std::span<const FieldSetT<T>> sets) const;
 
-  /// The eight links (kExchangeDirs order) of rank's local block lb.
-  const Link* links(int rank, int lb) const {
-    return links_.data() + rank_first_link_[rank] + 8 * lb;
+  /// The eight links (kExchangeDirs order) of the block with global id
+  /// `id`.
+  const Link* links(int id) const {
+    return links_.data() + 8 * static_cast<std::size_t>(id);
   }
 
   std::uint64_t bytes_sent(const grid::Decomposition& decomp, int rank,
                            int halo, int nb, std::size_t elem_bytes) const;
 
   const grid::Decomposition* decomp_;
-  std::vector<Link> links_;  ///< [rank][local block][direction]
-  std::vector<std::size_t> rank_first_link_;  ///< per rank, into links_
+  std::vector<Link> links_;  ///< [global block id][direction]
   bool crc_enabled_ = false;
 };
 

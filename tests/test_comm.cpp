@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/comm/dist_field.hpp"
@@ -516,6 +520,19 @@ TEST(Halo, OneTagEpochAndOneCountedRoundPerExchange) {
       {"fp32 scalar", [&] { hx.exchange(comm, f32); }, 1},
       {"batch", [&] { hx.exchange(comm, b); }, 3},
       {"split phase", [&] { hx.begin(comm, b).finish(); }, 3},
+      {"moved handle",
+       [&] {
+         mc::HaloHandle h = hx.begin(comm, b);
+         mc::HaloHandle moved = std::move(h);
+         moved.finish();
+       },
+       3},
+      {"moved handle finished by its destructor",
+       [&] {
+         mc::HaloHandle h = hx.begin(comm, b);
+         mc::HaloHandle moved = std::move(h);
+       },
+       3},
       {"group", [&] { hx.exchange_group<double>(comm, group); }, 6},
   };
   const int window = mc::Communicator::kTagEpochWindow;
@@ -533,4 +550,101 @@ TEST(Halo, OneTagEpochAndOneCountedRoundPerExchange) {
   }
   // A group must be one shape: the scalar field cannot join the batches.
   EXPECT_THROW(hx.exchange_group<double>(comm, mixed), mu::Error);
+}
+
+namespace {
+
+/// Two ranks driven from one thread: a send lands in a mailbox shared by
+/// both, keyed by (source, destination, tag), and a receive completes
+/// once its message is there. A test can then interleave the ranks'
+/// exchange phases by hand, with no thread scheduling in the outcome.
+/// `corrupt_next_send` flips one payload bit of this rank's next send;
+/// declare_desync() calls are counted.
+class LoopbackComm final : public mc::Communicator {
+ public:
+  using Key = std::tuple<int, int, int>;
+  using Mailbox = std::map<Key, std::vector<std::byte>>;
+
+  LoopbackComm(Mailbox& box, int rank) : box_(box), rank_(rank) {}
+
+  int rank() const override { return rank_; }
+  int size() const override { return 2; }
+  mc::Request iallreduce(std::span<double>, mc::ReduceOp) override {
+    throw mu::Error("LoopbackComm has no reductions");
+  }
+  mc::Request isend_bytes(int dest, int tag,
+                          std::span<const std::byte> data) override {
+    std::vector<std::byte>& msg = box_[Key{rank_, dest, tag}];
+    msg.assign(data.begin(), data.end());
+    if (corrupt_next_send) {
+      msg.front() ^= std::byte{1};
+      corrupt_next_send = false;
+    }
+    costs().add_message(data.size());
+    return {};
+  }
+  mc::Request irecv_bytes(int src, int tag,
+                          std::span<std::byte> data) override {
+    return mc::Request(
+        std::make_unique<Recv>(box_, Key{src, rank_, tag}, data), &costs());
+  }
+  void barrier() override {}
+  void declare_desync() override { ++desyncs; }
+
+  bool corrupt_next_send = false;
+  int desyncs = 0;
+
+ private:
+  struct Recv final : mc::RequestState {
+    Recv(Mailbox& box, Key key, std::span<std::byte> data)
+        : box(box), key(key), data(data) {}
+    bool poll() override {
+      const auto it = box.find(key);
+      if (it == box.end()) return false;
+      if (it->second.size() != data.size())
+        throw mu::Error("LoopbackComm message size mismatch");
+      std::memcpy(data.data(), it->second.data(), data.size());
+      box.erase(it);
+      return true;
+    }
+    void block() override {
+      if (!poll()) throw mu::Error("LoopbackComm message never sent");
+    }
+    Mailbox& box;
+    Key key;
+    std::span<std::byte> data;
+  };
+
+  Mailbox& box_;
+  int rank_;
+};
+
+}  // namespace
+
+// A CRC mismatch is counted once and declares one desync: the handle is
+// inactive once finish() throws, so its destructor does not verify the
+// same buffer again. The sending rank's exchange is unaffected.
+TEST(Halo, CrcFailureIsCountedOnceAndNotRetriedByTheDestructor) {
+  mu::MaskArray mask(8, 8, 1);
+  mg::Decomposition d(8, 8, true, mask, 4, 4, 2);
+  mc::HaloExchanger hx(d);
+  hx.set_crc(true);
+  LoopbackComm::Mailbox box;
+  LoopbackComm c0(box, 0), c1(box, 1);
+  mc::DistField f0(d, 0), f1(d, 1);
+  c0.corrupt_next_send = true;
+  {
+    mc::HaloHandle h0 = hx.begin(c0, f0);
+    mc::HaloHandle h1 = hx.begin(c1, f1);
+    h0.finish();
+    EXPECT_THROW(h1.finish(), mc::CorruptPayloadError);
+    EXPECT_FALSE(h1.active());
+  }
+  EXPECT_EQ(c1.costs().counters().integrity_failures, 1u);
+  EXPECT_EQ(c1.desyncs, 1);
+  EXPECT_EQ(c1.costs().counters().halo_exchanges, 0u);
+  EXPECT_EQ(c0.costs().counters().integrity_failures, 0u);
+  EXPECT_GT(c0.costs().counters().integrity_checks, 0u);
+  EXPECT_EQ(c0.desyncs, 0);
+  EXPECT_EQ(c0.costs().counters().halo_exchanges, 1u);
 }
